@@ -232,33 +232,47 @@ impl BatchedYieldStats {
     }
 }
 
-/// Monte-Carlo yield throughput, sequential vs the batched variant
-/// engine (SoA lanes, SIMD stamp replay, pooled chunks), interleaved
-/// best-of-`reps`. The sequential side runs today's default path; the
-/// batched side only flips `Options::batch` on.
+/// Monte-Carlo yield throughput on one thread: a per-sample loop over
+/// the single-point API (one `RcCrBench::characterize` op + AC per
+/// sample) against the study driver, whose only path is the batched
+/// variant engine (SoA lanes, SIMD stamp replay). Both see the same
+/// draws; interleaved best-of-`reps`.
 fn batched_yield_probe(samples: usize, reps: usize) -> BatchedYieldStats {
+    use ahfic::mixed::RcCrBench;
     use ahfic::yield_mc::YieldStudy;
-    use ahfic_spice::analysis::BatchMode;
+    use ahfic_rf::image_rejection::irr_analytic_db;
     let study = YieldStudy {
         samples,
         ..YieldStudy::paper_example(0.05)
     };
-    let seq = Options::default();
-    let bat = Options::new().batch(BatchMode::Auto);
-    let time = |opts: &Options| {
+    let draws: Vec<f64> = (0..samples).map(|i| study.sample_draw(i).0).collect();
+    let mut bench = RcCrBench::new(study.f2_if, 1e-12).expect("bench compiles");
+    let mut seq = || {
+        let t0 = Instant::now();
+        let pass = draws
+            .iter()
+            .filter(|&&m| {
+                let b = bench.characterize(m).expect("sample converges");
+                irr_analytic_db(b.phase_err_deg, b.gain_err) >= study.required_irr_db
+            })
+            .count();
+        std::hint::black_box(pass);
+        t0.elapsed().as_secs_f64()
+    };
+    let bat = || {
         let t0 = Instant::now();
         let r = study
-            .run_with_options(opts.clone())
+            .run_with_options(Options::new().threads(1))
             .expect("yield study converges");
         std::hint::black_box(&r);
         t0.elapsed().as_secs_f64()
     };
-    time(&seq);
-    time(&bat);
+    seq();
+    bat();
     let (mut ss, mut bs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        ss = ss.min(time(&seq));
-        bs = bs.min(time(&bat));
+        ss = ss.min(seq());
+        bs = bs.min(bat());
     }
     BatchedYieldStats {
         samples,
@@ -870,11 +884,11 @@ fn main() {
         mc_speedup = mc_off_s / mc_on_s,
     );
 
-    // Batched variant engine: Monte-Carlo yield throughput with the
-    // sequential per-sample path versus the SoA-lane batched engine,
-    // at a small and a large study size. The batched side must never
-    // be slower — CI runs this binary, so the assert below is the
-    // regression gate.
+    // Batched variant engine: Monte-Carlo yield throughput of a
+    // per-sample loop versus the study driver's SoA-lane batched
+    // engine, one thread each, at a small and a large study size. The
+    // batched side must never be slower — CI runs this binary, so the
+    // assert below is the regression gate.
     let batched_runs = [
         batched_yield_probe(1_000, 5),
         batched_yield_probe(10_000, 3),
@@ -1112,7 +1126,7 @@ fn main() {
             "\"suite_speedup\": {sx:.3},\n",
             "                   \"mc_trials\": {mct}, \"mc_on_ms\": {mon:.3}, ",
             "\"mc_off_ms\": {moff:.3}, \"mc_speedup\": {mx:.3}}},\n",
-            "  \"batched\": {{\"simd\": \"{simd:?}\", \"auto_lanes\": {lanes}, \"runs\": [\n",
+            "  \"batched\": {{\"simd\": \"{simd:?}\", \"auto_lanes\": {lanes}, \"threads\": 1, \"runs\": [\n",
             "{batched}\n  ]}},\n",
             "  \"convergence_ladder\": {{\"max_newton\": {lbud}, \"hard_starts\": [\n{ladder}\n  ],\n",
             "    \"easy_overhead\": {{\"trials\": {etr}, \"legacy_ms\": {eleg:.3}, ",
@@ -1150,9 +1164,7 @@ fn main() {
         moff = mc_off_s * 1e3,
         mx = mc_off_s / mc_on_s,
         simd = ahfic_num::simd::simd_level(),
-        lanes = ahfic_spice::analysis::BatchMode::Auto
-            .lanes()
-            .unwrap_or(1),
+        lanes = Options::new().lanes_for(usize::MAX),
         batched = json_batched,
         lbud = ladder_budget,
         ladder = json_ladder,

@@ -132,6 +132,12 @@ impl BatchCharacterization {
 /// abort the other corners. Failure counts are emitted as
 /// `charac.batch_failures` when tracing is on.
 ///
+/// Benches are independent netlists with distinct patterns, so they are
+/// batched across threads rather than lanes: a work-stealing sample pool
+/// sized by [`Options::threads`] keeps every core busy even when bench
+/// costs are wildly uneven (lint-rejected decks return immediately).
+/// Results do not depend on the thread count.
+///
 /// # Errors
 ///
 /// [`ahfic_spice::SpiceError::Measure`] only if **every** bench failed; otherwise
@@ -144,27 +150,13 @@ pub fn characterize_batch(
     let span = t.span("charac_batch");
     let mut results = Vec::new();
     let mut failures = Vec::new();
-    let threads = opts.resolved_threads();
-    let outcomes: Vec<Result<BlockCharacterization>> =
-        if opts.batch.lanes().is_some() && threads > 1 {
-            // Benches are independent netlists with distinct patterns,
-            // so batching happens across threads rather than lanes: the
-            // work-stealing pool keeps every core busy even when bench
-            // costs are wildly uneven (lint-rejected decks return
-            // immediately).
-            ahfic_spice::analysis::sample_pool_map(
-                threads,
-                benches.len(),
-                1,
-                |_| (),
-                |(), i| characterize_with(&benches[i], opts),
-            )
-        } else {
-            benches
-                .iter()
-                .map(|bench| characterize_with(bench, opts))
-                .collect()
-        };
+    let outcomes = ahfic_spice::analysis::sample_pool_map(
+        opts.threads,
+        benches.len(),
+        1,
+        |_| (),
+        |(), i| characterize_with(&benches[i], opts),
+    );
     for (i, (bench, outcome)) in benches.iter().zip(outcomes).enumerate() {
         match outcome {
             Ok(c) => results.push((i, c)),
@@ -321,26 +313,32 @@ mod tests {
         assert!(bw > 50e6 && bw < 20e9, "bw {bw:.3e}");
     }
 
-    /// Pooled batch characterization (batch mode + explicit thread
-    /// budget) reproduces the sequential batch bit for bit, including
-    /// the failure bookkeeping for a lint-rejected corner.
+    /// The pooled batch reproduces a per-bench loop over the
+    /// single-bench [`characterize_with`] bit for bit, on one thread and
+    /// on two, including the failure bookkeeping for a lint-rejected
+    /// corner.
     #[test]
     fn pooled_batch_matches_sequential() {
-        use ahfic_spice::analysis::BatchMode;
         let mut broken = ce_bench();
         broken.netlist = "VIN in 0 1\nR1 in mid 1k\nR2 mid 0 1k\nC1 mid out 1p\n".into();
         broken.output_node = "out".into();
         let benches = [ce_bench(), broken, ce_bench()];
-        let seq = characterize_batch(&benches, &Options::default()).unwrap();
-        let pooled_opts = Options::new().batch(BatchMode::Auto).threads(2);
-        let pooled = characterize_batch(&benches, &pooled_opts).unwrap();
-        assert_eq!(seq.results.len(), pooled.results.len());
-        assert_eq!(seq.failures.len(), pooled.failures.len());
-        for ((si, sc), (pi, pc)) in seq.results.iter().zip(&pooled.results) {
-            assert_eq!(si, pi);
-            assert_eq!(sc, pc);
+        let seq: Vec<Result<BlockCharacterization>> = benches
+            .iter()
+            .map(|b| characterize_with(b, &Options::default()))
+            .collect();
+        for threads in [1, 2] {
+            let pooled = characterize_batch(&benches, &Options::new().threads(threads)).unwrap();
+            assert_eq!(pooled.attempted(), seq.len());
+            let mut ok = pooled.results.iter();
+            let mut failed = pooled.failures.iter();
+            for (i, s) in seq.iter().enumerate() {
+                match s {
+                    Ok(sc) => assert_eq!(ok.next(), Some(&(i, *sc)), "threads={threads}"),
+                    Err(_) => assert_eq!(failed.next().map(|f| f.index), Some(i)),
+                }
+            }
         }
-        assert_eq!(seq.failures[0].index, pooled.failures[0].index);
     }
 
     #[test]
@@ -376,6 +374,7 @@ mod tests {
         let benches = vec![ce_bench(), ce_bench(), ce_bench()];
         // Kill the very first OP solve; with the recovery ladder off the
         // first bench fails while the other two characterize normally.
+        // One thread makes "first" the first bench.
         let inj = Arc::new(FaultInjector::once(FaultKind::NoConvergence, 0, 1));
         let no_ladder = LadderConfig {
             damping: false,
@@ -383,7 +382,10 @@ mod tests {
             source_stepping: false,
             ptran: false,
         };
-        let opts = Options::new().fault_injector(&inj).ladder(no_ladder);
+        let opts = Options::new()
+            .fault_injector(&inj)
+            .ladder(no_ladder)
+            .threads(1);
         let b = characterize_batch(&benches, &opts).unwrap();
         assert_eq!(b.attempted(), 3);
         assert_eq!(b.failures.len(), 1, "{:?}", b.failures);

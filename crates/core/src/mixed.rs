@@ -27,8 +27,10 @@ pub struct ShifterBalance {
 /// A reusable RC-CR characterization bench: the quadrature network is
 /// compiled **once** and re-characterized at many mismatch values by
 /// retuning `R1` in place ([`Circuit::set_resistance`]) — no clone, no
-/// recompile per point. This is the hot path of the Monte-Carlo yield
-/// study.
+/// recompile per point. [`RcCrBench::characterize_many`] is the hot
+/// path of the Monte-Carlo yield study and the mixed-level sweep;
+/// [`RcCrBench::characterize`] is the single-point reference it agrees
+/// with.
 #[derive(Clone, Debug)]
 pub struct RcCrBench {
     sess: Session,
@@ -125,17 +127,13 @@ impl RcCrBench {
     /// Characterizes many mismatch values at once through the batched
     /// variant engine: one [`BatchedOpEngine`] and one
     /// [`BatchedAcEngine`] amortize pattern compilation and symbolic
-    /// factorization over lanes of up to `lanes` variants, and chunks
-    /// are spread over a work-stealing sample pool sized by
+    /// factorization over lanes of [`Options::lanes_for`] variants, and
+    /// chunks are spread over a work-stealing sample pool sized by
     /// [`Options::threads`]. Results come back in input order and agree
     /// with per-point [`RcCrBench::characterize`] calls; per-point
     /// failures are per-slot `Err`s, never aborts.
-    pub fn characterize_many(
-        &self,
-        mismatches: &[f64],
-        lanes: usize,
-    ) -> Vec<Result<ShifterBalance>> {
-        let lanes = lanes.max(1);
+    pub fn characterize_many(&self, mismatches: &[f64]) -> Vec<Result<ShifterBalance>> {
+        let lanes = self.sess.options().lanes_for(mismatches.len());
         let prep = self.sess.prepared();
         let (slot_a, slot_b) = match (prep.circuit.find_node("a"), prep.circuit.find_node("b")) {
             (Some(a), Some(b)) => (prep.slot_of(a), prep.slot_of(b)),
@@ -147,9 +145,8 @@ impl RcCrBench {
             }
         };
         let nchunks = mismatches.len().div_ceil(lanes);
-        let threads = self.sess.options().resolved_threads();
         let chunks: Vec<Vec<Result<ShifterBalance>>> = sample_pool_map(
-            threads,
+            self.sess.options().threads,
             nchunks,
             1,
             |_| {
@@ -328,8 +325,9 @@ pub struct MixedSweepResult {
 }
 
 /// Characterizes the RC-CR shifter at every mismatch in `mismatches`
-/// on one compiled bench, continuing past per-point solver failures
-/// (recorded in [`MixedSweepResult::failures`] and counted as
+/// on one compiled bench through the batched variant engine
+/// ([`RcCrBench::characterize_many`]), continuing past per-point solver
+/// failures (recorded in [`MixedSweepResult::failures`] and counted as
 /// `mixed.sweep_failures` when tracing is on).
 ///
 /// # Errors
@@ -344,34 +342,21 @@ pub fn mixed_level_sweep(
 ) -> Result<MixedSweepResult> {
     let t = opts.trace.tracer();
     let span = t.span("mixed_sweep");
-    let mut bench = RcCrBench::new(f0, c)?.with_options(opts.clone());
+    let bench = RcCrBench::new(f0, c)?.with_options(opts.clone());
     let mut points = Vec::with_capacity(mismatches.len());
     let mut failures = Vec::new();
-    if let Some(lanes) = opts.batch.lanes() {
-        for (i, (&m, r)) in mismatches
-            .iter()
-            .zip(bench.characterize_many(mismatches, lanes))
-            .enumerate()
-        {
-            match r {
-                Ok(b) => points.push((m, b)),
-                Err(e) => failures.push(crate::robust::SampleFailure::new(
-                    i,
-                    format!("mismatch {m:+.4}"),
-                    e,
-                )),
-            }
-        }
-    } else {
-        for (i, &m) in mismatches.iter().enumerate() {
-            match bench.characterize(m) {
-                Ok(b) => points.push((m, b)),
-                Err(e) => failures.push(crate::robust::SampleFailure::new(
-                    i,
-                    format!("mismatch {m:+.4}"),
-                    e,
-                )),
-            }
+    for (i, (&m, r)) in mismatches
+        .iter()
+        .zip(bench.characterize_many(mismatches))
+        .enumerate()
+    {
+        match r {
+            Ok(b) => points.push((m, b)),
+            Err(e) => failures.push(crate::robust::SampleFailure::new(
+                i,
+                format!("mismatch {m:+.4}"),
+                e,
+            )),
         }
     }
     t.counter("mixed.sweep_failures", failures.len() as f64);
@@ -433,19 +418,24 @@ mod tests {
         assert!(clean.failures.is_empty());
     }
 
-    /// The batched sweep path agrees with the sequential path point
-    /// for point, across batch widths and with failures present.
+    /// The batched sweep agrees point for point with a per-point loop
+    /// over the single-point [`RcCrBench::characterize`], across batch
+    /// widths.
     #[test]
     fn batched_sweep_matches_sequential() {
         use ahfic_spice::analysis::BatchMode;
         let mismatches = [-0.08, -0.02, 0.0, 0.03, 0.07, 0.12, 0.20];
-        let seq = mixed_level_sweep(45e6, 1e-12, &mismatches, &Options::default()).unwrap();
+        let mut bench = RcCrBench::new(45e6, 1e-12).unwrap();
+        let seq: Vec<(f64, ShifterBalance)> = mismatches
+            .iter()
+            .map(|&m| (m, bench.characterize(m).unwrap()))
+            .collect();
         for lanes in [1usize, 3, 8] {
             let opts = Options::new().batch(BatchMode::Lanes(lanes));
             let bat = mixed_level_sweep(45e6, 1e-12, &mismatches, &opts).unwrap();
-            assert_eq!(bat.points.len(), seq.points.len(), "lanes={lanes}");
+            assert_eq!(bat.points.len(), seq.len(), "lanes={lanes}");
             assert!(bat.failures.is_empty());
-            for (k, ((ms, s), (mb, b))) in seq.points.iter().zip(&bat.points).enumerate() {
+            for (k, ((ms, s), (mb, b))) in seq.iter().zip(&bat.points).enumerate() {
                 assert_eq!(ms, mb);
                 assert!(
                     (s.phase_err_deg - b.phase_err_deg).abs()

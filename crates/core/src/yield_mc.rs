@@ -6,11 +6,15 @@
 //! Each sample draws a component mismatch for the 90° shifter, runs the
 //! SPICE characterization of the RC-CR network, maps the resulting
 //! balance through the system-level IRR relation, and scores it against
-//! the requirement.
+//! the requirement. The characterizations run through the batched
+//! variant engine ([`RcCrBench::characterize_many`]) one fixed window of
+//! draws at a time, so a study never holds more than one window of
+//! per-sample outcomes.
 
-use crate::mixed::{RcCrBench, ShifterBalance};
+use crate::mixed::RcCrBench;
 use crate::robust::{all_failed_error, SampleFailure};
 use ahfic_rf::image_rejection::irr_analytic_db;
+use ahfic_spice::analysis::fault::splitmix64;
 use ahfic_spice::analysis::Options;
 use ahfic_spice::error::Result;
 use ahfic_trace::TraceHandle;
@@ -31,8 +35,8 @@ pub struct YieldStudy {
     /// RNG seed (reproducible). Every sample derives its own child
     /// stream from `(seed, sample index)` via a splitmix64 hash, so
     /// sample `i`'s draws are identical whatever the total sample
-    /// count, the defect setting, or the execution order (sequential or
-    /// batched).
+    /// count, the defect setting, or the execution order (see
+    /// [`YieldStudy::sample_draw`]).
     pub seed: u64,
     /// Probability that a sample is a catastrophic open-`R1` defect
     /// (manufacturing open) instead of a parametric mismatch draw. A
@@ -56,7 +60,23 @@ impl YieldStudy {
             open_defect_prob: 0.0,
         }
     }
+
+    /// Sample `index`'s draws: its fractional `R1` mismatch and whether
+    /// it is an open-`R1` defect. Depends only on the seed, the spreads
+    /// and `index`.
+    pub fn sample_draw(&self, index: usize) -> (f64, bool) {
+        let mut rng = sample_rng(self.seed, index as u64);
+        let mismatch = self.sigma_mismatch * standard_normal(&mut rng);
+        let defective = self.open_defect_prob > 0.0 && rng.random::<f64>() < self.open_defect_prob;
+        (mismatch, defective)
+    }
 }
+
+/// Draws characterized and recorded together: the healthy ones of each
+/// window go through the batched engine in one call. A constant, not an
+/// option: it bounds memory (about 2048 per-sample `Result`s) while
+/// keeping every worker of the sample pool busy.
+const WINDOW: usize = 2048;
 
 /// Outcome of a yield study.
 ///
@@ -119,10 +139,11 @@ impl YieldStudy {
     }
 
     /// [`Self::run_traced`] with full control over the analysis options
-    /// (solver choice, convergence-ladder configuration, fault
+    /// (lane width, threads, convergence-ladder configuration, fault
     /// injection). Per-sample solver failures do not abort the study:
     /// they are recorded in [`YieldResult::failures`] and the
     /// statistics are computed over the samples that converged.
+    /// Per-sample results do not depend on [`Options::threads`].
     ///
     /// # Errors
     ///
@@ -138,76 +159,62 @@ impl YieldStudy {
         let span = t.span("yield_mc");
         // One compiled bench for the whole study; each sample only
         // retunes R1 in place.
-        let mut bench = RcCrBench::new(self.f2_if, 1e-12)?.with_options(opts.clone());
-        // Pre-draw every sample's parameters from its own child stream:
-        // sample i's draws depend only on (seed, i), never on the
-        // defect setting, the total sample count, or execution order.
-        let draws: Vec<(f64, bool)> = (0..self.samples)
-            .map(|i| {
-                let mut rng = sample_rng(self.seed, i as u64);
-                let mismatch = self.sigma_mismatch * standard_normal(&mut rng);
-                let defective =
-                    self.open_defect_prob > 0.0 && rng.random::<f64>() < self.open_defect_prob;
-                (mismatch, defective)
-            })
-            .collect();
+        let bench = RcCrBench::new(self.f2_if, 1e-12)?.with_options(opts.clone());
         let mut irr_db = Vec::with_capacity(self.samples);
         let mut failures: Vec<SampleFailure> = Vec::new();
         let mut non_finite = 0usize;
-        let mut record = |i: usize,
-                          mismatch: f64,
-                          defective: bool,
-                          outcome: Result<ShifterBalance>| match outcome {
-            Ok(balance) => {
-                let irr = irr_analytic_db(balance.phase_err_deg, balance.gain_err);
-                if irr.is_finite() {
-                    irr_db.push(irr);
-                } else {
-                    non_finite += 1;
-                }
-            }
-            Err(e) => {
-                let label = if defective {
-                    "open-R1 defect".to_string()
-                } else {
-                    format!("mismatch {mismatch:+.4}")
-                };
-                failures.push(SampleFailure::new(i, label, e));
-            }
-        };
-        if let Some(lanes) = opts.batch.lanes() {
-            // Batched path: the healthy samples run through the batched
-            // variant engine (and its sample pool) in draw order, while
-            // defective decks are lint-rejected one by one exactly as
-            // in the sequential path.
-            let params: Vec<f64> = draws.iter().filter(|d| !d.1).map(|d| d.0).collect();
-            let mut healthy = bench.characterize_many(&params, lanes).into_iter();
-            for (i, &(mismatch, defective)) in draws.iter().enumerate() {
+        for lo in (0..self.samples).step_by(WINDOW) {
+            let draws: Vec<(f64, bool)> = (lo..self.samples.min(lo + WINDOW))
+                .map(|i| self.sample_draw(i))
+                .collect();
+            // Healthy samples run through the batched engine in draw
+            // order; defective decks are lint-rejected one by one.
+            let healthy: Vec<f64> = draws.iter().filter(|d| !d.1).map(|d| d.0).collect();
+            let mut balances = bench.characterize_many(&healthy).into_iter();
+            for (i, (mismatch, defective)) in (lo..).zip(draws) {
                 let outcome = if defective {
                     bench.characterize_open_r1()
                 } else {
-                    healthy.next().unwrap_or_else(|| {
+                    balances.next().unwrap_or_else(|| {
                         Err(ahfic_spice::error::SpiceError::Measure(
                             "batched yield sample result missing".into(),
                         ))
                     })
                 };
-                record(i, mismatch, defective, outcome);
-            }
-        } else {
-            for (i, &(mismatch, defective)) in draws.iter().enumerate() {
-                let outcome = if defective {
-                    bench.characterize_open_r1()
-                } else {
-                    bench.characterize(mismatch)
-                };
-                record(i, mismatch, defective, outcome);
+                match outcome {
+                    Ok(balance) => {
+                        let irr = irr_analytic_db(balance.phase_err_deg, balance.gain_err);
+                        if irr.is_finite() {
+                            irr_db.push(irr);
+                        } else {
+                            non_finite += 1;
+                        }
+                    }
+                    Err(e) => {
+                        let label = if defective {
+                            "open-R1 defect".to_string()
+                        } else {
+                            format!("mismatch {mismatch:+.4}")
+                        };
+                        failures.push(SampleFailure::new(i, label, e));
+                    }
+                }
             }
         }
         t.counter("yield_mc.samples", self.samples as f64);
         t.counter("yield_mc.failed_samples", failures.len() as f64);
         t.counter("yield_mc.non_finite_samples", non_finite as f64);
         span.end();
+        self.summarize(irr_db, failures, non_finite)
+    }
+
+    /// The statistics of the recorded samples, or the all-failed error.
+    fn summarize(
+        &self,
+        irr_db: Vec<f64>,
+        failures: Vec<SampleFailure>,
+        non_finite: usize,
+    ) -> Result<YieldResult> {
         if irr_db.is_empty() {
             if failures.is_empty() {
                 return Err(ahfic_spice::error::SpiceError::Measure(format!(
@@ -233,16 +240,6 @@ impl YieldStudy {
             non_finite,
         })
     }
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash used to derive
-/// statistically independent child seeds from `(study seed, sample
-/// index)`.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Child RNG for one Monte-Carlo sample: depends only on the study seed
@@ -414,9 +411,10 @@ mod tests {
         assert_eq!(defects.irr_db, surviving);
     }
 
-    /// The batched engine reproduces the sequential study: same draw
-    /// order, same failure indices, statistics equal to far below the
-    /// Newton tolerance.
+    /// The batched study reproduces a per-sample loop over the
+    /// single-point API (`RcCrBench::characterize`, or the open-R1
+    /// rejection): same draw order, same failure indices, statistics
+    /// equal to far below the Newton tolerance.
     #[test]
     fn batched_study_matches_sequential_statistics() {
         use ahfic_spice::analysis::BatchMode;
@@ -425,7 +423,21 @@ mod tests {
             open_defect_prob: 0.15,
             ..YieldStudy::paper_example(0.1)
         };
-        let seq = study.run().unwrap();
+        let mut bench = RcCrBench::new(study.f2_if, 1e-12).unwrap();
+        let (mut irr_db, mut failures) = (Vec::new(), Vec::new());
+        for i in 0..study.samples {
+            let (mismatch, defective) = study.sample_draw(i);
+            let outcome = if defective {
+                bench.characterize_open_r1()
+            } else {
+                bench.characterize(mismatch)
+            };
+            match outcome {
+                Ok(b) => irr_db.push(irr_analytic_db(b.phase_err_deg, b.gain_err)),
+                Err(e) => failures.push(SampleFailure::new(i, String::new(), e)),
+            }
+        }
+        let seq = study.summarize(irr_db, failures, 0).unwrap();
         let bat = study
             .run_with_options(Options::new().batch(BatchMode::Lanes(8)))
             .unwrap();
@@ -439,6 +451,64 @@ mod tests {
         assert!((seq.mean_db - bat.mean_db).abs() <= 1e-5 * seq.mean_db.abs().max(1.0));
         assert!((seq.p5_db - bat.p5_db).abs() <= 1e-5 * seq.p5_db.abs().max(1.0));
         assert_eq!(seq.yield_frac, bat.yield_frac);
+    }
+
+    /// Per-sample IRRs are bitwise independent of the thread count and
+    /// of where the recording windows fall: a study spanning three
+    /// windows gives the same bits on one and two threads, and a shorter
+    /// study with its own window boundaries is a bitwise prefix of it.
+    #[test]
+    fn samples_are_bitwise_independent_of_threads_and_windows() {
+        let long = YieldStudy {
+            samples: 2 * WINDOW + 3,
+            open_defect_prob: 0.05,
+            ..YieldStudy::paper_example(0.05)
+        };
+        let bits = |r: &YieldResult| r.irr_db.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let failed = |r: &YieldResult| r.failures.iter().map(|f| f.index).collect::<Vec<_>>();
+        let one = long.run_with_options(Options::new().threads(1)).unwrap();
+        let two = long.run_with_options(Options::new().threads(2)).unwrap();
+        assert!(!one.failures.is_empty(), "5% defects over 4099 samples");
+        assert_eq!(bits(&one), bits(&two));
+        assert_eq!(failed(&one), failed(&two));
+        let short = YieldStudy {
+            samples: WINDOW + 5,
+            ..long
+        }
+        .run_with_options(Options::new().threads(2))
+        .unwrap();
+        assert_eq!(bits(&short)[..], bits(&one)[..short.irr_db.len()]);
+        assert_eq!(failed(&short)[..], failed(&one)[..short.failures.len()]);
+    }
+
+    /// Every study driver honours `Budget::max_lanes`: capped at one
+    /// lane, a single-threaded study runs one batched operating point
+    /// per healthy sample instead of one per eight.
+    #[test]
+    fn budget_lane_cap_reaches_every_study_driver() {
+        use crate::mixed::mixed_level_sweep;
+        use ahfic_spice::analysis::Budget;
+        use ahfic_trace::{InMemorySink, RecordKind};
+        use std::sync::Arc;
+        let sink = Arc::new(InMemorySink::new());
+        let op_batches = || {
+            sink.take()
+                .iter()
+                .filter(|r| matches!(r.kind, RecordKind::SpanEnd) && r.name == "op_batch")
+                .count()
+        };
+        let traced = Options::new().threads(1).trace(&sink);
+        let capped = traced.clone().budget(Budget::unlimited().max_lanes(1));
+        let study = YieldStudy {
+            samples: 20,
+            ..YieldStudy::paper_example(0.05)
+        };
+        study.run_with_options(traced).unwrap();
+        assert_eq!(op_batches(), 3, "20 samples in lanes of 8");
+        study.run_with_options(capped.clone()).unwrap();
+        assert_eq!(op_batches(), 20);
+        mixed_level_sweep(45e6, 1e-12, &[-0.05, 0.0, 0.05, 0.1, 0.15], &capped).unwrap();
+        assert_eq!(op_batches(), 5);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   (via [`Budget::max_wall`]) elapsed time; exhaustion degrades to a
 //!   typed partial (transient, PSS) or a `BudgetExhausted` failure
 //!   (op), and a deadline trip bumps the `serve.deadline_exceeded`
-//!   counter.
+//!   counter. Each attempt re-arms the wall clock when it starts, so the
+//!   deadline bounds one attempt's compute, not queueing or backoff.
 //! - **Retry with escalation.** A deterministic [`RetryPolicy`] re-runs
 //!   jobs that failed retryably (`NoConvergence`, `SingularMatrix`,
 //!   `NonFinite`) with seeded-jitter backoff, escalating
@@ -976,19 +977,18 @@ impl JobQueue {
                 Err(e) => return fail(e),
             },
         };
+        // The attempt's wall-clock deadline starts now.
+        let options = job.options.clone().budget(job.options.budget.rearmed());
         let options = if escalations > 0 {
             // Escalated retry: the full continuation ladder plus a
             // doubled (per level) Newton allowance.
-            job.options
-                .clone()
-                .ladder(LadderConfig::default())
-                .max_newton(
-                    job.options
-                        .max_newton
-                        .saturating_mul(1 << escalations.min(4)),
-                )
+            options.ladder(LadderConfig::default()).max_newton(
+                job.options
+                    .max_newton
+                    .saturating_mul(1 << escalations.min(4)),
+            )
         } else {
-            job.options.clone()
+            options
         };
         let deck = match self.cache.get_or_compile(circuit, options.lint) {
             Ok(d) => d,

@@ -38,6 +38,25 @@ pub fn assemble_ac<M: MnaSink<Complex>>(
     }
 }
 
+/// Assembles the complex system at `omega` into `ws` (twice when the
+/// pattern changed) and factors it: the per-frequency core shared by
+/// AC and noise sweeps and the batched AC engine's fallback.
+pub(crate) fn factor_ac(
+    prep: &Prepared,
+    x_op: &[f64],
+    opts: &Options,
+    omega: f64,
+    ws: &mut SolverWorkspace<Complex>,
+) -> Result<()> {
+    loop {
+        assemble_ac(prep, x_op, opts, omega, &mut ws.kernel, &mut ws.rhs);
+        if !ws.finish_assembly() {
+            break;
+        }
+    }
+    ws.factor().map_err(|e| singular_unknown(prep, e))
+}
+
 /// Runs an AC sweep over the given frequencies (Hz), recording every
 /// unknown as a complex signal (names follow `Prepared::unknown_names`).
 ///
@@ -90,17 +109,10 @@ pub(crate) fn ac_sweep_impl(
         opts.threads,
         freqs,
         |ws: &mut SolverWorkspace<Complex>, f| {
-            let omega = 2.0 * std::f64::consts::PI * f;
             if ws.needs_pattern() {
                 ws.preset_pattern(&pattern);
             }
-            loop {
-                assemble_ac(prep, x_op, opts, omega, &mut ws.kernel, &mut ws.rhs);
-                if !ws.finish_assembly() {
-                    break;
-                }
-            }
-            ws.factor().map_err(|e| singular_unknown(prep, e))?;
+            factor_ac(prep, x_op, opts, 2.0 * std::f64::consts::PI * f, ws)?;
             Ok(ws.solve().map_err(|e| singular_unknown(prep, e))?.to_vec())
         },
     )?;

@@ -1,9 +1,9 @@
 //! Batched variant engine: solve N parameter variants of one circuit in
 //! lockstep over a shared sparsity pattern.
 //!
-//! Monte-Carlo yield studies, corner characterization, and DC sweeps all
-//! solve the *same* matrix structure over and over with different values
-//! (a retuned resistor, a scaled source). The sequential path pays the
+//! Monte-Carlo yield studies and mismatch sweeps solve the *same* matrix
+//! structure over and over with different values (a retuned resistor).
+//! A per-sample solve pays the
 //! full per-sample overhead each time: a fresh workspace, a pattern
 //! probe, symbolic analysis, and a pivot search. The batched engine
 //! amortizes all of it: one pattern compile, one symbolic factorization
@@ -16,12 +16,14 @@
 //! value, an injected fault, a residual that will not shrink, or plain
 //! non-convergence — is transparently re-run through the ordinary
 //! sequential solver, so batch results degrade to sequential results,
-//! never to wrong answers. With a single lane the batched arithmetic
-//! replays the sequential sparse path bit for bit.
+//! never to wrong answers. Cancellation, wall-clock deadlines and
+//! injected faults act on a lane exactly as on a per-sample solve. With
+//! a single lane the batched arithmetic replays the sequential sparse
+//! path bit for bit.
 
-use crate::analysis::ac::assemble_ac;
-use crate::analysis::fault::FaultKind;
-use crate::analysis::op::{op_from_eval as op_from, OpResult};
+use crate::analysis::ac::{assemble_ac, factor_ac};
+use crate::analysis::fault::{ClaimedSolve, FaultKind};
+use crate::analysis::op::{newton_abort, op_from_ws, wall_error, OpResult};
 use crate::analysis::solver::{singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::{
     real_pattern, stamp_linear, stamp_nonlinear, MnaSink, Mode, NonlinMemory, Options, PatternProbe,
@@ -261,8 +263,9 @@ enum LaneState {
     Active,
     /// Converged in the batch at the recorded iteration.
     Done(OpResult),
-    /// Terminal error that no solver retry can fix (the tune closure
-    /// itself failed — e.g. a lint-rejected defect deck).
+    /// Terminal error that no solver retry can fix: the tune closure
+    /// itself failed (e.g. a lint-rejected defect deck), or the solve
+    /// was cancelled or ran past its deadline.
     Failed(SpiceError),
     /// Left the batched fast path; re-run sequentially afterwards.
     Fallback,
@@ -292,78 +295,46 @@ struct OpState {
 /// index before that lane is stamped — every iteration, so tuned
 /// parameters may feed nonlinear stamps too. Lanes converge and freeze
 /// individually; lanes that leave the fast path (see the module docs)
-/// are re-solved with the sequential `op_from` ladder, so results
-/// match the sequential path's semantics sample for sample.
+/// are re-solved with the sequential ladder, so results match a
+/// per-sample operating point sample for sample. Every chunk starts
+/// from a fresh reference factorization, as a per-sample solve starts
+/// from a fresh workspace.
 ///
 /// The engine is tied to one [`Prepared`] circuit structure; reusing it
 /// after the unknown count changes re-probes the pattern automatically.
 pub struct BatchedOpEngine {
     lanes: usize,
-    persist_factor: bool,
-    ws: Option<BatchedWorkspace<f64>>,
-    op: Option<OpState>,
+    ws: Option<(BatchedWorkspace<f64>, OpState)>,
 }
 
 impl BatchedOpEngine {
-    /// Engine with independent samples: every chunk refactors from a
-    /// fresh reference factorization, matching the sequential path's
-    /// fresh-workspace-per-sample semantics (Monte-Carlo, corners).
+    /// Engine with `lanes` variant lanes.
     pub fn new(lanes: usize) -> Self {
         BatchedOpEngine {
             lanes: lanes.max(1),
-            persist_factor: false,
             ws: None,
-            op: None,
         }
-    }
-
-    /// Engine for chained sweeps: the reference factorization persists
-    /// across chunks (and across [`BatchedOpEngine::run_from`] calls),
-    /// matching a sequential sweep's shared-workspace refactor chain.
-    pub fn new_persistent(lanes: usize) -> Self {
-        BatchedOpEngine {
-            persist_factor: true,
-            ..BatchedOpEngine::new(lanes)
-        }
-    }
-
-    /// Configured lane width.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Solves operating points for samples `0..count`, all started from
     /// zero. Equivalent to, and interchangeable with, calling
-    /// `tune(prep, i)` then [`crate::analysis::op()`] per sample.
+    /// `tune(prep, i)` then [`crate::analysis::Session::op`] per sample.
     pub fn run<F>(
         &mut self,
         prep: &mut Prepared,
         opts: &Options,
         count: usize,
-        tune: F,
-    ) -> Vec<Result<OpResult>>
-    where
-        F: FnMut(&mut Prepared, usize) -> Result<()>,
-    {
-        self.run_from(prep, opts, count, None, tune)
-    }
-
-    /// [`BatchedOpEngine::run`] warm-started from `x0` (used by sweeps:
-    /// pass the previous chunk's last solution).
-    pub fn run_from<F>(
-        &mut self,
-        prep: &mut Prepared,
-        opts: &Options,
-        count: usize,
-        x0: Option<&[f64]>,
         mut tune: F,
     ) -> Vec<Result<OpResult>>
     where
         F: FnMut(&mut Prepared, usize) -> Result<()>,
     {
-        if self.ws.as_ref().is_some_and(|w| w.n != prep.num_unknowns) {
+        if self
+            .ws
+            .as_ref()
+            .is_some_and(|(w, _)| w.n != prep.num_unknowns)
+        {
             self.ws = None;
-            self.op = None;
         }
         let tr = opts.trace.tracer();
         let span = tr.span("op_batch");
@@ -372,16 +343,22 @@ impl BatchedOpEngine {
         let mut start = 0;
         while start < count {
             let b = self.lanes.min(count - start);
-            self.run_chunk(
-                prep,
-                opts,
-                start,
-                b,
-                x0,
-                &mut tune,
-                &mut out,
-                &mut fallbacks,
-            );
+            let (states, claims) = self.run_chunk(prep, opts, start, b, &mut tune);
+            // Lanes that left the fast path re-run the sequential ladder
+            // under their claimed solve.
+            for (sample, (state, claim)) in (start..).zip(states.into_iter().zip(claims)) {
+                out.push(match state {
+                    LaneState::Done(r) => Ok(r),
+                    LaneState::Failed(e) => Err(e),
+                    LaneState::Active | LaneState::Fallback => {
+                        fallbacks += 1;
+                        tune(prep, sample).and_then(|()| {
+                            let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+                            op_from_ws(prep, opts, None, &mut ws, claim)
+                        })
+                    }
+                });
+            }
             start += b;
         }
         if tr.enabled() {
@@ -392,64 +369,57 @@ impl BatchedOpEngine {
         out
     }
 
-    /// One lockstep Newton run over lanes `start..start + b`.
-    #[allow(clippy::too_many_arguments)]
+    /// One lockstep Newton run over lanes `start..start + b`: each
+    /// lane's disposition and fault-injector claim.
     fn run_chunk<F>(
         &mut self,
         prep: &mut Prepared,
         opts: &Options,
         start: usize,
         b: usize,
-        x0: Option<&[f64]>,
         tune: &mut F,
-        out: &mut Vec<Result<OpResult>>,
-        fallbacks: &mut usize,
-    ) where
+    ) -> (Vec<LaneState>, Vec<Option<ClaimedSolve>>)
+    where
         F: FnMut(&mut Prepared, usize) -> Result<()>,
     {
         let mode = Mode::Dc { source_scale: 1.0 };
         let lanes = self.lanes;
-        if !self.persist_factor {
-            // Independent samples: each chunk re-establishes its own
-            // reference factorization, like a fresh sequential
-            // workspace per sample.
-            if let Some(ws) = self.ws.as_mut() {
-                ws.blu = None;
-            }
+        if let Some((ws, _)) = self.ws.as_mut() {
+            ws.blu = None;
         }
+        // Each lane claims its plain-Newton solve index in sample order,
+        // as a per-sample operating point would.
         let injector = opts.faults.get();
-        let mut solve_idx: Vec<Option<u64>> = vec![None; b];
+        let mut claims: Vec<Option<ClaimedSolve>> = vec![None; b];
         let mut mems: Vec<NonlinMemory> = (0..b).map(|_| NonlinMemory::new(prep)).collect();
         let mut states: Vec<LaneState> = Vec::with_capacity(b);
 
         // Tune and stamp each lane's linear baseline while its variant
         // parameters are installed in `prep`.
         let mut base_cursor: Option<usize> = None;
-        for (lane, lane_solve_idx) in solve_idx.iter_mut().enumerate() {
+        for (lane, claim) in claims.iter_mut().enumerate() {
             if let Err(e) = tune(prep, start + lane) {
                 states.push(LaneState::Failed(e));
                 continue;
             }
-            if self.ws.is_none() {
+            *claim = injector.map(|f| ClaimedSolve {
+                idx: f.begin_solve(),
+                fired: None,
+            });
+            let (ws, ops) = self.ws.get_or_insert_with(|| {
                 let zeros = vec![0.0; prep.num_unknowns];
                 let pat = real_pattern(prep, &zeros, opts, &mode, prep.num_voltage_unknowns);
-                self.ws = Some(BatchedWorkspace::new(prep.num_unknowns, lanes, &pat));
-                self.op = Some(OpState {
+                let ops = OpState {
                     x: vec![0.0; prep.num_unknowns * lanes],
                     base_vals: Vec::new(),
                     base_rhs: Vec::new(),
                     base_cursor: 0,
-                });
-            }
-            let (Some(ws), Some(ops)) = (self.ws.as_mut(), self.op.as_mut()) else {
-                unreachable!("workspace created above");
-            };
+                };
+                (BatchedWorkspace::new(prep.num_unknowns, lanes, &pat), ops)
+            });
             let n = ws.n;
             let xs = &mut ops.x[lane * n..(lane + 1) * n];
-            match x0 {
-                Some(v) => xs.copy_from_slice(v),
-                None => xs.fill(0.0),
-            }
+            xs.fill(0.0);
             let mut sink = LaneSink {
                 coords: &ws.coords,
                 slots: &ws.slots,
@@ -474,21 +444,12 @@ impl BatchedOpEngine {
                 continue;
             }
             base_cursor = Some(sink.cursor);
-            *lane_solve_idx = injector.map(|f| f.begin_solve());
             states.push(LaneState::Active);
         }
-        let Some(ws) = self.ws.as_mut() else {
+        let Some((ws, ops)) = self.ws.as_mut() else {
             // No lane tuned successfully and nothing was ever probed:
-            // every state is Failed (or Fallback, resolved below).
-            for (lane, state) in states.into_iter().enumerate() {
-                out.push(resolve_lane_seq(
-                    state, prep, opts, start, lane, x0, tune, fallbacks,
-                ));
-            }
-            return;
-        };
-        let Some(ops) = self.op.as_mut() else {
-            unreachable!("op state exists whenever the workspace does");
+            // every state is Failed.
+            return (states, claims);
         };
         let n = ws.n;
         let nv = prep.num_voltage_unknowns;
@@ -508,6 +469,10 @@ impl BatchedOpEngine {
             let total_stamps = ws.coords.len();
             for (lane, state) in states.iter_mut().enumerate() {
                 if !matches!(state, LaneState::Active) {
+                    continue;
+                }
+                if let Some(e) = newton_abort(opts) {
+                    *state = LaneState::Failed(e);
                     continue;
                 }
                 if let Err(e) = tune(prep, start + lane) {
@@ -530,23 +495,8 @@ impl BatchedOpEngine {
                     *state = LaneState::Fallback;
                     continue;
                 }
-                if let (Some(f), Some(idx)) = (injector, solve_idx[lane]) {
-                    match f.poll(idx, iter) {
-                        Some(FaultKind::NanStamp) => {
-                            // Poison this lane's first value; the finite
-                            // guard below demotes it, like the
-                            // sequential NaN guard raises NonFinite.
-                            ws.vals[lane] = f64::NAN;
-                        }
-                        Some(FaultKind::SingularMatrix) => {
-                            for block in ws.vals.chunks_exact_mut(lanes) {
-                                block[lane] = 0.0;
-                            }
-                        }
-                        Some(FaultKind::NoConvergence) => {
-                            *state = LaneState::Fallback;
-                            continue;
-                        }
+                if let (Some(f), Some(claim)) = (injector, claims[lane].as_mut()) {
+                    match f.poll(claim.idx, iter) {
                         // Serve-level faults keep their sequential
                         // semantics: the panic unwinds to the supervised
                         // worker boundary, the stall burns wall clock
@@ -556,6 +506,13 @@ impl BatchedOpEngine {
                         }
                         Some(FaultKind::Stall { millis }) => {
                             std::thread::sleep(std::time::Duration::from_millis(millis));
+                        }
+                        // Solver faults: the lane's fallback replays the
+                        // fault at this iteration of the same solve.
+                        Some(kind) => {
+                            claim.fired = Some((iter, kind));
+                            *state = LaneState::Fallback;
+                            continue;
                         }
                         None => {}
                     }
@@ -608,10 +565,13 @@ impl BatchedOpEngine {
                 let mi = simd::conv_metric(&xn[nv..], &xs[nv..], opts.reltol, opts.abstol);
                 let metric = if mv > mi { mv } else { mi };
                 if metric <= 1.0 && mems[lane].limited == 0 {
-                    *state = LaneState::Done(OpResult {
-                        x: xn.to_vec(),
-                        iterations: iter,
-                    });
+                    *state = match wall_error(opts, "newton") {
+                        Some(e) => LaneState::Failed(e),
+                        None => LaneState::Done(OpResult {
+                            x: xn.to_vec(),
+                            iterations: iter,
+                        }),
+                    };
                 } else if iter == opts.max_newton {
                     // Plain Newton is out of budget; the sequential
                     // ladder's stronger rungs take over.
@@ -623,38 +583,7 @@ impl BatchedOpEngine {
             }
         }
 
-        for (lane, state) in states.into_iter().enumerate() {
-            out.push(resolve_lane_seq(
-                state, prep, opts, start, lane, x0, tune, fallbacks,
-            ));
-        }
-    }
-}
-
-/// Resolves one lane's final disposition, re-running fallback lanes
-/// through the sequential ladder.
-#[allow(clippy::too_many_arguments)]
-fn resolve_lane_seq<F>(
-    state: LaneState,
-    prep: &mut Prepared,
-    opts: &Options,
-    start: usize,
-    lane: usize,
-    x0: Option<&[f64]>,
-    tune: &mut F,
-    fallbacks: &mut usize,
-) -> Result<OpResult>
-where
-    F: FnMut(&mut Prepared, usize) -> Result<()>,
-{
-    match state {
-        LaneState::Done(r) => Ok(r),
-        LaneState::Failed(e) => Err(e),
-        LaneState::Active | LaneState::Fallback => {
-            *fallbacks += 1;
-            tune(prep, start + lane)?;
-            op_from(prep, opts, x0)
-        }
+        (states, claims)
     }
 }
 
@@ -794,38 +723,20 @@ impl BatchedAcEngine {
             }
         }
 
-        // Fallback lanes: the plain sequential AC solve, one fresh
-        // workspace each, mirroring `ac_sweep`'s inner loop.
+        // Fallback lanes: an AC sweep's per-frequency solve, one fresh
+        // workspace each.
         for (lane, slot) in done.into_iter().enumerate() {
             let (idx, x_op) = chunk[lane];
             out.push(match slot {
                 Some(r) => r,
-                None => match tune(prep, idx) {
-                    Err(e) => Err(e),
-                    Ok(()) => sequential_ac_solve(prep, opts, omega, x_op),
-                },
+                None => tune(prep, idx).and_then(|()| {
+                    let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+                    factor_ac(prep, x_op, opts, omega, &mut ws)?;
+                    Ok(ws.solve().map_err(|e| singular_unknown(prep, e))?.to_vec())
+                }),
             });
         }
     }
-}
-
-/// One sequential complex solve at `omega`, identical to the body of
-/// `ac_sweep`'s per-frequency worker.
-fn sequential_ac_solve(
-    prep: &Prepared,
-    opts: &Options,
-    omega: f64,
-    x_op: &[f64],
-) -> Result<Vec<Complex>> {
-    let mut ws = SolverWorkspace::<Complex>::new(prep.num_unknowns, opts.solver);
-    loop {
-        assemble_ac(prep, x_op, opts, omega, &mut ws.kernel, &mut ws.rhs);
-        if !ws.finish_assembly() {
-            break;
-        }
-    }
-    ws.factor().map_err(|e| singular_unknown(prep, e))?;
-    Ok(ws.solve().map_err(|e| singular_unknown(prep, e))?.to_vec())
 }
 
 #[cfg(test)]
@@ -978,12 +889,101 @@ mod tests {
         }
     }
 
-    /// BatchMode::lanes resolves Off/Auto/Lanes as documented.
+    /// `Options::lanes_for` resolves the request, the budget cap and the
+    /// sample count in one place.
     #[test]
-    fn batch_mode_lane_resolution() {
-        assert_eq!(BatchMode::Off.lanes(), None);
-        assert!(BatchMode::Auto.lanes().unwrap() >= 2);
-        assert_eq!(BatchMode::Lanes(5).lanes(), Some(5));
-        assert_eq!(BatchMode::Lanes(0).lanes(), Some(1));
+    fn lane_width_resolution() {
+        use crate::analysis::control::Budget;
+        let auto = Options::new();
+        assert_eq!(auto.batch, BatchMode::Auto);
+        assert_eq!(auto.lanes_for(10_000), 8);
+        assert_eq!(auto.lanes_for(3), 3, "never wider than the study");
+        assert_eq!(auto.lanes_for(0), 1);
+        let five = Options::new().batch(BatchMode::Lanes(5));
+        assert_eq!(five.lanes_for(100), 5);
+        assert_eq!(Options::new().batch(BatchMode::Lanes(0)).lanes_for(100), 1);
+        let capped = five.budget(Budget::unlimited().max_lanes(2));
+        assert_eq!(capped.lanes_for(100), 2);
+    }
+
+    /// A solver fault injected into one lane acts as on a per-sample
+    /// solve: with the ladder off, a one-shot non-convergence or NaN
+    /// fails exactly that sample (its fallback does not heal it with a
+    /// fresh solve index), and a singular one is rescued by the gmin
+    /// retry in both.
+    #[test]
+    fn injected_fault_fails_its_lane_as_a_per_sample_solve() {
+        use crate::analysis::fault::FaultInjector;
+        use crate::analysis::stamp::LadderConfig;
+        let no_ladder = LadderConfig {
+            damping: false,
+            gmin_stepping: false,
+            source_stepping: false,
+            ptran: false,
+        };
+        for kind in [
+            FaultKind::NoConvergence,
+            FaultKind::NanStamp,
+            FaultKind::SingularMatrix,
+        ] {
+            let mut prep = bjt_stage();
+            let scales = [0.5, 1.0, 2.0, 7.5];
+            let seq_inj = FaultInjector::once(kind, 2, 1);
+            let seq_opts = Options::new()
+                .solver(SolverChoice::Sparse)
+                .ladder(no_ladder)
+                .fault_injector(&seq_inj);
+            let seq: Vec<Result<OpResult>> = scales
+                .iter()
+                .map(|s| {
+                    prep.circuit.set_resistance("RC", 1e3 * s).unwrap();
+                    op(&prep, &seq_opts)
+                })
+                .collect();
+            let bat_inj = FaultInjector::once(kind, 2, 1);
+            let bat_opts = seq_opts.clone().fault_injector(&bat_inj);
+            let bat = BatchedOpEngine::new(4).run(&mut prep, &bat_opts, scales.len(), |p, i| {
+                p.circuit.set_resistance("RC", 1e3 * scales[i])
+            });
+            assert_eq!(bat_inj.fires(), 1, "{kind:?}");
+            assert_eq!(bat_inj.solves_seen(), seq_inj.solves_seen(), "{kind:?}");
+            assert!(seq[2].is_err() || kind == FaultKind::SingularMatrix);
+            for (i, (s, b)) in seq.iter().zip(&bat).enumerate() {
+                match (s, b) {
+                    (Ok(s), Ok(b)) => assert!(
+                        s.x.iter()
+                            .zip(&b.x)
+                            .all(|(p, q)| (p - q).abs() <= 1e-9 * p.abs().max(1.0)),
+                        "{kind:?} sample {i}"
+                    ),
+                    (Err(s), Err(b)) => assert_eq!(s.to_string(), b.to_string(), "{kind:?}"),
+                    _ => panic!("{kind:?} sample {i}: {s:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+
+    /// An expired wall-clock deadline stops every lane with the typed
+    /// error a per-sample solve reports, instead of a converged result.
+    #[test]
+    fn expired_deadline_fails_lanes_typed() {
+        use crate::analysis::control::Budget;
+        let (mut prep, r) = divider();
+        let opts = Options::new().budget(Budget::unlimited().max_wall(std::time::Duration::ZERO));
+        let res = BatchedOpEngine::new(2).run(&mut prep, &opts, 3, |p, i| {
+            p.circuit.set_resistance("R1", r * (1.0 + 0.1 * i as f64))
+        });
+        for (i, out) in res.iter().enumerate() {
+            assert!(
+                matches!(
+                    out,
+                    Err(SpiceError::BudgetExhausted {
+                        resource: "wall_clock_ms",
+                        ..
+                    })
+                ),
+                "sample {i}: {out:?}"
+            );
+        }
     }
 }

@@ -194,9 +194,9 @@ pub struct Budget {
     /// Cap on transient steps attempted (accepted plus rejected).
     /// `None` = unlimited.
     pub max_steps: Option<u64>,
-    /// Cap on batched-engine SoA lanes, clamping
-    /// [`BatchMode`](crate::analysis::BatchMode) requests. `None` =
-    /// unlimited.
+    /// Cap on batched-engine SoA lanes, clamping every study driver's
+    /// lane width ([`Options::lanes_for`](crate::analysis::Options::lanes_for)).
+    /// `None` = unlimited.
     pub max_lanes: Option<usize>,
     /// Wall-clock deadline, checked at the same solver boundaries as the
     /// counters above. `None` = unlimited.
@@ -233,9 +233,10 @@ impl Budget {
     }
 
     /// Arms a wall-clock deadline `limit` from now. The clock starts
-    /// when this builder runs, not when the analysis does — arm it at
-    /// submission time to bound queueing plus compute, or just before
-    /// the call to bound compute alone.
+    /// when this builder runs, not when the analysis does — arm it just
+    /// before a direct analysis call to bound its compute. The serving
+    /// queue re-arms it ([`Budget::rearmed`]) when each job attempt
+    /// starts.
     ///
     /// Because `Budget` is `Copy` and the deadline is armed here, one
     /// budget cloned across a batch of jobs gives every job the *same*
@@ -406,9 +407,7 @@ mod tests {
     #[test]
     fn rearmed_restarts_the_clock_and_keeps_counters() {
         // An expired budget reused across jobs must come back alive.
-        let stale = Budget::unlimited()
-            .max_newton(500)
-            .max_wall(Duration::ZERO);
+        let stale = Budget::unlimited().max_newton(500).max_wall(Duration::ZERO);
         assert!(stale.wall_exhausted().is_some(), "born expired");
         let fresh = stale.rearmed();
         // Duration::ZERO re-arms to an immediately-expired deadline;

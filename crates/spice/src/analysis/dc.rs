@@ -1,7 +1,11 @@
 //! DC transfer sweeps: step a source value, solve the OP at each point
 //! with warm starting.
+//!
+//! A sweep is a warm-start chain — each point starts from the previous
+//! point's solution in one shared workspace — so it always runs
+//! sequentially: batching its points into lanes lost at every size
+//! measured (see `EXPERIMENTS.md`).
 
-use crate::analysis::batched::BatchedOpEngine;
 use crate::analysis::op::op_from_ws;
 use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::Options;
@@ -57,48 +61,20 @@ pub(crate) fn dc_sweep_impl(
         out.push_signal(name);
     }
     let mut result = Ok(());
-    if let Some(lanes) = opts.batch.lanes().map(|l| opts.budget.clamp_lanes(l)) {
-        // Batched path: chunks of up to `lanes` points solved in
-        // lockstep over one shared pattern and factor chain. Each chunk
-        // warm-starts from the previous chunk's last solution, so a
-        // single-lane batch reproduces the sequential warm-start chain
-        // point for point.
-        let mut engine = BatchedOpEngine::new_persistent(lanes);
-        let mut prev: Option<Vec<f64>> = None;
-        'chunks: for chunk in values.chunks(lanes) {
-            let points = engine.run_from(prep, opts, chunk.len(), prev.as_deref(), |p, i| {
-                p.circuit.set_source_wave(source, SourceWave::Dc(chunk[i]))
-            });
-            for (&v, r) in chunk.iter().zip(points) {
-                match r {
-                    Ok(r) => {
-                        out.push_sample(v, &r.x);
-                        prev = Some(r.x);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break 'chunks;
-                    }
-                }
+    // One workspace for the whole sweep: the stamp pattern is fixed, so
+    // every point after the first replays slots and refactors in place.
+    let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+    let mut prev: Option<Vec<f64>> = None;
+    for &v in values {
+        prep.circuit.set_source_wave(source, SourceWave::Dc(v))?;
+        match op_from_ws(prep, opts, prev.as_deref(), &mut ws, None) {
+            Ok(r) => {
+                out.push_sample(v, &r.x);
+                prev = Some(r.x);
             }
-        }
-    } else {
-        // One workspace for the whole sweep: the stamp pattern is
-        // fixed, so every point after the first replays slots and
-        // refactors in place.
-        let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
-        let mut prev: Option<Vec<f64>> = None;
-        for &v in values {
-            prep.circuit.set_source_wave(source, SourceWave::Dc(v))?;
-            match op_from_ws(prep, opts, prev.as_deref(), &mut ws) {
-                Ok(r) => {
-                    out.push_sample(v, &r.x);
-                    prev = Some(r.x);
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+            Err(e) => {
+                result = Err(e);
+                break;
             }
         }
     }
@@ -170,52 +146,6 @@ mod tests {
             (decades - expected_decades).abs() < 0.15,
             "{decades} vs {expected_decades}"
         );
-    }
-
-    /// The batched sweep path agrees with the sequential path: bit for
-    /// bit at one lane on the sparse backend, and to far below the
-    /// Newton tolerance at wider batches.
-    #[test]
-    fn batched_sweep_matches_sequential() {
-        use crate::analysis::solver::SolverChoice;
-        use crate::analysis::stamp::BatchMode;
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.vsource("V1", a, Circuit::gnd(), 0.0);
-        let dm = c.add_diode_model(DiodeModel::default());
-        c.diode("D1", a, Circuit::gnd(), dm, 1.0);
-        let mut prep = Prepared::compile(&c).unwrap();
-        let vs = linspace(0.4, 0.7, 13);
-        let opts = Options::new().solver(SolverChoice::Sparse);
-        let seq = dc_sweep(&mut prep, &opts, "V1", &vs).unwrap();
-        let one = dc_sweep(
-            &mut prep,
-            &opts.clone().batch(BatchMode::Lanes(1)),
-            "V1",
-            &vs,
-        )
-        .unwrap();
-        let wide = dc_sweep(
-            &mut prep,
-            &opts.clone().batch(BatchMode::Lanes(4)),
-            "V1",
-            &vs,
-        )
-        .unwrap();
-        for sig in ["v(a)", "i(V1)"] {
-            let s = seq.signal(sig).unwrap();
-            let o = one.signal(sig).unwrap();
-            let w = wide.signal(sig).unwrap();
-            for k in 0..vs.len() {
-                assert_eq!(o[k], s[k], "{sig} point {k} (single lane)");
-                assert!(
-                    (w[k] - s[k]).abs() <= 1e-9 * s[k].abs().max(1e-12),
-                    "{sig} point {k}: {} vs {}",
-                    w[k],
-                    s[k]
-                );
-            }
-        }
     }
 
     #[test]

@@ -197,6 +197,20 @@ impl FaultInjector {
     }
 }
 
+/// A Newton solve whose injector index was claimed before the solve
+/// ran — a batched-engine lane claims one per sample before its
+/// lockstep iterations — with the solver fault, if any, already
+/// delivered on it. The lane's sequential fallback runs its plain-Newton
+/// rung under the claim and replays that fault at the same iteration,
+/// so a fault that hit a lane acts exactly as on a per-sample solve.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ClaimedSolve {
+    /// The claimed solve index.
+    pub idx: u64,
+    /// `(iteration, fault)` already delivered on this solve.
+    pub fired: Option<(usize, FaultKind)>,
+}
+
 /// SplitMix64 finalizer: a statistically solid stateless hash.
 ///
 /// Public because the serving layer reuses it for deterministic

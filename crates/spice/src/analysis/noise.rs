@@ -10,7 +10,7 @@
 //! [`crate::devices::Device::noise`]; this module only owns the transfer
 //! function machinery.
 
-use crate::analysis::ac::assemble_ac;
+use crate::analysis::ac::factor_ac;
 use crate::analysis::solver::{parallel_freq_map, singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::Options;
 use crate::circuit::{NodeId, Prepared, GROUND_SLOT};
@@ -150,14 +150,7 @@ pub(crate) fn noise_impl(
         opts.threads,
         freqs,
         |ws: &mut SolverWorkspace<Complex>, f| {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            loop {
-                assemble_ac(prep, x_op, opts, omega, &mut ws.kernel, &mut ws.rhs);
-                if !ws.finish_assembly() {
-                    break;
-                }
-            }
-            ws.factor().map_err(|e| singular_unknown(prep, e))?;
+            factor_ac(prep, x_op, opts, 2.0 * std::f64::consts::PI * f, ws)?;
             let mut total = 0.0;
             let mut contributions = Vec::with_capacity(gens.len());
             for g in gens.iter() {

@@ -2,6 +2,7 @@
 //! convergence-recovery ladder — adaptive damping, gmin stepping,
 //! source stepping, and a pseudo-transient homotopy as last resort.
 
+use crate::analysis::fault::{ClaimedSolve, FaultKind};
 use crate::analysis::solver::{singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::{
     real_pattern, stamp_linear, stamp_nonlinear, worst_unknowns, MnaSink, Mode, NonlinMemory,
@@ -60,6 +61,9 @@ pub(crate) struct NewtonCfg<'a> {
     /// Adapt the damping factor from iterate behaviour: halve it when
     /// the scaled update grows, regrow toward 1.0 while it shrinks.
     pub adaptive: bool,
+    /// Fault-injector solve index claimed before this solve ran, with
+    /// the fault already delivered on it (`None` claims a fresh index).
+    pub claimed: Option<ClaimedSolve>,
 }
 
 impl NewtonCfg<'static> {
@@ -70,6 +74,7 @@ impl NewtonCfg<'static> {
             anchor: None,
             damping: 1.0,
             adaptive: false,
+            claimed: None,
         }
     }
 
@@ -110,18 +115,39 @@ fn error_worst(e: &SpiceError) -> Vec<WorstUnknown> {
         .unwrap_or_default()
 }
 
+/// The typed [`SpiceError::BudgetExhausted`] of a wall-clock deadline
+/// that has passed, or `None` while time remains (or none is armed).
+pub(crate) fn wall_error(opts: &Options, analysis: &'static str) -> Option<SpiceError> {
+    opts.budget
+        .wall_exhausted()
+        .map(|(limit, spent)| SpiceError::BudgetExhausted {
+            analysis,
+            resource: "wall_clock_ms",
+            limit,
+            spent,
+        })
+}
+
+/// The Newton-iteration poll: a cancelled token or a passed wall-clock
+/// deadline as a typed error. One not-taken branch each when unset;
+/// polled between iterations, never inside a factorization.
+pub(crate) fn newton_abort(opts: &Options) -> Option<SpiceError> {
+    if opts.cancel.cancelled() {
+        return Some(SpiceError::Cancelled {
+            analysis: "newton",
+            time: None,
+        });
+    }
+    wall_error(opts, "newton")
+}
+
 /// Errors out with a typed [`SpiceError::BudgetExhausted`] once `spent`
 /// cumulative Newton iterations cross the per-call budget, so a hard
 /// deck degrades to a report between continuation stages instead of
 /// burning the whole ladder.
 fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
-    if let Some((limit, spent_ms)) = opts.budget.wall_exhausted() {
-        return Err(SpiceError::BudgetExhausted {
-            analysis: "op",
-            resource: "wall_clock_ms",
-            limit,
-            spent: spent_ms,
-        });
+    if let Some(e) = wall_error(opts, "op") {
+        return Err(e);
     }
     match opts.budget.newton_exhausted(spent as u64) {
         None => Ok(()),
@@ -143,7 +169,10 @@ fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
 /// and replayed by `memcpy` on every subsequent iteration; only the
 /// nonlinear partition is re-stamped. Every iteration passes a NaN/Inf
 /// guard over the assembled system and, when installed, polls the fault
-/// injector. Returns the solution and iteration count.
+/// injector. Cancellation and the wall-clock deadline are polled at the
+/// top of every iteration and the deadline again before a converged
+/// iterate is returned, so a solve that overran its deadline never
+/// reports success. Returns the solution and iteration count.
 pub(crate) fn newton_solve(
     prep: &Prepared,
     opts: &Options,
@@ -156,7 +185,11 @@ pub(crate) fn newton_solve(
     let mut x = x0.to_vec();
     let replay = opts.linear_replay;
     let injector = opts.faults.get();
-    let solve_idx = injector.map(|f| f.begin_solve());
+    let solve_idx = match cfg.claimed {
+        Some(c) => Some(c.idx),
+        None => injector.map(|f| f.begin_solve()),
+    };
+    let replayed = cfg.claimed.and_then(|c| c.fired);
     let mut alpha = cfg.damping.clamp(ALPHA_MIN, 1.0);
     let mut prev_metric = f64::INFINITY;
     // The baseline depends on mode, diag_gmin and anchor, all fixed for
@@ -168,24 +201,8 @@ pub(crate) fn newton_solve(
         ws.preset_pattern(&pat);
     }
     for iter in 1..=opts.max_newton {
-        // Cooperative-cancellation poll: one not-taken branch when no
-        // token is installed, and the only place an OP-family solve can
-        // be cancelled (never inside a factorization).
-        if opts.cancel.cancelled() {
-            return Err(SpiceError::Cancelled {
-                analysis: "newton",
-                time: None,
-            });
-        }
-        // Wall-clock deadline shares the cancellation poll site, so a
-        // stuck solve degrades within one Newton iteration.
-        if let Some((limit, spent)) = opts.budget.wall_exhausted() {
-            return Err(SpiceError::BudgetExhausted {
-                analysis: "newton",
-                resource: "wall_clock_ms",
-                limit,
-                spent,
-            });
+        if let Some(e) = newton_abort(opts) {
+            return Err(e);
         }
         loop {
             if !(replay && ws.restore()) {
@@ -212,26 +229,31 @@ pub(crate) fn newton_solve(
                 break;
             }
         }
-        if let (Some(f), Some(idx)) = (injector, solve_idx) {
-            match f.poll(idx, iter) {
-                Some(crate::analysis::fault::FaultKind::NanStamp) => ws.poison_nan(),
-                Some(crate::analysis::fault::FaultKind::SingularMatrix) => ws.poison_singular(),
-                Some(crate::analysis::fault::FaultKind::NoConvergence) => {
-                    return Err(SpiceError::NoConvergence {
-                        analysis: "newton",
-                        iterations: iter,
-                        time: None,
-                        report: None,
-                    });
-                }
-                Some(crate::analysis::fault::FaultKind::Panic) => {
-                    panic!("injected fault: device model panic at iteration {iter}");
-                }
-                Some(crate::analysis::fault::FaultKind::Stall { millis }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(millis));
-                }
-                None => {}
+        // A fault the batched engine already delivered on this solve is
+        // replayed at its iteration; otherwise the injector decides.
+        let fault = match (replayed, injector, solve_idx) {
+            (Some((at, kind)), _, _) if at == iter => Some(kind),
+            (_, Some(f), Some(idx)) => f.poll(idx, iter),
+            _ => None,
+        };
+        match fault {
+            Some(FaultKind::NanStamp) => ws.poison_nan(),
+            Some(FaultKind::SingularMatrix) => ws.poison_singular(),
+            Some(FaultKind::NoConvergence) => {
+                return Err(SpiceError::NoConvergence {
+                    analysis: "newton",
+                    iterations: iter,
+                    time: None,
+                    report: None,
+                });
             }
+            Some(FaultKind::Panic) => {
+                panic!("injected fault: device model panic at iteration {iter}");
+            }
+            Some(FaultKind::Stall { millis }) => {
+                std::thread::sleep(std::time::Duration::from_millis(millis));
+            }
+            None => {}
         }
         if !ws.assembly_finite() {
             return Err(SpiceError::NonFinite {
@@ -260,6 +282,9 @@ pub(crate) fn newton_solve(
             metric = metric.max((x_new[k] - x[k]).abs() / tol);
         }
         if metric <= 1.0 && mem.limited == 0 {
+            if let Some(e) = wall_error(opts, "newton") {
+                return Err(e);
+            }
             x.copy_from_slice(x_new);
             return Ok((x, iter));
         }
@@ -341,27 +366,30 @@ pub(crate) fn op_from_eval(
     x0: Option<&[f64]>,
 ) -> Result<OpResult> {
     let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
-    op_from_ws(prep, opts, x0, &mut ws)
+    op_from_ws(prep, opts, x0, &mut ws, None)
 }
 
 /// [`op_from`] against a caller-provided workspace, so sweeps reuse one
 /// assembled pattern and factor storage across all their points.
+/// `claimed` runs the plain-Newton rung under a batched lane's claimed
+/// solve (see [`ClaimedSolve`]).
 pub(crate) fn op_from_ws(
     prep: &Prepared,
     opts: &Options,
     x0: Option<&[f64]>,
     ws: &mut SolverWorkspace<f64>,
+    claimed: Option<ClaimedSolve>,
 ) -> Result<OpResult> {
     let t = opts.trace.tracer();
     if !t.enabled() {
         let mut stats = ContinuationStats::default();
-        return op_strategies(prep, opts, x0, ws, &mut stats);
+        return op_strategies(prep, opts, x0, ws, claimed, &mut stats);
     }
     let span = t.span("op");
     ws.set_timing(true);
     let solver_before = ws.stats;
     let mut stats = ContinuationStats::default();
-    let result = op_strategies(prep, opts, x0, ws, &mut stats);
+    let result = op_strategies(prep, opts, x0, ws, claimed, &mut stats);
     stats.emit(t, "op");
     ws.stats.delta(&solver_before).emit(t, "op");
     span.end();
@@ -372,12 +400,15 @@ pub(crate) fn op_from_ws(
 /// adaptive damping, gmin stepping, source stepping, pseudo-transient.
 /// `stats` accumulates work across all rungs regardless of which one
 /// converges; on total failure the returned error carries a
-/// [`ConvergenceReport`] describing every rung attempted.
+/// [`ConvergenceReport`] describing every rung attempted. `claimed`
+/// applies to the plain-Newton rung only; every later solve claims a
+/// fresh injector index.
 fn op_strategies(
     prep: &Prepared,
     opts: &Options,
     x0: Option<&[f64]>,
     ws: &mut SolverWorkspace<f64>,
+    claimed: Option<ClaimedSolve>,
     stats: &mut ContinuationStats,
 ) -> Result<OpResult> {
     let n = prep.num_unknowns;
@@ -403,7 +434,11 @@ fn op_strategies(
     // 1. Plain Newton.
     stats.rungs_attempted += 1;
     let mut mem = NonlinMemory::new(prep);
-    match newton_solve(prep, opts, &mode, &mut mem, start, ws, &NewtonCfg::plain()) {
+    let plain = NewtonCfg {
+        claimed,
+        ..NewtonCfg::plain()
+    };
+    match newton_solve(prep, opts, &mode, &mut mem, start, ws, &plain) {
         Ok((x, it)) => {
             stats.newton_iterations += it as u64;
             return Ok(OpResult { x, iterations: it });
@@ -686,6 +721,7 @@ fn ptran_homotopy(
             anchor: Some(&anchor),
             damping: 1.0,
             adaptive: true,
+            claimed: None,
         };
         let attempt = newton_solve(prep, opts, mode, &mut mem, &anchor, ws, &cfg);
         match attempt {
@@ -1039,5 +1075,19 @@ mod tests {
         let warm = op_from(&prep, &opts(), Some(&cold.x)).unwrap();
         assert!(warm.iterations <= cold.iterations);
         assert!(warm.iterations <= 3, "warm took {}", warm.iterations);
+        // The same warm start stalled past its deadline reports the
+        // deadline, even though it converges in that same iteration.
+        let stall =
+            crate::analysis::fault::FaultInjector::once(FaultKind::Stall { millis: 20 }, 0, 1);
+        let wall = crate::analysis::control::Budget::unlimited()
+            .max_wall(std::time::Duration::from_millis(5));
+        let o = opts().fault_injector(&stall).budget(wall);
+        match op_from(&prep, &o, Some(&cold.x)) {
+            Err(SpiceError::BudgetExhausted {
+                resource: "wall_clock_ms",
+                ..
+            }) => {}
+            other => panic!("expected the wall-clock deadline, got {other:?}"),
+        }
     }
 }

@@ -529,7 +529,15 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
         residual = shooting_metric(prep, opts, &x0, &phi0);
         tr.counter("pss.residual", residual);
         if residual <= 1.0 {
-            status = Some(PssStatus::Converged);
+            // An orbit found past the deadline is still a deadline trip.
+            status = Some(match opts.budget.wall_exhausted() {
+                Some((limit, _spent)) => PssStatus::BudgetExhausted {
+                    resource: "wall_clock_ms",
+                    limit,
+                    iterations: shooting_iters,
+                },
+                None => PssStatus::Converged,
+            });
             break;
         }
 

@@ -255,7 +255,7 @@ impl Session {
             solver,
             ws: SolverWorkspace::new(n, solver),
         });
-        let result = op_from_ws(&self.prepared, &self.options, x0, &mut slot.ws);
+        let result = op_from_ws(&self.prepared, &self.options, x0, &mut slot.ws, None);
         if result.is_ok() {
             let mut parked = self.ws.lock().expect("session workspace lock");
             if parked.is_none() {

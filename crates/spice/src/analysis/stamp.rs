@@ -108,9 +108,9 @@ pub struct Options {
     /// [`Session::compile_with`](crate::analysis::Session::compile_with)
     /// (default: [`LintPolicy::Deny`]).
     pub lint: LintPolicy,
-    /// Batched variant execution for the study drivers (Monte-Carlo
-    /// yield, batch characterization, mixed-level and DC sweeps). Off
-    /// (the default) runs today's sequential path; see [`BatchMode`].
+    /// Lane width of the batched variant engine that runs the study
+    /// drivers (Monte-Carlo yield, mixed-level sweeps); see
+    /// [`BatchMode`] and [`Options::lanes_for`].
     pub batch: BatchMode,
     /// Worker-thread budget for `parallel` analyses (AC/noise frequency
     /// fan-out and the batched sample pool). `0` (the default) means
@@ -131,39 +131,24 @@ pub struct Options {
     pub stream: StreamPolicy,
 }
 
-/// Batched-execution mode for variant studies ([`Options::batch`]).
+/// Lane width of the batched variant engine ([`Options::batch`]).
 ///
-/// When enabled, the study drivers solve groups of variants side by
-/// side over one shared sparse pattern (structure-of-arrays values,
-/// SIMD lane kernels), falling back to the sequential path per sample
-/// whenever a lane misbehaves. `Lanes(1)` runs the batched engine with
-/// a single lane, which reproduces the sequential **sparse** solver
-/// bit for bit.
+/// The study drivers solve groups of variants side by side over one
+/// shared sparse pattern (structure-of-arrays values, SIMD lane
+/// kernels), falling back to the sequential ladder per sample whenever
+/// a lane misbehaves. `Lanes(1)` reproduces the sequential **sparse**
+/// solver bit for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Sequential execution (today's path) — the default.
+    /// Eight lanes — the default.
     #[default]
-    Off,
-    /// Batched execution with a heuristic lane count.
     Auto,
-    /// Batched execution with an explicit lane count (clamped to ≥ 1).
+    /// An explicit lane count (clamped to ≥ 1).
     Lanes(usize),
 }
 
 /// Lane count used by [`BatchMode::Auto`].
 const AUTO_LANES: usize = 8;
-
-impl BatchMode {
-    /// The number of SoA lanes this mode asks for, or `None` when
-    /// batching is off.
-    pub fn lanes(self) -> Option<usize> {
-        match self {
-            BatchMode::Off => None,
-            BatchMode::Auto => Some(AUTO_LANES),
-            BatchMode::Lanes(n) => Some(n.max(1)),
-        }
-    }
-}
 
 impl Default for Options {
     fn default() -> Self {
@@ -180,7 +165,7 @@ impl Default for Options {
             ladder: LadderConfig::default(),
             faults: FaultHandle::off(),
             lint: LintPolicy::default(),
-            batch: BatchMode::Off,
+            batch: BatchMode::Auto,
             threads: 0,
             cancel: CancelHandle::off(),
             budget: Budget::unlimited(),
@@ -338,7 +323,7 @@ impl Options {
         self
     }
 
-    /// Selects batched variant execution for the study drivers.
+    /// Sets the batched engine's lane width for the study drivers.
     pub fn batch(mut self, batch: BatchMode) -> Self {
         self.batch = batch;
         self
@@ -383,15 +368,16 @@ impl Options {
         self
     }
 
-    /// The effective worker-thread count: the explicit
-    /// [`Options::threads`] value, or the machine's available
-    /// parallelism when unset.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |c| c.get())
-        } else {
-            self.threads
-        }
+    /// The lane width a variant study of `samples` variants runs at:
+    /// the [`Options::batch`] request (`Auto` = 8), clamped by
+    /// [`Budget::clamp_lanes`] and by `samples`, and never below 1.
+    /// Every study driver resolves its width here.
+    pub fn lanes_for(&self, samples: usize) -> usize {
+        let requested = match self.batch {
+            BatchMode::Auto => AUTO_LANES,
+            BatchMode::Lanes(n) => n,
+        };
+        self.budget.clamp_lanes(requested).min(samples).max(1)
     }
 }
 

@@ -322,6 +322,9 @@ pub(crate) fn tran_impl(
             &mut ws,
             &NewtonCfg::plain(),
         ) {
+            // The accept point: `newton_solve` re-checks the wall-clock
+            // deadline before returning a converged step, so a step that
+            // overran it arrives as the abort below, never here.
             Ok((x_new, iters)) => {
                 stats.accepted_steps += 1;
                 stats.newton_iterations += iters as u64;

@@ -1,33 +1,26 @@
 //! Batched-variant-engine equivalence suite.
 //!
-//! The contract under test: `Options::batch` is purely a performance
-//! knob. For any deck and any batch width, the batched engines produce
-//! the same per-sample outcomes as the sequential path — bit for bit at
-//! a single lane on the sparse backend, to far below the Newton
-//! tolerance at wider batches — including decks where samples fail to
-//! converge or are lint-rejected before reaching the solver.
+//! The contract under test: the lane width (`Options::batch`) is purely
+//! a performance knob. For any deck and any batch width, the batched
+//! engines produce the same per-sample outcomes as per-sample solves
+//! through the single-point API — bit for bit at a single lane on the
+//! sparse backend, to far below the Newton tolerance at wider batches —
+//! including decks where samples fail to converge or are lint-rejected
+//! before reaching the solver.
 
+use ahfic::mixed::RcCrBench;
 use ahfic::yield_mc::YieldStudy;
-use ahfic_num::interp::linspace;
+use ahfic_rf::image_rejection::irr_analytic_db;
 use ahfic_spice::analysis::{BatchMode, BatchedOpEngine, OpResult, Options, Session, SolverChoice};
 use ahfic_spice::circuit::{Circuit, Prepared};
-use ahfic_spice::model::{BjtModel, DiodeModel};
+use ahfic_spice::model::BjtModel;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-// Thin shims over [`Session`] — the primary analysis entry point —
+// Thin shim over [`Session`] — the primary analysis entry point —
 // preserving this suite's free-function call shape.
 fn op(prep: &Prepared, opts: &Options) -> ahfic_spice::error::Result<OpResult> {
     Session::new(prep.clone()).with_options(opts.clone()).op()
-}
-fn dc_sweep(
-    prep: &mut Prepared,
-    opts: &Options,
-    source: &str,
-    values: &[f64],
-) -> ahfic_spice::error::Result<ahfic_spice::wave::Waveform> {
-    let mut sess = Session::new(prep.clone()).with_options(opts.clone());
-    sess.dc(source, values)
 }
 
 /// Batch widths exercised everywhere: the degenerate single lane, a
@@ -163,61 +156,11 @@ proptest! {
         }
     }
 
-    /// Batched DC sweeps reproduce sequential DC sweeps on random diode
-    /// dividers: the warm-start chain survives batching.
-    #[test]
-    fn batched_dc_sweep_matches_sequential(
-        r_top in 10.0f64..1e5,
-        r_shunt in 10.0f64..1e5,
-        n in 0.8f64..2.0,
-        v_stop in 0.6f64..5.0,
-        points in 3usize..17,
-    ) {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::gnd(), 0.0);
-        c.resistor("R1", a, b, r_top);
-        c.resistor("R2", b, Circuit::gnd(), r_shunt);
-        let dm = c.add_diode_model(DiodeModel { n, ..DiodeModel::default() });
-        c.diode("D1", b, Circuit::gnd(), dm, 1.0);
-        let mut prep = Prepared::compile(&c).unwrap();
-        let vs = linspace(0.0, v_stop, points);
-        let opts = Options::new().solver(SolverChoice::Sparse);
-        let seq = dc_sweep(&mut prep, &opts, "V1", &vs).unwrap();
-        for lanes in WIDTHS {
-            let bopts = opts.clone().batch(BatchMode::Lanes(lanes));
-            let bat = dc_sweep(&mut prep, &bopts, "V1", &vs).unwrap();
-            for sig in ["v(a)", "v(b)", "i(V1)"] {
-                let s = seq.signal(sig).unwrap();
-                let bsig = bat.signal(sig).unwrap();
-                for k in 0..vs.len() {
-                    if lanes == 1 {
-                        // A single lane replays the sequential
-                        // warm-start chain exactly.
-                        prop_assert!(s[k] == bsig[k], "{sig} lanes=1 point {k}");
-                    } else {
-                        // Wider batches warm-start each chunk from the
-                        // previous chunk's last point rather than the
-                        // immediately preceding one, so the converged
-                        // values agree to the Newton tolerance, not
-                        // bitwise.
-                        prop_assert!(
-                            (s[k] - bsig[k]).abs()
-                                <= 3.0 * (opts.reltol * s[k].abs() + opts.vntol),
-                            "{sig} lanes={lanes} point {k}: {} vs {}",
-                            s[k],
-                            bsig[k]
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched yield studies track the sequential study sample for
-    /// sample, including lint-rejected defect samples, across batch
-    /// widths and process spreads.
+    /// Batched yield studies track a per-sample loop over the
+    /// single-point API (`RcCrBench::characterize` /
+    /// `characterize_open_r1`) sample for sample, including
+    /// lint-rejected defect samples, across batch widths and process
+    /// spreads.
     #[test]
     fn batched_yield_matches_sequential(
         sigma in 0.02f64..0.2,
@@ -231,16 +174,29 @@ proptest! {
             open_defect_prob: if defect_on == 1 { 0.3 } else { 0.0 },
             ..YieldStudy::paper_example(sigma)
         };
-        let seq = study.run().unwrap();
+        let mut bench = RcCrBench::new(study.f2_if, 1e-12).unwrap();
+        let mut seq_irr = Vec::new();
+        let mut seq_failed = Vec::new();
+        for i in 0..study.samples {
+            let (mismatch, defective) = study.sample_draw(i);
+            let outcome = if defective {
+                bench.characterize_open_r1()
+            } else {
+                bench.characterize(mismatch)
+            };
+            match outcome {
+                Ok(b) => seq_irr.push(irr_analytic_db(b.phase_err_deg, b.gain_err)),
+                Err(_) => seq_failed.push(i),
+            }
+        }
         for lanes in [1usize, 2, 7] {
             let bat = study
                 .run_with_options(Options::new().batch(BatchMode::Lanes(lanes)))
                 .unwrap();
-            prop_assert!(seq.irr_db.len() == bat.irr_db.len(), "lanes={lanes}");
-            let seq_failed: Vec<usize> = seq.failures.iter().map(|f| f.index).collect();
+            prop_assert!(seq_irr.len() == bat.irr_db.len(), "lanes={lanes}");
             let bat_failed: Vec<usize> = bat.failures.iter().map(|f| f.index).collect();
             prop_assert!(seq_failed == bat_failed, "lanes={lanes}");
-            for (s, b) in seq.irr_db.iter().zip(&bat.irr_db) {
+            for (s, b) in seq_irr.iter().zip(&bat.irr_db) {
                 // IRR in dB is extremely sensitive near perfect balance
                 // (the argument of the log approaches zero), so compare
                 // with a relative guard on the dB value.
