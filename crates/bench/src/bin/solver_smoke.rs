@@ -1,19 +1,22 @@
-//! Dense-vs-sparse solver smoke benchmark.
+//! Solver and serving smoke benchmark.
 //!
 //! Builds a capacitively-coupled BJT amplifier chain (the device and
 //! stamp mix of the paper's benches, with a well-defined DC point) at
-//! three sizes, then runs operating point, a short transient, and an
-//! AC sweep with the dense solver and the sparse solver, writing the
-//! results to `BENCH_solver.json` at the repo root.
+//! three sizes and runs operating point, a short transient, and an AC
+//! sweep with the dense and the sparse solver. Further sections measure
+//! pre-flight lint cost, null-sink trace overhead, linear-stamp replay,
+//! batched Monte-Carlo yield throughput, the convergence ladder on hard
+//! starts, shared-cache serving amortization and shooting PSS. Results
+//! go to `BENCH_solver.json` in the working directory.
 //!
 //! Timings and work counters come from the instrumented analysis path
-//! itself: each suite runs with an [`InMemorySink`] installed and the
-//! per-analysis wall times, Newton iterations and factorization counts
-//! are read back out of the trace via
-//! [`summarize_top_level`].
-//! The final section measures the overhead of tracing into a
-//! [`NullSink`] against a fully disabled trace handle at the largest
-//! size.
+//! itself: suites run with an [`InMemorySink`] installed and read wall
+//! times, Newton iterations and factorization counts back out of the
+//! trace via [`summarize_top_level`].
+//!
+//! Three asserts make the binary a regression gate: the batched yield
+//! path is no slower than the per-sample loop, shared-cache serving
+//! amortizes compiles at least 5×, and the PSS rectifier converges.
 //!
 //! Run with `cargo run --release -p ahfic-bench --bin solver_smoke`.
 
@@ -23,7 +26,6 @@ use std::time::Instant;
 
 use ahfic_bench::standard_generator;
 use ahfic_num::interp::logspace;
-use ahfic_num::GmresOptions;
 use ahfic_serve::{JobQueue, JobRequest, JobSpec, QueueConfig};
 use ahfic_spice::analysis::{LadderConfig, Options, PssParams, Session, SolverChoice, TranParams};
 use ahfic_spice::circuit::{Circuit, ElementKind, Prepared};
@@ -526,59 +528,6 @@ fn serving_probe(jobs: usize, reps: usize) -> ServingStats {
     }
 }
 
-struct ServingRobustnessStats {
-    jobs: usize,
-    supervised_s: f64,
-    unsupervised_s: f64,
-}
-
-impl ServingRobustnessStats {
-    fn overhead_pct(&self) -> f64 {
-        (self.supervised_s / self.unsupervised_s - 1.0) * 100.0
-    }
-}
-
-/// Supervision overhead: the same `jobs`-deep tuner-deck queue run with
-/// `catch_unwind` worker supervision (the default) and with it turned
-/// off. The unwind guard costs a landing-pad setup per job — against
-/// millisecond-scale Newton solves it must disappear in the noise, and
-/// the caller asserts it stays within a small single-digit percentage.
-/// Interleaved best-of-`reps`, fresh queue per rep so both sides pay
-/// the one real compile identically.
-fn serving_robustness_probe(jobs: usize, reps: usize) -> ServingRobustnessStats {
-    let ckt = image_rejection_frontend_circuit();
-    let opts = Options::new().solver(SolverChoice::Sparse);
-    // One 64-job queue finishes in a fraction of a millisecond — far
-    // inside timer jitter. Each timing sample therefore drains the
-    // queue `rounds` times so the window is milliseconds wide and a 2%
-    // delta is actually resolvable.
-    let rounds = 40;
-    let time_queue = |supervise: bool| {
-        let queue = JobQueue::new(QueueConfig::new().threads(1).supervise(supervise));
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            let requests: Vec<JobRequest> = (0..jobs)
-                .map(|_| JobRequest::new(ckt.clone(), JobSpec::Op).options(opts.clone()))
-                .collect();
-            let reports = queue.run(requests);
-            assert!(reports.iter().all(ahfic_serve::JobReport::is_ok));
-        }
-        t0.elapsed().as_secs_f64() / rounds as f64
-    };
-    time_queue(true);
-    time_queue(false);
-    let (mut sup, mut unsup) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        sup = sup.min(time_queue(true));
-        unsup = unsup.min(time_queue(false));
-    }
-    ServingRobustnessStats {
-        jobs,
-        supervised_s: sup,
-        unsupervised_s: unsup,
-    }
-}
-
 struct LadderProbe {
     name: &'static str,
     legacy_converged: bool,
@@ -628,75 +577,6 @@ fn ladder_probe(name: &'static str, prep: &Prepared, budget: usize) -> LadderPro
         gmin_stages: counter("op.gmin_stages"),
         source_steps: counter("op.source_steps"),
         ptran_steps: counter("op.ptran_steps"),
-    }
-}
-
-struct GmresProbe {
-    n: usize,
-    sparse_s: f64,
-    gmres_s: f64,
-    iters: f64,
-    restarts: f64,
-    precond_refactors: f64,
-    max_dv: f64,
-}
-
-/// GMRES+ILU(0) against sparse LU on the mid-size amplifier chain:
-/// operating point plus transient (the real-valued Newton path the
-/// iterative tier targets — the 10 GHz complex AC matrices are direct-
-/// solver territory, where ILU(0) loses its grip), paired best-of
-/// timing, Krylov work counters read from the trace, and the operating
-/// points compared unknown by unknown — the iterative tier must track
-/// the direct factorization to solver tolerance or the bench fails.
-fn gmres_probe(prep: &Prepared, tran_params: &TranParams, reps: usize) -> GmresProbe {
-    let gmres_choice = SolverChoice::Gmres(GmresOptions::default());
-    let sparse_opts = Options::new().solver(SolverChoice::Sparse);
-    let gmres_opts = Options::new().solver(gmres_choice);
-    let time_one = |opts: &Options| {
-        let sess = Session::new(prep.clone()).with_options(opts.clone());
-        let t0 = Instant::now();
-        sess.op().expect("operating point");
-        sess.tran(tran_params).expect("transient");
-        t0.elapsed().as_secs_f64()
-    };
-    time_one(&sparse_opts);
-    time_one(&gmres_opts);
-    let (mut sparse_s, mut gmres_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        sparse_s = sparse_s.min(time_one(&sparse_opts));
-        gmres_s = gmres_s.min(time_one(&gmres_opts));
-    }
-
-    // Krylov counters from one instrumented op + transient pass.
-    let sink = Arc::new(InMemorySink::new());
-    let sess =
-        Session::new(prep.clone()).with_options(Options::new().solver(gmres_choice).trace(&sink));
-    sess.op().expect("operating point");
-    sess.tran(tran_params).expect("transient");
-    let spans = summarize_top_level(&sink.take());
-    let sum = |name: &str| -> f64 { spans.iter().filter_map(|s| s.counter(name)).sum() };
-
-    let x_sparse = Session::new(prep.clone())
-        .with_options(sparse_opts)
-        .op()
-        .expect("sparse operating point")
-        .x()
-        .to_vec();
-    let x_gmres = sess.op().expect("gmres operating point");
-    let max_dv = x_sparse
-        .iter()
-        .zip(x_gmres.x())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-
-    GmresProbe {
-        n: prep.num_unknowns,
-        sparse_s,
-        gmres_s,
-        iters: sum("solver.gmres.iters"),
-        restarts: sum("solver.gmres.restarts"),
-        precond_refactors: sum("solver.gmres.precond_refactors"),
-        max_dv,
     }
 }
 
@@ -1054,58 +934,11 @@ fn main() {
         serving.amortization(),
     );
 
-    // Fault-tolerant serving: the `catch_unwind` supervision wrapper
-    // must be free at queue scale. The assert is the CI regression gate
-    // for the supervised worker path.
-    let robustness = serving_robustness_probe(64, 15);
-    println!(
-        "supervision overhead ({jobs} op jobs, 1 thread, best of 15): \
-         supervised {sup_ms:.2}ms vs unsupervised {unsup_ms:.2}ms ({pct:+.2}%)",
-        jobs = robustness.jobs,
-        sup_ms = robustness.supervised_s * 1e3,
-        unsup_ms = robustness.unsupervised_s * 1e3,
-        pct = robustness.overhead_pct(),
-    );
-    assert!(
-        robustness.overhead_pct() <= 2.0,
-        "worker supervision exceeded the 2% overhead budget: {:+.2}%",
-        robustness.overhead_pct(),
-    );
-
-    // Iterative tier: GMRES+ILU(0) vs sparse LU on the mid-size chain.
-    // The asserts are the CI regression gate — the Krylov path must
-    // actually run (nonzero iteration counters) and must agree with the
-    // direct factorization at the operating point.
-    let mid = amplifier_chain(12, &model);
-    let g = gmres_probe(&mid, &tran_params, 7);
-    println!(
-        "\n# Iterative tier (12 stages, n = {n}, op + tran, best of 7)\n\
-         gmres+ilu0 {gms:.1}ms vs sparse lu {sms:.1}ms; \
-         {it:.0} krylov iters, {rs:.0} restarts, {pf:.0} precond refactors; \
-         max |dV| vs sparse op = {dv:.2e}",
-        n = g.n,
-        gms = g.gmres_s * 1e3,
-        sms = g.sparse_s * 1e3,
-        it = g.iters,
-        rs = g.restarts,
-        pf = g.precond_refactors,
-        dv = g.max_dv,
-    );
-    assert!(
-        g.iters > 0.0,
-        "GMRES suite recorded no Krylov iterations — the iterative tier did not run"
-    );
-    assert!(
-        g.max_dv < 1e-6,
-        "GMRES operating point diverged from sparse LU by {:.2e} V",
-        g.max_dv,
-    );
-
     // Periodic steady state: the shooting-Newton rectifier bench. A
     // non-converged orbit fails the binary and therefore CI.
     let p = pss_probe(7);
     println!(
-        "# Shooting PSS (diode rectifier, n = {n}, best of 7)\n\
+        "\n# Shooting PSS (diode rectifier, n = {n}, best of 7)\n\
          orbit in {ms:.1}ms: {sh} shooting iters, {gm} krylov matvecs, \
          {nw} newton iters, weighted residual {res:.3e}",
         n = p.n,
@@ -1141,13 +974,6 @@ fn main() {
             "    \"recompile_ms\": {srec:.3}, \"shared_ms\": {ssh:.3}, ",
             "\"amortization\": {samort:.3}, \"jobs_per_sec\": {sjps:.0},\n",
             "    \"cache_hits\": {shits}, \"cache_compiles\": {scomp}}},\n",
-            "  \"serving_robustness\": {{\"deck\": \"image_rejection_frontend\", ",
-            "\"jobs\": {rj}, \"threads\": 1,\n",
-            "    \"supervised_ms\": {rsup:.3}, \"unsupervised_ms\": {runsup:.3}, ",
-            "\"supervision_overhead_pct\": {rpct:.3}}},\n",
-            "  \"gmres\": {{\"deck\": \"amplifier_chain_12\", \"n\": {gn},\n",
-            "    \"sparse_ms\": {gsms:.3}, \"gmres_ms\": {ggms:.3}, \"iters\": {git:.0}, ",
-            "\"restarts\": {grs:.0}, \"precond_refactors\": {gpf:.0}, \"max_dv\": {gdv:.3e}}},\n",
             "  \"pss\": {{\"deck\": \"diode_rectifier\", \"n\": {pn}, \"wall_ms\": {pms:.3},\n",
             "    \"shooting_iterations\": {psh}, \"gmres_iterations\": {pgm}, ",
             "\"newton_iterations\": {pnw}, \"residual\": {pres:.3e}}}\n}}\n"
@@ -1185,17 +1011,6 @@ fn main() {
         sjps = serving.jobs_per_sec(),
         shits = serving.hits,
         scomp = serving.compiles,
-        rj = robustness.jobs,
-        rsup = robustness.supervised_s * 1e3,
-        runsup = robustness.unsupervised_s * 1e3,
-        rpct = robustness.overhead_pct(),
-        gn = g.n,
-        gsms = g.sparse_s * 1e3,
-        ggms = g.gmres_s * 1e3,
-        git = g.iters,
-        grs = g.restarts,
-        gpf = g.precond_refactors,
-        gdv = g.max_dv,
         pn = p.n,
         pms = p.wall_s * 1e3,
         psh = p.shooting_iterations,

@@ -1,27 +1,22 @@
-//! Restarted GMRES with right preconditioning.
+//! Restarted GMRES for matrix-free operators.
 //!
-//! The Krylov tier exists for two callers with very different matrices:
-//!
-//! * the MNA solve path, where the operator is a compiled [`CscMatrix`]
-//!   and an ILU(0) preconditioner makes the iteration converge in a
-//!   handful of steps, and
-//! * shooting-Newton periodic steady state, where the operator is the
-//!   *monodromy* sensitivity map `v ↦ (M − I)·v` that is never formed —
-//!   each application integrates the circuit over one period.
-//!
-//! Both reduce to the same [`LinearOperator`] trait: a dimension and a
-//! matrix-vector product. GMRES itself is the textbook restarted
-//! formulation (Saad, *Iterative Methods for Sparse Linear Systems*,
-//! ch. 6): Arnoldi with modified Gram–Schmidt, the Hessenberg system
-//! reduced incrementally by Givens rotations so the residual norm is
-//! available every iteration without a solve.
+//! The caller is shooting-Newton periodic steady state, where the
+//! operator is the *monodromy* sensitivity map `v ↦ (M − I)·v` that is
+//! never formed — each application integrates the circuit over one
+//! period. All the iteration needs is the [`LinearOperator`] trait: a
+//! dimension and a matrix-vector product. GMRES itself is the textbook
+//! restarted formulation (Saad, *Iterative Methods for Sparse Linear
+//! Systems*, ch. 6): Arnoldi with modified Gram–Schmidt, the Hessenberg
+//! system reduced incrementally by Givens rotations so the residual norm
+//! is available every iteration without a solve. There is no
+//! preconditioner: the operator is never assembled, so there is nothing
+//! to factor one from.
 //!
 //! Everything is generic over [`Scalar`] with the complex-safe rotation
 //! `c = |a|/t`, `s = (a/|a|)·conj(b)/t`, which degenerates to the familiar
 //! real rotation when `T = f64` (where `conj` is the identity).
 
 use crate::scalar::Scalar;
-use crate::sparse::CscMatrix;
 
 /// A linear map `y = A·x`, possibly matrix-free.
 ///
@@ -33,36 +28,6 @@ pub trait LinearOperator<T: Scalar> {
     fn dim(&self) -> usize;
     /// Computes `y = A·x`. Both slices have length [`LinearOperator::dim`].
     fn apply(&mut self, x: &[T], y: &mut [T]);
-}
-
-impl<T: Scalar> LinearOperator<T> for &CscMatrix<T> {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-
-    fn apply(&mut self, x: &[T], y: &mut [T]) {
-        self.mul_vec_into(x, y);
-    }
-}
-
-/// Right preconditioner: computes `z = M⁻¹·r`.
-///
-/// Right preconditioning keeps the *true* residual `b − A·x` as the
-/// quantity GMRES monitors, so the convergence tolerance keeps its
-/// meaning regardless of how crude `M` is.
-pub trait Preconditioner<T: Scalar> {
-    /// Applies the inverse preconditioner: `z = M⁻¹·r`.
-    fn apply(&self, r: &[T], z: &mut [T]);
-}
-
-/// The no-op preconditioner (`M = I`) for matrix-free callers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityPrecond;
-
-impl<T: Scalar> Preconditioner<T> for IdentityPrecond {
-    fn apply(&self, r: &[T], z: &mut [T]) {
-        z.copy_from_slice(r);
-    }
 }
 
 /// Knobs for the restarted iteration.
@@ -99,8 +64,8 @@ pub struct GmresOutcome {
     /// Final relative residual `‖b − A·x‖ / ‖b‖` estimate.
     pub residual: f64,
     /// True when the run bailed early because two consecutive restart
-    /// cycles made no residual progress (preconditioner lost its grip)
-    /// — iterating further would only burn the matvec budget.
+    /// cycles made no residual progress — iterating further would only
+    /// burn the matvec budget.
     pub stagnated: bool,
 }
 
@@ -129,17 +94,12 @@ fn scale_into<T: Scalar>(v: &mut [T], k: f64) {
 /// Solves `A·x = b` by restarted GMRES, overwriting `x` (whose incoming
 /// contents seed the iteration — pass zeros for a cold start).
 ///
-/// `precond` is applied on the right: the iteration builds the Krylov
-/// space of `A·M⁻¹` and maps the coefficients back through `M⁻¹` when
-/// forming the update, so the reported residual is the true one.
-///
 /// # Panics
 ///
 /// Panics if `b`/`x` lengths disagree with `op.dim()` or if
 /// `opts.restart` is zero.
 pub fn gmres<T: Scalar>(
     op: &mut dyn LinearOperator<T>,
-    precond: &dyn Preconditioner<T>,
     b: &[T],
     x: &mut [T],
     opts: &GmresOptions,
@@ -169,10 +129,9 @@ pub fn gmres<T: Scalar>(
     let target = opts.tol * bnorm;
     let m = opts.restart.min(n).min(opts.max_iters.max(1));
 
-    // Arnoldi basis and scratch. `basis[i]` is vᵢ; `z`/`w` hold M⁻¹vⱼ and
-    // A·M⁻¹vⱼ; `hcol[j]` stores Hessenberg column j (length j+2).
+    // Arnoldi basis and scratch. `basis[i]` is vᵢ; `w` holds A·vⱼ;
+    // `hcol[j]` stores Hessenberg column j (length j+2).
     let mut basis: Vec<Vec<T>> = Vec::with_capacity(m + 1);
-    let mut z = vec![T::ZERO; n];
     let mut w = vec![T::ZERO; n];
     let mut hcols: Vec<Vec<T>> = Vec::with_capacity(m);
     let mut giv_c: Vec<T> = Vec::with_capacity(m);
@@ -197,13 +156,11 @@ pub fn gmres<T: Scalar>(
         }
         // Stagnation bail: two consecutive restart cycles that each
         // shaved less than 0.1% off the true residual mean the Krylov
-        // space (as preconditioned) has nothing left to offer — stop
-        // here so the caller can fall back to a direct solve instead of
-        // burning the rest of the matvec budget on a plateau. One flat
-        // cycle is not enough: weakly preconditioned solves creeping
-        // toward tolerance can have a slow cycle while still making
-        // real progress, and must not be cut over to direct-LU cost
-        // (or a typed NoConvergence) prematurely.
+        // space has nothing left to offer — stop here instead of
+        // burning the rest of the matvec budget (each matvec of the
+        // shooting map is a full period integration) on a plateau. One
+        // flat cycle is not enough: a slowly converging solve can have
+        // a slow cycle while still making real progress.
         if out.residual >= prev_cycle_rel * 0.999 {
             stagnant_cycles += 1;
             if stagnant_cycles >= 2 {
@@ -231,8 +188,7 @@ pub fn gmres<T: Scalar>(
         let mut k = 0; // columns accumulated this cycle
         while k < m && out.iterations < opts.max_iters {
             let j = k;
-            precond.apply(&basis[j], &mut z);
-            op.apply(&z, &mut w);
+            op.apply(&basis[j], &mut w);
             out.iterations += 1;
 
             // Modified Gram–Schmidt against the basis so far.
@@ -303,17 +259,15 @@ pub fn gmres<T: Scalar>(
             }
             y[i] = acc / hcols[i][i];
         }
-        // x += M⁻¹·(V·y): accumulate the basis combination, precondition
-        // once, and add.
+        // x += V·y: accumulate the basis combination and add.
         w.fill(T::ZERO);
         for (vi, &yi) in basis.iter().zip(&y) {
             for (wx, &vx) in w.iter_mut().zip(vi) {
                 *wx += vx * yi;
             }
         }
-        precond.apply(&w, &mut z);
-        for (xi, &zi) in x.iter_mut().zip(&z) {
-            *xi += zi;
+        for (xi, &wi) in x.iter_mut().zip(&w) {
+            *xi += wi;
         }
 
         if out.residual <= opts.tol || out.iterations >= opts.max_iters {
@@ -341,7 +295,17 @@ mod tests {
     use super::*;
     use crate::complex::Complex;
     use crate::matrix::Matrix;
-    use crate::sparse::TripletBuilder;
+    use crate::sparse::{CscMatrix, TripletBuilder};
+
+    impl<T: Scalar> LinearOperator<T> for &CscMatrix<T> {
+        fn dim(&self) -> usize {
+            self.n()
+        }
+
+        fn apply(&mut self, x: &[T], y: &mut [T]) {
+            self.mul_vec_into(x, y);
+        }
+    }
 
     fn dense_op<T: Scalar>(m: Matrix<T>) -> impl LinearOperator<T> {
         struct DenseOp<T>(Matrix<T>);
@@ -367,13 +331,7 @@ mod tests {
         let expect = crate::lu::solve(a.clone(), &b).unwrap();
         let mut op = dense_op(a);
         let mut x = vec![0.0; 3];
-        let out = gmres(
-            &mut op,
-            &IdentityPrecond,
-            &b,
-            &mut x,
-            &GmresOptions::default(),
-        );
+        let out = gmres(&mut op, &b, &mut x, &GmresOptions::default());
         assert!(out.converged, "did not converge: {out:?}");
         for (xi, ei) in x.iter().zip(&expect) {
             assert!((xi - ei).abs() < 1e-8, "{x:?} vs {expect:?}");
@@ -390,24 +348,16 @@ mod tests {
         let expect = crate::lu::solve(a.clone(), &b).unwrap();
         let mut op = dense_op(a);
         let mut x = vec![Complex::ZERO; 2];
-        let out = gmres(
-            &mut op,
-            &IdentityPrecond,
-            &b,
-            &mut x,
-            &GmresOptions::default(),
-        );
+        let out = gmres(&mut op, &b, &mut x, &GmresOptions::default());
         assert!(out.converged, "did not converge: {out:?}");
         for (xi, ei) in x.iter().zip(&expect) {
             assert!((*xi - *ei).abs() < 1e-8, "{x:?} vs {expect:?}");
         }
     }
 
-    #[test]
-    fn restart_path_still_converges() {
-        // A 12×12 diagonally dominant sparse system with restart=3 forces
-        // several cycles through the restart bookkeeping.
-        let n = 12;
+    /// Tridiagonal `n×n` system: `diag(i)` on the diagonal, `upper` and
+    /// `lower` beside it.
+    fn tridiag(n: usize, diag: impl Fn(usize) -> f64, upper: f64, lower: f64) -> CscMatrix<f64> {
         let mut tb = TripletBuilder::new(n);
         for i in 0..n {
             tb.add(i, i);
@@ -419,18 +369,26 @@ mod tests {
         let (mut csc, slots) = tb.compile();
         let mut si = slots.iter();
         for i in 0..n {
-            csc.values_mut()[*si.next().unwrap()] = 4.0 + i as f64 * 0.1;
+            csc.values_mut()[*si.next().unwrap()] = diag(i);
             if i + 1 < n {
-                csc.values_mut()[*si.next().unwrap()] = -1.0;
-                csc.values_mut()[*si.next().unwrap()] = -0.5;
+                csc.values_mut()[*si.next().unwrap()] = upper;
+                csc.values_mut()[*si.next().unwrap()] = lower;
             }
         }
+        csc
+    }
+
+    #[test]
+    fn restart_path_still_converges() {
+        // A 12×12 diagonally dominant sparse system with restart=3 forces
+        // several cycles through the restart bookkeeping.
+        let n = 12;
+        let csc = tridiag(n, |i| 4.0 + i as f64 * 0.1, -1.0, -0.5);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut x = vec![0.0; n];
         let mut op = &csc;
         let out = gmres(
             &mut op,
-            &IdentityPrecond,
             &b,
             &mut x,
             &GmresOptions {
@@ -458,15 +416,35 @@ mod tests {
         let a = Matrix::from_rows(&[&[2.0, 0.0][..], &[0.0, 2.0][..]]);
         let mut op = dense_op(a);
         let mut x = vec![5.0, -3.0];
-        let out = gmres(
-            &mut op,
-            &IdentityPrecond,
-            &[0.0, 0.0],
-            &mut x,
-            &GmresOptions::default(),
-        );
+        let out = gmres(&mut op, &[0.0, 0.0], &mut x, &GmresOptions::default());
         assert!(out.converged);
         assert_eq!(x, vec![0.0, 0.0]);
         assert_eq!(out.iterations, 0);
+    }
+
+    /// Two consecutive restart cycles with no residual progress bail
+    /// out early instead of burning the whole matvec budget.
+    #[test]
+    fn gmres_stagnation_bails_before_budget() {
+        let csc = tridiag(30, |i| 3.0 + i as f64 * 0.2, -1.0, -1.0);
+        let b = vec![1.0; 30];
+        let mut x = vec![0.0; 30];
+        let mut op = &csc;
+        let out = gmres(
+            &mut op,
+            &b,
+            &mut x,
+            &GmresOptions {
+                restart: 2,
+                tol: 1e-300,
+                max_iters: 100_000,
+            },
+        );
+        assert!(!out.converged);
+        assert!(out.stagnated, "{out:?}");
+        assert!(
+            out.iterations < 100_000,
+            "stagnation should cut the budget short: {out:?}"
+        );
     }
 }

@@ -44,26 +44,20 @@ pub mod db;
 pub mod fft;
 pub mod gmres;
 pub mod goertzel;
-pub mod ilu;
 pub mod interp;
 pub mod lu;
 pub mod matrix;
 pub mod scalar;
 pub mod simd;
-pub mod solver;
 pub mod sparse;
 pub mod stats;
 pub mod window;
 
 pub use batched::{BatchedLuSolver, CpuBatchedLu};
 pub use complex::Complex;
-pub use gmres::{GmresOptions, GmresOutcome, IdentityPrecond, LinearOperator, Preconditioner};
-pub use ilu::Ilu0;
+pub use gmres::{GmresOptions, GmresOutcome, LinearOperator};
 pub use lu::LuFactors;
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use simd::{LaneKernels, SimdLevel};
-pub use solver::{
-    DenseLuSolver, GmresIluSolver, IterationCounters, LinearSolveError, LinearSolver, SystemRef,
-};
 pub use sparse::{CscMatrix, SparseLu, TripletBuilder};

@@ -36,7 +36,7 @@ pub trait Scalar:
     /// Embeds a real number.
     fn from_f64(x: f64) -> Self;
 
-    /// Complex conjugate; the identity for real scalars. The Krylov tier
+    /// Complex conjugate; the identity for real scalars. [`gmres`](crate::gmres)
     /// needs this for Hermitian inner products and Givens rotations that
     /// stay correct over both fields.
     fn conj(self) -> Self;

@@ -58,29 +58,12 @@ pub(crate) fn factor_ac(
 }
 
 /// Runs an AC sweep over the given frequencies (Hz), recording every
-/// unknown as a complex signal (names follow `Prepared::unknown_names`).
+/// unknown as a complex signal (names follow `Prepared::unknown_names`):
+/// the engine behind [`Session::ac`](crate::analysis::Session::ac).
 ///
 /// The sweep is split in contiguous chunks across scoped worker threads;
 /// each worker keeps a private [`SolverWorkspace`], so within a chunk the
 /// matrix pattern and factor storage are reused from point to point.
-///
-/// # Errors
-///
-/// [`SpiceError::BadAnalysis`] for an empty frequency list,
-/// [`SpiceError::Singular`] if the admittance matrix is singular.
-#[deprecated(note = "use Session::ac — Session is the primary analysis entry point")]
-pub fn ac_sweep(
-    prep: &Prepared,
-    x_op: &[f64],
-    opts: &Options,
-    freqs: &[f64],
-) -> Result<AcWaveform> {
-    ac_sweep_impl(prep, x_op, opts, freqs)
-}
-
-/// Crate-internal canonical AC-sweep entry (what
-/// [`Session::ac`](crate::analysis::Session::ac) and the deprecated
-/// free [`ac_sweep`] both call).
 pub(crate) fn ac_sweep_impl(
     prep: &Prepared,
     x_op: &[f64],
@@ -113,7 +96,7 @@ pub(crate) fn ac_sweep_impl(
                 ws.preset_pattern(&pattern);
             }
             factor_ac(prep, x_op, opts, 2.0 * std::f64::consts::PI * f, ws)?;
-            Ok(ws.solve().map_err(|e| singular_unknown(prep, e))?.to_vec())
+            Ok(ws.solve().to_vec())
         },
     )?;
     let mut out = AcWaveform::new();
@@ -140,8 +123,7 @@ mod tests {
     use crate::circuit::Circuit;
     use ahfic_num::interp::logspace;
 
-    /// Test shim over the canonical entry (shadows the deprecated free
-    /// function of the same name).
+    /// Test shim over the canonical entry.
     fn ac_sweep(
         prep: &Prepared,
         x_op: &[f64],

@@ -24,7 +24,7 @@
 use crate::analysis::ac::{assemble_ac, factor_ac};
 use crate::analysis::fault::{ClaimedSolve, FaultKind};
 use crate::analysis::op::{newton_abort, op_from_ws, wall_error, OpResult};
-use crate::analysis::solver::{singular_unknown, SolverWorkspace};
+use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::{
     real_pattern, stamp_linear, stamp_nonlinear, MnaSink, Mode, NonlinMemory, Options, PatternProbe,
 };
@@ -590,10 +590,10 @@ impl BatchedOpEngine {
 /// Batched single-frequency AC engine: assembles and solves the complex
 /// small-signal system of up to `lanes` variants in lockstep.
 ///
-/// Mirrors [`crate::analysis::ac_sweep`] at one frequency per variant
-/// batch — the yield study's post-operating-point characterization.
-/// Lanes that leave the fast path are re-solved with a fresh sequential
-/// [`SolverWorkspace`], exactly as `ac_sweep` would.
+/// Mirrors [`Session::ac`](crate::analysis::Session::ac) at one
+/// frequency per variant batch — the yield study's post-operating-point
+/// characterization. Lanes that leave the fast path are re-solved with a
+/// fresh sequential [`SolverWorkspace`], exactly as `Session::ac` would.
 pub struct BatchedAcEngine {
     lanes: usize,
     ws: Option<BatchedWorkspace<Complex>>,
@@ -732,7 +732,7 @@ impl BatchedAcEngine {
                 None => tune(prep, idx).and_then(|()| {
                     let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
                     factor_ac(prep, x_op, opts, omega, &mut ws)?;
-                    Ok(ws.solve().map_err(|e| singular_unknown(prep, e))?.to_vec())
+                    Ok(ws.solve().to_vec())
                 }),
             });
         }

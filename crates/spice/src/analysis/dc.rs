@@ -15,27 +15,10 @@ use crate::wave::SourceWave;
 use crate::wave::Waveform;
 
 /// Sweeps the DC value of the named independent source over `values`,
-/// returning every unknown at each point (axis = swept value).
+/// returning every unknown at each point (axis = swept value): the
+/// engine behind [`Session::dc`](crate::analysis::Session::dc).
 ///
 /// The source's waveform is restored after the sweep.
-///
-/// # Errors
-///
-/// [`SpiceError::BadAnalysis`] for an empty sweep; netlist errors if the
-/// source does not exist; OP failures at any point.
-#[deprecated(note = "use Session::dc — Session is the primary analysis entry point")]
-pub fn dc_sweep(
-    prep: &mut Prepared,
-    opts: &Options,
-    source: &str,
-    values: &[f64],
-) -> Result<Waveform> {
-    dc_sweep_impl(prep, opts, source, values)
-}
-
-/// Crate-internal canonical DC-sweep entry (what
-/// [`Session::dc`](crate::analysis::Session::dc) and the deprecated
-/// free [`dc_sweep`] both call).
 pub(crate) fn dc_sweep_impl(
     prep: &mut Prepared,
     opts: &Options,
@@ -91,8 +74,7 @@ mod tests {
     use crate::model::DiodeModel;
     use ahfic_num::interp::linspace;
 
-    /// Test shim over the canonical entry (shadows the deprecated free
-    /// function of the same name).
+    /// Test shim over the canonical entry.
     fn dc_sweep(
         prep: &mut Prepared,
         opts: &Options,

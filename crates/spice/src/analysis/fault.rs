@@ -39,7 +39,7 @@ pub enum FaultKind {
     /// unwinds like any other library panic.
     Panic,
     /// Sleep `millis` at the poll site, standing in for a wedged solve
-    /// (stuck preconditioner, pathological model evaluation). Exercises
+    /// (pathological model evaluation). Exercises
     /// wall-clock [`Budget`](crate::analysis::Budget) deadlines.
     Stall {
         /// How long the injected stall sleeps, in milliseconds.

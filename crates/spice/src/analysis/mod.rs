@@ -32,19 +32,11 @@ pub mod stamp;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod tran;
 
-#[allow(deprecated)]
-pub use ac::ac_sweep;
 pub use batched::{BatchedAcEngine, BatchedOpEngine, BatchedWorkspace};
 pub use control::{Budget, CancelHandle, CancelToken, Deadline, StreamPolicy};
-#[allow(deprecated)]
-pub use dc::dc_sweep;
 pub use fault::{FaultHandle, FaultInjector, FaultKind, FaultTrigger};
-#[allow(deprecated)]
-pub use noise::noise_analysis;
 pub use noise::{NoiseContribution, NoisePoint};
 pub use op::{bjt_operating, OpResult};
-#[allow(deprecated)]
-pub use op::{op, op_from};
 pub use pac::{PacParams, PacResult};
 pub use pool::sample_pool_map;
 pub use pss::{PssParams, PssResult, PssStatus};
@@ -52,6 +44,4 @@ pub use report::{lint_report, op_report};
 pub use session::Session;
 pub use solver::{SolverChoice, SolverWorkspace};
 pub use stamp::{BatchMode, LadderConfig, Options};
-#[allow(deprecated)]
-pub use tran::tran;
 pub use tran::{TranParams, TranResult, TranStatus};

@@ -11,7 +11,7 @@
 //! function machinery.
 
 use crate::analysis::ac::factor_ac;
-use crate::analysis::solver::{parallel_freq_map, singular_unknown, SolverWorkspace};
+use crate::analysis::solver::{parallel_freq_map, SolverWorkspace};
 use crate::analysis::stamp::Options;
 use crate::circuit::{NodeId, Prepared, GROUND_SLOT};
 use crate::devices::{NoiseGenerator, OpCtx};
@@ -102,26 +102,8 @@ fn collect_generators(prep: &Prepared, x_op: &[f64], opts: &Options) -> Vec<Nois
 }
 
 /// Runs a noise analysis: total and per-generator output noise density at
-/// `output` for each frequency.
-///
-/// # Errors
-///
-/// [`SpiceError::Measure`] for a ground output node; propagates AC
-/// assembly/solve failures.
-#[deprecated(note = "use Session::noise — Session is the primary analysis entry point")]
-pub fn noise_analysis(
-    prep: &Prepared,
-    x_op: &[f64],
-    opts: &Options,
-    output: NodeId,
-    freqs: &[f64],
-) -> Result<Vec<NoisePoint>> {
-    noise_impl(prep, x_op, opts, output, freqs)
-}
-
-/// Crate-internal canonical noise entry (what
-/// [`Session::noise`](crate::analysis::Session::noise) and the
-/// deprecated free [`noise_analysis`] both call).
+/// `output` for each frequency — the engine behind
+/// [`Session::noise`](crate::analysis::Session::noise).
 pub(crate) fn noise_impl(
     prep: &Prepared,
     x_op: &[f64],
@@ -162,7 +144,7 @@ pub(crate) fn noise_impl(
                 if g.n != GROUND_SLOT {
                     ws.rhs[g.n] += Complex::ONE;
                 }
-                let sol = ws.solve().map_err(|e| singular_unknown(prep, e))?;
+                let sol = ws.solve();
                 let h2 = sol[out_slot].norm_sqr();
                 let density = h2 * g.psd(f);
                 total += density;
@@ -203,8 +185,7 @@ mod tests {
     use crate::circuit::Circuit;
     use crate::model::BjtModel;
 
-    /// Test shim over the canonical entry (shadows the deprecated free
-    /// function of the same name).
+    /// Test shim over the canonical entry.
     fn noise_analysis(
         prep: &Prepared,
         x_op: &[f64],

@@ -262,7 +262,7 @@ pub(crate) fn newton_solve(
             });
         }
         ws.factor().map_err(|e| singular_unknown(prep, e))?;
-        let x_new = ws.solve().map_err(|e| singular_unknown(prep, e))?;
+        let x_new = ws.solve();
         if x_new.iter().any(|v| !v.is_finite()) {
             return Err(SpiceError::NonFinite {
                 analysis: "newton",
@@ -322,39 +322,8 @@ pub(crate) fn newton_solve(
     unreachable!("loop returns on its final iteration");
 }
 
-/// Computes the DC operating point.
-///
-/// Strategy: plain Newton from a zero start; on failure, adaptive
-/// damped Newton; then gmin stepping (a conductance from every node to
-/// ground, progressively relaxed); then source stepping (all sources
-/// ramped from 10 % to 100 %); and finally a pseudo-transient homotopy.
-/// Rungs can be disabled individually through [`Options::ladder`].
-///
-/// # Errors
-///
-/// [`SpiceError::Singular`] for structurally singular circuits,
-/// [`SpiceError::NoConvergence`] (carrying a
-/// [`ConvergenceReport`]) when every
-/// strategy fails.
-#[deprecated(note = "use Session::op — Session is the primary analysis entry point")]
-pub fn op(prep: &Prepared, opts: &Options) -> Result<OpResult> {
-    op_eval(prep, opts)
-}
-
-/// Operating point warm-started from a previous solution (used by sweeps).
-///
-/// # Errors
-///
-/// Same as [`op`].
-#[deprecated(note = "use Session::op_from — Session is the primary analysis entry point")]
-pub fn op_from(prep: &Prepared, opts: &Options, x0: Option<&[f64]>) -> Result<OpResult> {
-    op_from_eval(prep, opts, x0)
-}
-
-/// Crate-internal canonical operating-point entry (what [`Session::op`]
-/// and the deprecated free [`op`] both call).
-///
-/// [`Session::op`]: crate::analysis::Session::op
+/// Crate-internal canonical operating-point entry (what
+/// [`Session::op`](crate::analysis::Session::op) calls).
 pub(crate) fn op_eval(prep: &Prepared, opts: &Options) -> Result<OpResult> {
     op_from_eval(prep, opts, None)
 }
@@ -369,7 +338,7 @@ pub(crate) fn op_from_eval(
     op_from_ws(prep, opts, x0, &mut ws, None)
 }
 
-/// [`op_from`] against a caller-provided workspace, so sweeps reuse one
+/// [`op_from_eval`] against a caller-provided workspace, so sweeps reuse one
 /// assembled pattern and factor storage across all their points.
 /// `claimed` runs the plain-Newton rung under a batched lane's claimed
 /// solve (see [`ClaimedSolve`]).
@@ -824,8 +793,7 @@ mod tests {
         Options::default()
     }
 
-    /// Test shims over the canonical entries (shadow the deprecated
-    /// free functions of the same names).
+    /// Test shims over the canonical entries.
     fn op(prep: &Prepared, o: &Options) -> Result<OpResult> {
         op_eval(prep, o)
     }

@@ -32,7 +32,7 @@ use crate::circuit::Prepared;
 use crate::error::{Result, SpiceError};
 use crate::wave::Waveform;
 use ahfic_num::gmres::gmres;
-use ahfic_num::{GmresOptions, IdentityPrecond, LinearOperator};
+use ahfic_num::{GmresOptions, LinearOperator};
 use ahfic_trace::TranStats;
 
 /// Periodic-steady-state parameters.
@@ -53,7 +53,7 @@ pub struct PssParams {
     pub warmup_periods: usize,
     /// Knobs for the matrix-free GMRES shooting-update solve. Each
     /// inner iteration costs one full period integration, so the
-    /// defaults are much tighter than the MNA-backend defaults.
+    /// defaults are much tighter than [`GmresOptions::default`].
     pub gmres: GmresOptions,
 }
 
@@ -553,7 +553,7 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
             xp: Vec::with_capacity(n),
         };
         dx.fill(0.0);
-        let out = gmres(&mut op, &IdentityPrecond, &rhs, &mut dx, &params.gmres);
+        let out = gmres(&mut op, &rhs, &mut dx, &params.gmres);
         gmres_total += out.iterations as u64;
         if let Some(e) = op.error.take() {
             if e.is_abort() {
@@ -584,9 +584,6 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
         }
     }
 
-    // Fold the shooting-level Krylov work into the workspace's solver
-    // stats so it reaches the fixed-name `solver.gmres.*` counters.
-    integ.ws.stats.gmres_iterations += gmres_total;
     stats.accepted_steps = integ.steps;
     stats.newton_iterations = integ.newton_iterations;
     tr.counter("pss.shooting_iterations", shooting_iters as f64);

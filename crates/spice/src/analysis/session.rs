@@ -6,9 +6,7 @@
 //! the telemetry [`TraceHandle`](ahfic_trace::TraceHandle), the
 //! cooperative [`CancelHandle`](crate::analysis::CancelHandle), and the
 //! resource [`Budget`](crate::analysis::Budget) — so callers configure
-//! once and run as many analyses as they need. The deprecated free
-//! functions (`op`, `dc_sweep`, `ac_sweep`, `noise_analysis`, `tran`)
-//! are thin wrappers over the same engines.
+//! once and run as many analyses as they need.
 //!
 //! Sessions hold the compiled deck as `Arc<Prepared>`: cloning a
 //! session (or building many via [`Session::compile_cached`] against a
@@ -221,9 +219,18 @@ impl Session {
 
     /// Computes the DC operating point.
     ///
+    /// Strategy: plain Newton from a zero start; on failure, adaptive
+    /// damped Newton; then gmin stepping (a conductance from every node
+    /// to ground, progressively relaxed); then source stepping (all
+    /// sources ramped from 10 % to 100 %); and finally a pseudo-transient
+    /// homotopy. Rungs can be disabled individually through
+    /// [`Options::ladder`].
+    ///
     /// # Errors
     ///
-    /// [`crate::error::SpiceError::NoConvergence`] when the whole recovery
+    /// [`crate::error::SpiceError::Singular`] for structurally singular
+    /// circuits; [`crate::error::SpiceError::NoConvergence`] (carrying a
+    /// [`crate::error::ConvergenceReport`]) when the whole recovery
     /// ladder fails; [`crate::error::SpiceError::Cancelled`] /
     /// [`crate::error::SpiceError::BudgetExhausted`] under an options
     /// cancel handle or budget.

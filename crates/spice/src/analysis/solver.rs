@@ -16,20 +16,15 @@
 use crate::analysis::stamp::MnaSink;
 use crate::circuit::Prepared;
 use crate::error::SpiceError;
-use ahfic_num::solver::{
-    DenseLuSolver, GmresIluSolver, LinearSolveError, LinearSolver, SparseLuSolver, SystemRef,
-};
-use ahfic_num::sparse::{CscMatrix, TripletBuilder};
-use ahfic_num::{GmresOptions, Matrix, Scalar};
+use ahfic_num::lu::{LuFactors, SingularMatrixError};
+use ahfic_num::sparse::{CscMatrix, SparseLu, TripletBuilder};
+use ahfic_num::{Matrix, Scalar};
 use ahfic_trace::SolverStats;
 use std::time::Instant;
 
 /// Linear-solver selection, set via
 /// [`Options::solver`](crate::analysis::stamp::Options::solver).
-///
-/// (`Eq` is deliberately absent: the GMRES variant carries an `f64`
-/// tolerance. `PartialEq` is all the workspace-reuse checks need.)
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverChoice {
     /// Sparse at or above [`AUTO_SPARSE_MIN_N`] unknowns, dense below.
     #[default]
@@ -38,10 +33,6 @@ pub enum SolverChoice {
     Dense,
     /// Sparse LU with symbolic-pattern reuse regardless of system size.
     Sparse,
-    /// Restarted GMRES with ILU(0) preconditioning on the sparse kernel;
-    /// the knobs (restart length, relative tolerance, iteration budget)
-    /// ride along in the variant.
-    Gmres(GmresOptions),
 }
 
 /// Unknown count at which [`SolverChoice::Auto`] switches from dense to
@@ -49,16 +40,18 @@ pub enum SolverChoice {
 /// the sparse scatter/gather bookkeeping.
 pub const AUTO_SPARSE_MIN_N: usize = 16;
 
-/// The matrix-side storage of a workspace: either a dense matrix or the
-/// sparse record/replay machinery.
+/// The matrix-side storage of a workspace, with its LU factors: either a
+/// dense matrix or the sparse record/replay machinery.
 ///
 /// One `Kernel` exists per analysis, so the dense/sparse size imbalance
 /// costs nothing; boxing would only add indirection on the hot path.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Kernel<T: Scalar> {
-    /// Dense kernel: stamp into a [`Matrix`].
+    /// Dense kernel: stamp into a [`Matrix`], refactor into a reused
+    /// [`LuFactors`] buffer.
     Dense {
         mat: Matrix<T>,
+        lu: Option<LuFactors<T>>,
         /// Checkpointed matrix values (linear-baseline replay).
         base: Option<Matrix<T>>,
     },
@@ -78,27 +71,12 @@ pub(crate) enum Kernel<T: Scalar> {
         cursor: usize,
         /// A replayed stamp disagreed with the recorded sequence.
         mismatch: bool,
+        lu: Option<SparseLu<T>>,
         /// Checkpointed CSC values (linear-baseline replay).
         base_vals: Vec<T>,
         /// Stamp cursor captured alongside `base_vals`.
         base_cursor: usize,
     },
-}
-
-// Same state-machine reasoning as the `MnaSink` impl below: a missing
-// compiled pattern at system-view time is a sequencing bug.
-#[allow(clippy::expect_used)]
-impl<T: Scalar> Kernel<T> {
-    /// Borrowed [`SystemRef`] view of the assembled matrix for the
-    /// backend tier.
-    fn system(&self) -> SystemRef<'_, T> {
-        match self {
-            Kernel::Dense { mat, .. } => SystemRef::Dense(mat),
-            Kernel::Sparse { csc, .. } => {
-                SystemRef::Sparse(csc.as_ref().expect("assembled before factor"))
-            }
-        }
-    }
 }
 
 // The `expect`s below encode the kernel's own state machine (a pattern
@@ -169,13 +147,11 @@ impl<T: Scalar> MnaSink<T> for Kernel<T> {
 ///     if !ws.finish_assembly() { break; }   // true at most once per pattern
 /// }
 /// ws.factor()?;
-/// let x = ws.solve()?;                      // borrows ws until next use
+/// let x = ws.solve();                       // borrows ws until next use
 /// ```
 pub struct SolverWorkspace<T: Scalar> {
     n: usize,
     pub(crate) kernel: Kernel<T>,
-    /// Pluggable solve backend (dense LU, sparse LU, or GMRES+ILU).
-    backend: Box<dyn LinearSolver<T>>,
     /// Right-hand side, filled by the assemblers.
     pub(crate) rhs: Vec<T>,
     x: Vec<T>,
@@ -195,11 +171,9 @@ pub struct SolverWorkspace<T: Scalar> {
 impl<T: Scalar> SolverWorkspace<T> {
     /// Allocates a workspace for an `n`-unknown system.
     pub fn new(n: usize, choice: SolverChoice) -> Self {
-        // GMRES matvecs against the compiled CSC values, so it always
-        // rides the sparse kernel regardless of system size.
         let sparse = match choice {
             SolverChoice::Dense => false,
-            SolverChoice::Sparse | SolverChoice::Gmres(_) => true,
+            SolverChoice::Sparse => true,
             SolverChoice::Auto => n >= AUTO_SPARSE_MIN_N,
         };
         let kernel = if sparse {
@@ -211,24 +185,20 @@ impl<T: Scalar> SolverWorkspace<T> {
                 csc: None,
                 cursor: 0,
                 mismatch: false,
+                lu: None,
                 base_vals: Vec::new(),
                 base_cursor: 0,
             }
         } else {
             Kernel::Dense {
                 mat: Matrix::zeros(n, n),
+                lu: None,
                 base: None,
             }
-        };
-        let backend: Box<dyn LinearSolver<T>> = match choice {
-            SolverChoice::Gmres(opts) => Box::new(GmresIluSolver::new(opts)),
-            _ if sparse => Box::new(SparseLuSolver::new()),
-            _ => Box::new(DenseLuSolver::new()),
         };
         SolverWorkspace {
             n,
             kernel,
-            backend,
             rhs: vec![T::ZERO; n],
             x: Vec::with_capacity(n),
             base_rhs: vec![T::ZERO; n],
@@ -273,6 +243,7 @@ impl<T: Scalar> SolverWorkspace<T> {
                 csc,
                 cursor,
                 mismatch,
+                lu,
                 ..
             } => {
                 if *recording {
@@ -291,9 +262,10 @@ impl<T: Scalar> SolverWorkspace<T> {
                     false
                 } else if *mismatch || *cursor != slots.len() {
                     // The stamp sequence changed under a frozen pattern;
-                    // drop the pattern and re-record.
+                    // drop pattern and factors and re-record.
                     *recording = true;
                     *csc = None;
+                    *lu = None;
                     true
                 } else {
                     false
@@ -301,9 +273,7 @@ impl<T: Scalar> SolverWorkspace<T> {
             }
         };
         if changed {
-            // Cached factors and the checkpoint were built against the
-            // old pattern.
-            self.backend.invalidate();
+            // The checkpoint was taken against the old pattern.
             self.base_valid = false;
         }
         changed
@@ -335,6 +305,7 @@ impl<T: Scalar> SolverWorkspace<T> {
             csc,
             cursor,
             mismatch,
+            lu,
             ..
         } = &mut self.kernel
         {
@@ -350,8 +321,8 @@ impl<T: Scalar> SolverWorkspace<T> {
             *recording = false;
             *cursor = 0;
             *mismatch = false;
+            *lu = None;
             self.base_valid = false;
-            self.backend.invalidate();
         }
     }
 
@@ -433,71 +404,76 @@ impl<T: Scalar> SolverWorkspace<T> {
         self.base_valid = false;
     }
 
-    /// Prepares the backend against the assembled matrix: the direct
-    /// backends factor (reusing prior symbolic work and factor storage —
-    /// dense refactors in place, sparse replays the frozen pivot order
-    /// with a full re-pivot fallback); the iterative backend refreshes
-    /// its ILU(0) preconditioner.
+    /// Factors the assembled matrix, reusing prior symbolic work and
+    /// factor storage: the dense kernel refactors into its existing
+    /// buffers; the sparse kernel replays the frozen pivot order and
+    /// fill pattern, falling back to a full re-pivot on the same pattern
+    /// if a replayed pivot collapses.
     ///
     /// # Errors
     ///
-    /// Returns [`LinearSolveError::Singular`] when a direct factorization
-    /// breaks down (map with `singular_unknown` for reporting).
-    pub fn factor(&mut self) -> Result<(), LinearSolveError> {
+    /// Returns [`SingularMatrixError`] with the pivot column when the
+    /// matrix is singular to working precision (map with
+    /// `singular_unknown` for reporting).
+    pub fn factor(&mut self) -> Result<(), SingularMatrixError> {
         self.stats.factorizations += 1;
         let started = if self.timing {
             Some(Instant::now())
         } else {
             None
         };
-        let result = self.backend.prepare(self.kernel.system());
+        let result = match &mut self.kernel {
+            Kernel::Dense { mat, lu, .. } => match lu {
+                Some(f) => f.refactor_from(mat),
+                None => LuFactors::factor(mat.clone()).map(|f| *lu = Some(f)),
+            },
+            Kernel::Sparse { csc, lu, .. } => {
+                let m = csc.as_ref().expect("assembled before factor");
+                match lu {
+                    Some(f) => f
+                        .refactor(m)
+                        .or_else(|_| SparseLu::factor(m).map(|nf| *f = nf)),
+                    None => SparseLu::factor(m).map(|f| *lu = Some(f)),
+                }
+            }
+        };
         if let Some(t0) = started {
             self.stats.factor_seconds += t0.elapsed().as_secs_f64();
         }
-        self.absorb_counters();
         result
     }
 
-    /// Solves against the current right-hand side using the prepared
-    /// backend; the returned slice stays valid until the next workspace
+    /// Solves against the current right-hand side using the stored
+    /// factors; the returned slice stays valid until the next workspace
     /// use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinearSolveError::NoConvergence`] when the iterative
-    /// backend exhausts its budget; the direct backends never fail here.
     ///
     /// # Panics
     ///
     /// Panics if [`SolverWorkspace::factor`] has not succeeded since the
     /// last pattern change.
-    pub fn solve(&mut self) -> Result<&[T], LinearSolveError> {
+    pub fn solve(&mut self) -> &[T] {
         self.stats.solves += 1;
         let started = if self.timing {
             Some(Instant::now())
         } else {
             None
         };
-        let result = self
-            .backend
-            .solve(self.kernel.system(), &self.rhs, &mut self.x);
+        match &mut self.kernel {
+            Kernel::Dense { lu, .. } => {
+                lu.as_ref()
+                    .expect("factored")
+                    .solve_into(&self.rhs, &mut self.x);
+            }
+            Kernel::Sparse { lu, .. } => {
+                self.x.clear();
+                self.x.extend_from_slice(&self.rhs);
+                lu.as_mut().expect("factored").solve_in_place(&mut self.x);
+            }
+        }
         if let Some(t0) = started {
             self.stats.solve_seconds += t0.elapsed().as_secs_f64();
         }
-        self.absorb_counters();
-        result.map(|()| &*self.x)
-    }
-
-    /// Folds the backend's iteration counters into
-    /// [`SolverWorkspace::stats`].
-    fn absorb_counters(&mut self) {
-        let c = self.backend.take_counters();
-        if !c.is_zero() {
-            self.stats.gmres_iterations += c.gmres_iterations;
-            self.stats.gmres_restarts += c.gmres_restarts;
-            self.stats.precond_refactors += c.precond_refactors;
-            self.stats.gmres_fallbacks += c.fallbacks;
-        }
+        &self.x
     }
 }
 
@@ -549,24 +525,15 @@ impl SolverWorkspace<f64> {
     }
 }
 
-/// Maps a linear-solver breakdown to a [`SpiceError`]: direct-backend
-/// singularity carries the name of the offending unknown, iterative
-/// stagnation surfaces as a typed no-convergence.
-pub(crate) fn singular_unknown(prep: &Prepared, e: LinearSolveError) -> SpiceError {
-    match e {
-        LinearSolveError::Singular { column } => SpiceError::Singular {
-            unknown: prep
-                .unknown_names
-                .get(column)
-                .cloned()
-                .unwrap_or_else(|| format!("#{column}")),
-        },
-        LinearSolveError::NoConvergence { iterations, .. } => SpiceError::NoConvergence {
-            analysis: "gmres",
-            iterations,
-            time: None,
-            report: None,
-        },
+/// Maps a linear-solver breakdown to [`SpiceError::Singular`] with the
+/// name of the offending unknown.
+pub(crate) fn singular_unknown(prep: &Prepared, e: SingularMatrixError) -> SpiceError {
+    SpiceError::Singular {
+        unknown: prep
+            .unknown_names
+            .get(e.column)
+            .cloned()
+            .unwrap_or_else(|| format!("#{}", e.column)),
     }
 }
 
@@ -670,35 +637,67 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
 
-    /// Drives the workspace by hand through two assemblies of a 2x2
-    /// system and checks record/replay and refactor agree with dense.
+    /// Drives a sparse and a dense workspace by hand through the same
+    /// assemblies of a 2x2 system: record/replay and refactor must agree
+    /// with a fresh dense LU solve on both kernels. The last round zeroes
+    /// the `(0, 0)` entry, so the sparse refactor's replayed diagonal
+    /// pivot collapses and the workspace must re-pivot on the same
+    /// pattern.
     #[test]
     fn sparse_record_replay_solves() {
-        let mut ws: SolverWorkspace<f64> = SolverWorkspace::new(2, SolverChoice::Sparse);
-        assert!(ws.is_sparse());
-        for round in 0..3 {
-            let scale = 1.0 + round as f64;
-            loop {
-                ws.kernel.reset();
-                ws.kernel.add(0, 0, 2.0 * scale);
-                ws.kernel.add(0, 1, 1.0);
-                ws.kernel.add(1, 0, 1.0);
-                ws.kernel.add(1, 1, 3.0 * scale);
-                ws.kernel.add(1, 1, 1.0); // duplicate slot accumulates
-                ws.rhs.copy_from_slice(&[1.0, 2.0]);
-                if !ws.finish_assembly() {
-                    break;
-                }
-            }
-            ws.factor().unwrap();
-            let x = ws.solve().unwrap().to_vec();
-            // Check against the dense solve of the same system.
+        let mut sparse: SolverWorkspace<f64> = SolverWorkspace::new(2, SolverChoice::Sparse);
+        let mut dense: SolverWorkspace<f64> = SolverWorkspace::new(2, SolverChoice::Dense);
+        assert!(sparse.is_sparse() && !dense.is_sparse());
+        for scale in [1.0, 2.0, 3.0, 0.0] {
             let a = Matrix::from_rows(&[&[2.0 * scale, 1.0], &[1.0, 3.0 * scale + 1.0]]);
             let expect = ahfic_num::lu::solve(a, &[1.0, 2.0]).unwrap();
-            for k in 0..2 {
-                assert!((x[k] - expect[k]).abs() < 1e-12, "round {round}");
+            for ws in [&mut sparse, &mut dense] {
+                loop {
+                    ws.kernel.reset();
+                    ws.kernel.add(0, 0, 2.0 * scale);
+                    ws.kernel.add(0, 1, 1.0);
+                    ws.kernel.add(1, 0, 1.0);
+                    ws.kernel.add(1, 1, 3.0 * scale);
+                    ws.kernel.add(1, 1, 1.0); // duplicate slot accumulates
+                    ws.rhs.copy_from_slice(&[1.0, 2.0]);
+                    if !ws.finish_assembly() {
+                        break;
+                    }
+                }
+                ws.factor().unwrap();
+                let x = ws.solve();
+                for k in 0..2 {
+                    assert!(
+                        (x[k] - expect[k]).abs() < 1e-12,
+                        "sparse={} scale {scale}",
+                        ws.is_sparse()
+                    );
+                }
             }
+        }
+    }
+
+    /// A singular sparse assembly reports its pivot column, and the
+    /// column maps to the unknown's name.
+    #[test]
+    fn singular_sparse_assembly_names_the_unknown() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.vsource("V1", a, Circuit::gnd(), 1.0);
+        c.resistor("R1", a, Circuit::gnd(), 1e3);
+        let prep = Prepared::compile(&c).unwrap();
+        let mut ws: SolverWorkspace<f64> =
+            SolverWorkspace::new(prep.num_unknowns, SolverChoice::Sparse);
+        ws.kernel.reset();
+        ws.kernel.add(0, 0, 1.0); // column 1 is never stamped
+        assert!(!ws.finish_assembly());
+        let e = ws.factor().unwrap_err();
+        assert_eq!(e.column, 1);
+        match singular_unknown(&prep, e) {
+            SpiceError::Singular { unknown } => assert_eq!(unknown, prep.unknown_names[1]),
+            other => panic!("expected Singular, got {other:?}"),
         }
     }
 
@@ -723,45 +722,9 @@ mod tests {
         assert!(!ws.finish_assembly());
         ws.rhs.copy_from_slice(&[2.0, 4.0]);
         ws.factor().unwrap();
-        let x = ws.solve().unwrap();
+        let x = ws.solve();
         assert!((x[1] - 2.0).abs() < 1e-12);
         assert!((x[0] - (2.0 - 5.0 * 2.0) / 2.0).abs() < 1e-12);
-    }
-
-    /// The GMRES backend rides the sparse kernel and reproduces the LU
-    /// solution through the same assembly lifecycle, ticking the Krylov
-    /// counters as it goes.
-    #[test]
-    fn gmres_choice_matches_sparse_lu() {
-        let choice = SolverChoice::Gmres(GmresOptions::default());
-        let mut ws: SolverWorkspace<f64> = SolverWorkspace::new(2, choice);
-        assert!(ws.is_sparse(), "GMRES forces the sparse kernel");
-        let mut reference: SolverWorkspace<f64> = SolverWorkspace::new(2, SolverChoice::Sparse);
-        for round in 0..3 {
-            let scale = 1.0 + round as f64;
-            for w in [&mut ws, &mut reference] {
-                loop {
-                    w.kernel.reset();
-                    w.kernel.add(0, 0, 4.0 * scale);
-                    w.kernel.add(0, 1, 1.0);
-                    w.kernel.add(1, 0, 1.0);
-                    w.kernel.add(1, 1, 3.0 * scale);
-                    w.rhs.copy_from_slice(&[1.0, 2.0]);
-                    if !w.finish_assembly() {
-                        break;
-                    }
-                }
-                w.factor().unwrap();
-            }
-            let xg = ws.solve().unwrap().to_vec();
-            let xs = reference.solve().unwrap().to_vec();
-            for k in 0..2 {
-                assert!((xg[k] - xs[k]).abs() < 1e-8, "round {round}");
-            }
-        }
-        assert!(ws.stats.gmres_iterations > 0, "{:?}", ws.stats);
-        assert_eq!(ws.stats.precond_refactors, 3, "{:?}", ws.stats);
-        assert_eq!(reference.stats.gmres_iterations, 0);
     }
 
     /// Auto picks dense for small systems and sparse for large ones.
@@ -847,7 +810,7 @@ mod tests {
                     }
                 }
                 ws.factor().unwrap();
-                let x = ws.solve().unwrap().to_vec();
+                let x = ws.solve().to_vec();
                 let a = Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 1.0 + g]]);
                 let expect = ahfic_num::lu::solve(a, &[1.0, g]).unwrap();
                 for k in 0..2 {
@@ -874,8 +837,8 @@ mod tests {
         ws.finish_assembly();
         ws.rhs.copy_from_slice(&[1.0, 4.0]);
         ws.factor().unwrap();
-        ws.solve().unwrap();
-        ws.solve().unwrap();
+        ws.solve();
+        ws.solve();
         assert_eq!(ws.stats.factorizations, 1);
         assert_eq!(ws.stats.solves, 2);
         assert_eq!(ws.stats.factor_seconds, 0.0);
@@ -889,7 +852,7 @@ mod tests {
         ws.finish_assembly();
         ws.rhs.copy_from_slice(&[1.0, 4.0]);
         ws.factor().unwrap();
-        ws.solve().unwrap();
+        ws.solve();
         assert!(ws.stats.factor_seconds > 0.0);
         assert!(ws.stats.solve_seconds > 0.0);
     }

@@ -158,9 +158,9 @@ fn emit_progress(tr: Tracer<'_>, prep: &Prepared, t: f64, t_stop: f64, accepted:
     }
 }
 
-/// The transient engine behind [`Session::tran`](crate::analysis::Session::tran)
-/// (and the deprecated free [`tran`]): trapezoidal integration with
-/// Newton at every step, returning a typed [`TranResult`].
+/// The transient engine behind [`Session::tran`](crate::analysis::Session::tran):
+/// trapezoidal integration with Newton at every step, returning a typed
+/// [`TranResult`].
 pub(crate) fn tran_impl(
     prep: &Prepared,
     opts: &Options,
@@ -406,43 +406,6 @@ pub(crate) fn tran_impl(
     })
 }
 
-/// Runs a transient simulation, recording every unknown at every accepted
-/// timestep (signal names follow `Prepared::unknown_names`:
-/// `v(node)` / `i(element)`).
-///
-/// # Errors
-///
-/// Propagates OP failures; returns [`SpiceError::NoConvergence`] when the
-/// timestep controller cannot find a converging step, and
-/// [`SpiceError::BadAnalysis`] for nonsensical parameters. Unlike
-/// [`Session::tran`](crate::analysis::Session::tran), a cancelled or
-/// budget-exhausted run surfaces as an error here and the partial
-/// waveform is lost.
-#[deprecated(
-    note = "use Session::tran, which returns a typed TranResult with partial-run statuses"
-)]
-pub fn tran(prep: &Prepared, opts: &Options, params: &TranParams) -> Result<Waveform> {
-    let r = tran_impl(prep, opts, params)?;
-    match r.status {
-        TranStatus::Complete => Ok(r.wave),
-        TranStatus::Cancelled { t } => Err(SpiceError::Cancelled {
-            analysis: "tran",
-            time: Some(t),
-        }),
-        TranStatus::BudgetExhausted {
-            resource, limit, ..
-        } => Err(SpiceError::BudgetExhausted {
-            analysis: "tran",
-            resource,
-            limit,
-            spent: match resource {
-                "steps" => r.accepted_steps + r.rejected_steps,
-                _ => r.newton_iterations,
-            },
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,8 +416,7 @@ mod tests {
         Options::default()
     }
 
-    /// Test shim over the engine: the waveform of a complete run
-    /// (shadows the deprecated free function of the same name).
+    /// Test shim over the engine: the waveform of a complete run.
     fn tran(prep: &Prepared, o: &Options, p: &TranParams) -> Result<Waveform> {
         tran_impl(prep, o, p).map(TranResult::into_wave)
     }
@@ -676,10 +638,6 @@ mod tests {
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert_eq!(r.accepted_steps() + r.rejected_steps(), 10);
-        // The deprecated free function maps the same run to an error.
-        #[allow(deprecated)]
-        let e = super::tran(&prep, &o, &TranParams::new(5e-6, 5e-9)).unwrap_err();
-        assert!(e.is_abort(), "{e}");
     }
 
     #[test]

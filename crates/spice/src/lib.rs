@@ -72,8 +72,6 @@ pub use ahfic_trace as trace;
 
 /// Convenient glob import for typical use.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::analysis::{ac_sweep, dc_sweep, op, op_from, tran};
     pub use crate::analysis::{
         bjt_operating, Budget, CancelToken, FaultInjector, FaultKind, LadderConfig, Options,
         PacParams, PacResult, PssParams, PssResult, PssStatus, Session, SolverChoice, StreamPolicy,

@@ -39,14 +39,11 @@ impl MnaSink<f64> for TripletSink {
 }
 
 /// Runs the structural rank test, appending at most one
-/// [`LintCode::StructuralSingular`] diagnostic. Returns the number of
-/// rows with no structural diagonal entry — the unit-pivot fallbacks an
-/// ILU(0) preconditioner built on this pattern will need (see
-/// [`LintReport::precond_diag_fallbacks`](super::LintReport::precond_diag_fallbacks)).
-pub(crate) fn check(prep: &Prepared, edges: &[TaggedEdge], out: &mut Vec<LintDiagnostic>) -> usize {
+/// [`LintCode::StructuralSingular`] diagnostic.
+pub(crate) fn check(prep: &Prepared, edges: &[TaggedEdge], out: &mut Vec<LintDiagnostic>) {
     let n = prep.num_unknowns;
     if n == 0 {
-        return 0;
+        return;
     }
     // Assemble the DC system exactly as the first Newton iteration
     // does: zero solution vector, full source scale, default options.
@@ -116,21 +113,9 @@ pub(crate) fn check(prep: &Prepared, edges: &[TaggedEdge], out: &mut Vec<LintDia
         cols: &cols,
         row_start: &row_start,
     };
-    // Rows without a structural diagonal (each row's columns are sorted,
-    // so a binary search suffices): ILU(0) bridges each with a unit
-    // pivot, and this count is surfaced on the report so "passes lint"
-    // covers the preconditioner too.
-    let missing_diags = (0..n)
-        .filter(|&r| {
-            cols[row_start[r]..row_start[r + 1]]
-                .binary_search(&r)
-                .is_err()
-        })
-        .count();
-
     let m = Matching::hopcroft_karp(row_adj, n);
     if m.size == n {
-        return missing_diags;
+        return;
     }
 
     // Dulmage–Mendelsohn flavor: alternating reachability from the
@@ -179,7 +164,6 @@ pub(crate) fn check(prep: &Prepared, edges: &[TaggedEdge], out: &mut Vec<LintDia
         elements,
         nodes,
     });
-    missing_diags
 }
 
 /// Equation name for row `r`: a KCL row for voltage unknowns, the

@@ -143,18 +143,6 @@ impl fmt::Display for LintDiagnostic {
 pub struct LintReport {
     /// All findings, errors and warnings interleaved in check order.
     pub diagnostics: Vec<LintDiagnostic>,
-    /// Rows of the first assembled MNA pattern with no structural
-    /// diagonal entry (voltage-source branch rows, ideal couplings).
-    ///
-    /// This extends the structural-rank guarantee to the iterative
-    /// tier's preconditioner: when lint passes, the full-rank matching
-    /// proves a complete LU exists, and this count bounds the unit
-    /// pivots ILU(0) substitutes for structurally absent diagonals — so
-    /// preconditioner construction is well-defined (finite, no zero
-    /// divides) for exactly the same decks direct factorization accepts.
-    /// Populated by the matrix-structure backstop; zero when that check
-    /// was skipped because a graph check already errored.
-    pub precond_diag_fallbacks: usize,
 }
 
 impl LintReport {
@@ -254,17 +242,13 @@ pub fn lint_prepared(prep: &Prepared) -> LintReport {
     let edges = collect_edges(prep);
     let mut diagnostics = Vec::new();
     graph::check(prep, &edges, &mut diagnostics);
-    let mut precond_diag_fallbacks = 0;
     if !diagnostics
         .iter()
         .any(|d| d.severity == LintSeverity::Error)
     {
-        precond_diag_fallbacks = matching::check(prep, &edges, &mut diagnostics);
+        matching::check(prep, &edges, &mut diagnostics);
     }
-    LintReport {
-        diagnostics,
-        precond_diag_fallbacks,
-    }
+    LintReport { diagnostics }
 }
 
 /// Joins at most `cap` names, appending `… (+k more)` past the cap.
@@ -305,32 +289,6 @@ mod tests {
         c.resistor("R1", a, b, 2e3);
         c.resistor("R2", b, Circuit::gnd(), 1e3);
         assert!(lint(&c).is_empty());
-    }
-
-    /// The structural-rank pass also counts the rows the ILU(0)
-    /// preconditioner must bridge with unit pivots: one per ideal
-    /// voltage-source branch equation, zero for resistive-only decks.
-    #[test]
-    fn precond_fallback_count_covers_branch_rows() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V1", a, Circuit::gnd(), 12.0);
-        c.resistor("R1", a, b, 2e3);
-        c.resistor("R2", b, Circuit::gnd(), 1e3);
-        let r = lint(&c);
-        assert!(r.is_empty());
-        assert_eq!(r.precond_diag_fallbacks, 1, "one vsource branch row");
-
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.isource("I1", Circuit::gnd(), a, 1e-3);
-        c.resistor("R1", a, b, 2e3);
-        c.resistor("R2", b, Circuit::gnd(), 1e3);
-        let r = lint(&c);
-        assert!(r.is_empty());
-        assert_eq!(r.precond_diag_fallbacks, 0, "no branch rows");
     }
 
     #[test]

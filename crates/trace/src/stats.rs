@@ -18,16 +18,6 @@ pub struct SolverStats {
     pub factor_seconds: f64,
     /// Accumulated solve wall time (zero unless timing was on).
     pub solve_seconds: f64,
-    /// Inner GMRES iterations (zero unless the iterative backend ran).
-    pub gmres_iterations: u64,
-    /// GMRES restart cycles (zero unless the iterative backend ran).
-    pub gmres_restarts: u64,
-    /// ILU preconditioner (re)factorizations (zero unless the iterative
-    /// backend ran).
-    pub precond_refactors: u64,
-    /// Solves rescued by the direct-LU fallback after GMRES stagnated
-    /// or ran out of budget (zero unless the iterative backend ran).
-    pub gmres_fallbacks: u64,
 }
 
 impl SolverStats {
@@ -37,10 +27,6 @@ impl SolverStats {
         self.solves += other.solves;
         self.factor_seconds += other.factor_seconds;
         self.solve_seconds += other.solve_seconds;
-        self.gmres_iterations += other.gmres_iterations;
-        self.gmres_restarts += other.gmres_restarts;
-        self.precond_refactors += other.precond_refactors;
-        self.gmres_fallbacks += other.gmres_fallbacks;
     }
 
     /// The work done since `earlier` was captured from the same
@@ -51,20 +37,11 @@ impl SolverStats {
             solves: self.solves - earlier.solves,
             factor_seconds: self.factor_seconds - earlier.factor_seconds,
             solve_seconds: self.solve_seconds - earlier.solve_seconds,
-            gmres_iterations: self.gmres_iterations - earlier.gmres_iterations,
-            gmres_restarts: self.gmres_restarts - earlier.gmres_restarts,
-            precond_refactors: self.precond_refactors - earlier.precond_refactors,
-            gmres_fallbacks: self.gmres_fallbacks - earlier.gmres_fallbacks,
         }
     }
 
     /// Emits `<prefix>.factorizations`, `.solves`, `.factor_seconds`,
-    /// `.solve_seconds` counters. When the iterative backend did any work
-    /// this also emits the fixed-name Krylov counters
-    /// `solver.gmres.iters`, `solver.gmres.restarts`,
-    /// `solver.gmres.precond_refactors` and `solver.gmres.fallbacks`
-    /// (conditional, so direct-solver runs keep their exact record
-    /// shape). No-op when the tracer is disabled.
+    /// `.solve_seconds` counters. No-op when the tracer is disabled.
     pub fn emit(&self, t: Tracer<'_>, prefix: &str) {
         if !t.enabled() {
             return;
@@ -76,19 +53,6 @@ impl SolverStats {
         t.counter(&format!("{prefix}.solves"), self.solves as f64);
         t.counter(&format!("{prefix}.factor_seconds"), self.factor_seconds);
         t.counter(&format!("{prefix}.solve_seconds"), self.solve_seconds);
-        if self.gmres_iterations != 0
-            || self.gmres_restarts != 0
-            || self.precond_refactors != 0
-            || self.gmres_fallbacks != 0
-        {
-            t.counter("solver.gmres.iters", self.gmres_iterations as f64);
-            t.counter("solver.gmres.restarts", self.gmres_restarts as f64);
-            t.counter(
-                "solver.gmres.precond_refactors",
-                self.precond_refactors as f64,
-            );
-            t.counter("solver.gmres.fallbacks", self.gmres_fallbacks as f64);
-        }
     }
 }
 
@@ -215,17 +179,12 @@ mod tests {
             solves: 7,
             factor_seconds: 0.5,
             solve_seconds: 0.25,
-            ..SolverStats::default()
         };
         let b = SolverStats {
             factorizations: 1,
             solves: 2,
             factor_seconds: 0.1,
             solve_seconds: 0.05,
-            gmres_iterations: 4,
-            gmres_restarts: 1,
-            precond_refactors: 2,
-            gmres_fallbacks: 1,
         };
         let before = a;
         a.merge(&b);
@@ -233,34 +192,6 @@ mod tests {
         assert_eq!(d.factorizations, 1);
         assert_eq!(d.solves, 2);
         assert!((d.factor_seconds - 0.1).abs() < 1e-12);
-        assert_eq!(d.gmres_iterations, 4);
-        assert_eq!(d.precond_refactors, 2);
-    }
-
-    #[test]
-    fn gmres_counters_emit_only_when_nonzero() {
-        let sink = Arc::new(InMemorySink::new());
-        let handle = TraceHandle::new(&sink);
-        SolverStats::default().emit(handle.tracer(), "op");
-        assert_eq!(sink.records().len(), 4, "direct runs keep 4 records");
-
-        let sink = Arc::new(InMemorySink::new());
-        let handle = TraceHandle::new(&sink);
-        SolverStats {
-            gmres_iterations: 9,
-            gmres_restarts: 1,
-            precond_refactors: 3,
-            ..SolverStats::default()
-        }
-        .emit(handle.tracer(), "op");
-        let recs = sink.records();
-        assert_eq!(recs.len(), 8);
-        assert_eq!(recs[4].name, "solver.gmres.iters");
-        assert_eq!(recs[4].value, 9.0);
-        assert_eq!(recs[6].name, "solver.gmres.precond_refactors");
-        assert_eq!(recs[6].value, 3.0);
-        assert_eq!(recs[7].name, "solver.gmres.fallbacks");
-        assert_eq!(recs[7].value, 0.0);
     }
 
     #[test]

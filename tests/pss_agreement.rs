@@ -1,19 +1,19 @@
 //! Shooting-Newton periodic steady state pinned against brute-force
-//! transient ring-down, plus property tests pinning the GMRES+ILU(0)
-//! solver tier to sparse LU on randomized RLC + BJT decks.
+//! transient ring-down and against a closed-form phasor solution.
 //!
-//! The PSS engine finds the periodic orbit directly; the reference is
-//! the same circuit integrated long enough for every natural time
-//! constant to die out. The two must land on the same waveform —
-//! sample-for-sample for the stiff rectifier (1 mV), fundamental
-//! amplitude for the weakly-damped coupled tank (0.1 dB).
+//! The PSS engine finds the periodic orbit directly; the ring-down
+//! reference is the same circuit integrated long enough for every
+//! natural time constant to die out. The two must land on the same
+//! waveform — sample-for-sample for the stiff rectifier (1 mV),
+//! fundamental amplitude for the weakly-damped coupled tank (0.1 dB).
+//! A linear RC lowpass checks the orbit against physics instead:
+//! its fundamental must match `H = 1/(1 + jωRC)`.
 
-use ahfic_num::{Complex, GmresOptions};
-use ahfic_spice::analysis::{Options, PssParams, Session, SolverChoice, TranParams};
-use ahfic_spice::circuit::{Circuit, Prepared};
+use ahfic_num::Complex;
+use ahfic_spice::analysis::{PssParams, Session, TranParams};
+use ahfic_spice::circuit::Circuit;
 use ahfic_spice::wave::{SourceWave, Waveform};
-use ahfic_spice::{BjtModel, DiodeModel};
-use proptest::prelude::*;
+use ahfic_spice::DiodeModel;
 
 /// Linear interpolation of an (irregularly sampled) transient signal.
 fn sample_at(ts: &[f64], ys: &[f64], t: f64) -> f64 {
@@ -27,16 +27,16 @@ fn sample_at(ts: &[f64], ys: &[f64], t: f64) -> f64 {
     ys[i - 1] + frac * (ys[i] - ys[i - 1])
 }
 
-/// Fundamental phasor magnitude of `signal` over `[t_start, t_end]` by
+/// Fundamental phasor of `signal` over `[t_start, t_end]` by
 /// trapezoidal Fourier projection at `freq` (the window must hold an
 /// integer number of cycles for this to be leakage-free).
-fn fundamental_amplitude(
+fn fundamental_phasor(
     wave: &Waveform,
     signal: &str,
     freq: f64,
     t_start: f64,
     t_end: f64,
-) -> f64 {
+) -> Complex {
     let ts = wave.axis();
     let ys = wave.signal(signal).expect("signal exists");
     let w = 2.0 * std::f64::consts::PI * freq;
@@ -56,7 +56,7 @@ fn fundamental_amplitude(
     }
     let end = f(t_end);
     acc += (prev_f + end).scale(0.5 * (t_end - prev_t));
-    acc.scale(2.0 / (t_end - t_start)).abs()
+    acc.scale(2.0 / (t_end - t_start))
 }
 
 /// Half-wave rectifier whose ring-down time constant (RL·CL = 2 µs)
@@ -169,8 +169,8 @@ fn coupled_tank_pss_amplitude_matches_ringdown_within_tenth_db() {
         .into_wave();
 
     for node in ["v(t1)", "v(t2)"] {
-        let a_pss = fundamental_amplitude(pss.wave(), node, freq, 0.0, period);
-        let a_ring = fundamental_amplitude(&tran, node, freq, t_stop - 4.0 * period, t_stop);
+        let a_pss = fundamental_phasor(pss.wave(), node, freq, 0.0, period).abs();
+        let a_ring = fundamental_phasor(&tran, node, freq, t_stop - 4.0 * period, t_stop).abs();
         let delta_db = 20.0 * (a_pss / a_ring).log10();
         assert!(
             delta_db.abs() < 0.1,
@@ -179,71 +179,56 @@ fn coupled_tank_pss_amplitude_matches_ringdown_within_tenth_db() {
     }
 }
 
-/// Randomized RLC + BJT amplifier chain (same family as the solver
-/// agreement suite): `muls` perturbs every passive around nominal.
-fn rlc_bjt_chain(muls: &[f64], stages: usize) -> Prepared {
+/// Sine-driven RC lowpass: the PSS orbit's fundamental must match the
+/// phasor solution `H = 1/(1 + jωRC)`, i.e. `|H| = 1/√(1+(ωRC)²)` and
+/// `∠H = −atan(ωRC)`. Shooting starts from the DC point with no warmup,
+/// so the orbit comes from the matrix-free GMRES update. Tolerance:
+/// trapezoidal integration at 256 steps per period warps `ωRC` by
+/// about `(ωh)²/12 ≈ 5e-5` relative, so 1e-3 relative in magnitude and
+/// 0.05° in phase hold with margin while any wrong orbit (a shifted
+/// period, a sign slip, an unconverged update) fails by far more.
+#[test]
+fn driven_rc_pss_matches_phasor_closed_form() {
+    let (r, cap, freq) = (1e3, 200e-12, 1e6);
+    let period = 1.0 / freq;
     let mut c = Circuit::new();
-    let vcc = c.node("vcc");
     let vin = c.node("vin");
-    c.vsource("VCC", vcc, Circuit::gnd(), 5.0);
-    c.vsource("VIN", vin, Circuit::gnd(), 0.0);
-    let mut m = BjtModel::named("rnpn");
-    m.bf = 80.0;
-    m.rb = 90.0;
-    m.re = 1.2;
-    m.rc = 18.0;
-    m.cje = 50e-15;
-    m.cjc = 30e-15;
-    m.tf = 10e-12;
-    let mi = c.add_bjt_model(m);
-    let mut drive = vin;
-    for i in 0..stages {
-        let f = &muls[8 * i..8 * i + 8];
-        let b = c.node(&format!("b{i}"));
-        let col = c.node(&format!("c{i}"));
-        let e = c.node(&format!("e{i}"));
-        let tank = c.node(&format!("t{i}"));
-        c.resistor(&format!("RB1_{i}"), vcc, b, 47e3 * f[0]);
-        c.resistor(&format!("RB2_{i}"), b, Circuit::gnd(), 10e3 * f[1]);
-        c.capacitor(&format!("CIN{i}"), drive, b, 10e-12 * f[2]);
-        c.resistor(&format!("RC{i}"), vcc, col, 1e3 * f[3]);
-        c.resistor(&format!("RE{i}"), e, Circuit::gnd(), 220.0 * f[4]);
-        c.capacitor(&format!("CE{i}"), e, Circuit::gnd(), 20e-12 * f[5]);
-        c.bjt(&format!("Q{i}"), col, b, e, mi, 1.0);
-        c.inductor(&format!("LT{i}"), col, tank, 50e-9 * f[6]);
-        c.capacitor(&format!("CT{i}"), tank, Circuit::gnd(), 5e-12 * f[7]);
-        c.resistor(&format!("RT{i}"), tank, Circuit::gnd(), 5e3);
-        drive = col;
-    }
-    Prepared::compile(&c).expect("random deck compiles")
-}
+    let out = c.node("out");
+    c.vsource_wave(
+        "VIN",
+        vin,
+        Circuit::gnd(),
+        SourceWave::Sin {
+            offset: 0.0,
+            ampl: 1.0,
+            freq,
+            delay: 0.0,
+            damping: 0.0,
+            phase_deg: 0.0,
+        },
+    );
+    c.resistor("R1", vin, out, r);
+    c.capacitor("C1", out, Circuit::gnd(), cap);
+    let sess = Session::compile(&c).expect("rc compiles");
+    let pss = sess
+        .pss(&PssParams::new(period, 256).warmup_periods(0))
+        .expect("rc pss");
+    assert!(pss.is_converged(), "{:?}", pss.status());
+    assert!(pss.gmres_iterations > 0, "shooting never ran GMRES");
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The GMRES+ILU(0) tier must reproduce the sparse-LU operating
-    /// point on randomized RLC + BJT decks: same Newton path (the inner
-    /// solves are converged far below Newton's own tolerance), same
-    /// answer.
-    #[test]
-    fn gmres_matches_sparse_lu_on_random_rlc_bjt_decks(
-        muls in proptest::collection::vec(0.5f64..2.0, 24),
-        stages in 1u32..4,
-    ) {
-        let prep = rlc_bjt_chain(&muls, stages as usize);
-        let r_sparse = Session::new(prep.clone())
-            .with_options(Options::new().solver(SolverChoice::Sparse))
-            .op()
-            .unwrap();
-        let r_gmres = Session::new(prep)
-            .with_options(Options::new().solver(SolverChoice::Gmres(GmresOptions::default())))
-            .op()
-            .unwrap();
-        for (k, (a, b)) in r_sparse.x().iter().zip(r_gmres.x()).enumerate() {
-            prop_assert!(
-                (a - b).abs() < 1e-6 * (1.0 + a.abs()),
-                "unknown {k}: sparse {a} vs gmres {b}"
-            );
-        }
-    }
+    let h = fundamental_phasor(pss.wave(), "v(out)", freq, 0.0, period)
+        / fundamental_phasor(pss.wave(), "v(vin)", freq, 0.0, period);
+    let wrc = 2.0 * std::f64::consts::PI * freq * r * cap;
+    let mag = 1.0 / (1.0 + wrc * wrc).sqrt();
+    let phase_deg = -wrc.atan().to_degrees();
+    assert!(
+        (h.abs() / mag - 1.0).abs() < 1e-3,
+        "|H| {:.6} vs closed form {mag:.6}",
+        h.abs()
+    );
+    assert!(
+        (h.arg_deg() - phase_deg).abs() < 0.05,
+        "angle H {:.4} deg vs closed form {phase_deg:.4} deg",
+        h.arg_deg()
+    );
 }

@@ -9,9 +9,7 @@
 //! Fault classes covered:
 //!
 //! - a device-model panic ([`FaultKind::Panic`]) caught at the
-//!   supervision boundary (and, as the regression half, shown to kill
-//!   the batch when supervision is turned off — the behaviour the old
-//!   "never panics" doc claim glossed over);
+//!   supervision boundary;
 //! - a wedged solve ([`FaultKind::Stall`]) tripping a wall-clock
 //!   [`Budget::max_wall`] deadline;
 //! - persistent singular factorizations failing a job with a typed
@@ -21,23 +19,15 @@
 //! - overload shed by a bounded queue;
 //! - cancellation racing retry scheduling and racing
 //!   `shutdown_and_drain` (seeded stress).
-//!
-//! Plus the GMRES regression: an iteration-starved Krylov solve on an
-//! ILU(0)-hostile 10 GHz AC point must fall back to the direct solver
-//! and match it, not return garbage.
 
-use ahfic_num::GmresOptions;
 use ahfic_serve::{
     Budget, CancelToken, JobError, JobQueue, JobRequest, JobSpec, QueueConfig, RetryPolicy,
     TranStatus,
 };
-use ahfic_spice::analysis::{
-    FaultInjector, FaultKind, LadderConfig, Options, Session, SolverChoice, TranParams,
-};
+use ahfic_spice::analysis::{FaultInjector, FaultKind, LadderConfig, Options, TranParams};
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::error::SpiceError;
 use ahfic_spice::lint::LintPolicy;
-use ahfic_spice::model::BjtModel;
 use ahfic_spice::trace::{InMemorySink, TraceHandle};
 use ahfic_spice::wave::SourceWave;
 use std::sync::Arc;
@@ -106,32 +96,10 @@ fn counter_total(sink: &InMemorySink, name: &str) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Panic supervision — the "never panics" regression pair.
+// Panic supervision.
 
-/// Without supervision, an injected device-model panic unwinds straight
-/// through the worker pool and kills the whole batch — the failure mode
-/// the old documentation claimed could not happen. This is the
-/// regression half: if supervision ever silently stops covering the
-/// job body, this test starts failing alongside the supervised one.
-#[test]
-fn unsupervised_device_model_panic_kills_the_batch() {
-    let queue = JobQueue::new(QueueConfig::new().threads(2).supervise(false));
-    let inj = FaultInjector::once(FaultKind::Panic, 0, 1);
-    let mut jobs: Vec<JobRequest> = (0..4)
-        .map(|i| JobRequest::new(divider(1e3), JobSpec::Op).label(format!("j{i}")))
-        .collect();
-    jobs[1] = JobRequest::new(divider(1e3), JobSpec::Op)
-        .label("boom")
-        .options(Options::new().fault_injector(&inj));
-    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| queue.run(jobs)));
-    assert!(
-        crashed.is_err(),
-        "without supervision the panic must propagate out of the pool"
-    );
-}
-
-/// With supervision (the default), the same panic becomes exactly one
-/// typed `WorkerPanic` report; every other job in the batch completes,
+/// An injected device-model panic becomes exactly one typed
+/// `WorkerPanic` report; every other job in the batch completes,
 /// order is preserved, and the recovery is counted.
 #[test]
 fn supervised_device_model_panic_is_one_typed_report() {
@@ -560,96 +528,5 @@ fn drain_deadline_races_inflight_work_without_losing_reports() {
                 ),
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GMRES stagnation/starvation fallback regression.
-
-/// A six-stage BJT amplifier chain — enough coupling structure at
-/// 10 GHz that an iteration-starved restarted GMRES cannot converge
-/// inside its budget.
-fn amplifier_chain(stages: usize) -> Circuit {
-    let mut c = Circuit::new();
-    let vcc = c.node("vcc");
-    c.vsource("VCC", vcc, Circuit::gnd(), 5.0);
-    let vin = c.node("vin");
-    c.vsource_wave(
-        "VIN",
-        vin,
-        Circuit::gnd(),
-        SourceWave::Sin {
-            offset: 0.0,
-            ampl: 1e-3,
-            freq: 100e6,
-            delay: 0.0,
-            damping: 0.0,
-            phase_deg: 0.0,
-        },
-    );
-    c.set_ac("VIN", 1.0, 0.0).unwrap();
-    let mi = c.add_bjt_model(BjtModel::default());
-    let mut prev = vin;
-    for k in 0..stages {
-        let b = c.node(&format!("b{k}"));
-        let col = c.node(&format!("c{k}"));
-        let e = c.node(&format!("e{k}"));
-        c.resistor(&format!("RB1_{k}"), vcc, b, 47e3);
-        c.resistor(&format!("RB2_{k}"), b, Circuit::gnd(), 10e3);
-        c.capacitor(&format!("CIN{k}"), prev, b, 5e-12);
-        c.resistor(&format!("RC{k}"), vcc, col, 1e3);
-        c.resistor(&format!("RE{k}"), e, Circuit::gnd(), 470.0);
-        c.capacitor(&format!("CE{k}"), e, Circuit::gnd(), 10e-12);
-        c.bjt(&format!("Q{k}"), col, b, e, mi, 1.0);
-        prev = col;
-    }
-    c.resistor("RL", prev, Circuit::gnd(), 10e3);
-    c
-}
-
-/// An iteration-starved GMRES at the ILU(0)-hostile 10 GHz AC point
-/// must fall back to the direct sparse solver and agree with it — the
-/// fallback is observable on the `solver.gmres.fallbacks` counter, and
-/// the answers match to direct-solve accuracy instead of carrying an
-/// unconverged Krylov iterate into the waveform.
-#[test]
-fn starved_gmres_at_10ghz_falls_back_to_direct_solve() {
-    let ckt = amplifier_chain(6);
-    let freqs = [1e10];
-
-    let reference = {
-        let sess = Session::compile(&ckt)
-            .unwrap()
-            .with_options(Options::new().solver(SolverChoice::Sparse));
-        let op = sess.op().unwrap();
-        sess.ac(op.x(), &freqs).unwrap()
-    };
-
-    let sink = Arc::new(InMemorySink::new());
-    let starved = GmresOptions {
-        restart: 4,
-        tol: 1e-12,
-        max_iters: 8,
-    };
-    let sess = Session::compile(&ckt).unwrap().with_options(
-        Options::new()
-            .solver(SolverChoice::Gmres(starved))
-            .trace_handle(TraceHandle::new(&sink)),
-    );
-    let op = sess.op().unwrap();
-    let wave = sess.ac(op.x(), &freqs).unwrap();
-
-    assert!(
-        counter_total(&sink, "solver.gmres.fallbacks") >= 1.0,
-        "the starved Krylov solve must have been rescued by direct LU"
-    );
-    for name in &sess.prepared().unknown_names {
-        let a = reference.signal(name).unwrap()[0];
-        let b = wave.signal(name).unwrap()[0];
-        let scale = a.abs().max(1e-12);
-        assert!(
-            (a - b).abs() <= 1e-8 * scale,
-            "{name}: fallback answer {b:?} diverged from direct {a:?}"
-        );
     }
 }
