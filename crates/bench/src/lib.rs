@@ -1,6 +1,6 @@
 //! Benchmark harness for the AHFIC workspace.
 //!
-//! Two kinds of targets live here:
+//! Three kinds of targets live here:
 //!
 //! - **Regeneration binaries** (`src/bin/*.rs`) — one per table/figure of
 //!   the paper; each prints the same rows/series the paper reports:
@@ -10,8 +10,11 @@
 //! - **Criterion benches** (`benches/*.rs`) — performance of the
 //!   underlying engines (solver scaling, AHDL throughput, experiment
 //!   kernels).
+//! - **Tooling binaries** — `solver_smoke` (solver timings into
+//!   `BENCH_solver.json`) and `bit_fingerprint` (a hash of every
+//!   result's bits, to diff two builds for bit identity).
 //!
-//! This library hosts shared helpers for both.
+//! This library hosts their shared helpers.
 
 use ahfic_geom::prelude::*;
 

@@ -188,33 +188,6 @@ impl<T: Scalar> CscMatrix<T> {
     }
 }
 
-impl CscMatrix<f64> {
-    /// Matrix–vector product of a *real* pattern against a *complex*
-    /// vector, `y = A·x`, into a caller-provided buffer.
-    ///
-    /// Periodic AC and Krylov callers hold the real compiled conductance
-    /// pattern but sweep complex phasors through it; routing them here
-    /// keeps one matvec path (same skip-zero column walk as
-    /// [`CscMatrix::mul_vec_into`]) instead of duplicating the matrix
-    /// into complex storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.n()` or `y.len() != self.n()`.
-    pub fn mul_vec_complex_into(&self, x: &[crate::Complex], y: &mut [crate::Complex]) {
-        assert_eq!(x.len(), self.n, "dimension mismatch");
-        assert_eq!(y.len(), self.n, "dimension mismatch");
-        y.fill(crate::Complex::ZERO);
-        for (c, &xc) in x.iter().enumerate() {
-            if xc.abs() != 0.0 {
-                for k in self.col_ptr[c]..self.col_ptr[c + 1] {
-                    y[self.row_idx[k]] += xc.scale(self.values[k]);
-                }
-            }
-        }
-    }
-}
-
 /// Absolute pivot floor (matches the dense solver).
 pub(crate) const PIVOT_EPS: f64 = 1e-300;
 
@@ -445,41 +418,41 @@ impl<T: Scalar> SparseLu<T> {
     pub fn refactor(&mut self, a: &CscMatrix<T>) -> Result<(), SingularMatrixError> {
         assert_eq!(a.n, self.n, "refactor dimension mismatch");
         let x = &mut self.work;
-        for k in 0..self.n {
-            let j = self.q[k];
+        for (k, &j) in self.q.iter().enumerate() {
+            let (a0, a1) = (a.col_ptr[j], a.col_ptr[j + 1]);
             let mut colmax = 0.0f64;
-            for idx in a.col_ptr[j]..a.col_ptr[j + 1] {
-                let v = a.values[idx];
-                x[self.pinv[a.row_idx[idx]]] = v;
+            for (&r, &v) in a.row_idx[a0..a1].iter().zip(&a.values[a0..a1]) {
+                x[self.pinv[r]] = v;
                 colmax = colmax.max(v.modulus());
             }
             // Ascending pivot positions = topological order: every update
             // lands on a strictly larger position.
-            for idx in self.u_colptr[k]..self.u_colptr[k + 1] {
-                let t = self.u_rows[idx];
+            let (u0, u1) = (self.u_colptr[k], self.u_colptr[k + 1]);
+            for (&t, u) in self.u_rows[u0..u1].iter().zip(&mut self.u_vals[u0..u1]) {
                 let xt = x[t];
                 x[t] = T::ZERO;
-                self.u_vals[idx] = xt;
+                *u = xt;
                 if xt.modulus() != 0.0 {
-                    for l in self.l_colptr[t]..self.l_colptr[t + 1] {
-                        x[self.l_rows[l]] -= self.l_vals[l] * xt;
+                    let (l0, l1) = (self.l_colptr[t], self.l_colptr[t + 1]);
+                    for (&r, &l) in self.l_rows[l0..l1].iter().zip(&self.l_vals[l0..l1]) {
+                        x[r] -= l * xt;
                     }
                 }
             }
             let pivot = x[k];
             x[k] = T::ZERO;
             let pmag = pivot.modulus();
+            let (l0, l1) = (self.l_colptr[k], self.l_colptr[k + 1]);
             if !(pmag.is_finite() && pmag > PIVOT_EPS && pmag >= REFACTOR_PIVOT_REL * colmax) {
                 // Leave the scatter array clean before reporting failure.
-                for l in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    x[self.l_rows[l]] = T::ZERO;
+                for &r in &self.l_rows[l0..l1] {
+                    x[r] = T::ZERO;
                 }
                 return Err(SingularMatrixError { column: j });
             }
             self.diag[k] = pivot;
-            for l in self.l_colptr[k]..self.l_colptr[k + 1] {
-                let r = self.l_rows[l];
-                self.l_vals[l] = x[r] / pivot;
+            for (&r, l) in self.l_rows[l0..l1].iter().zip(&mut self.l_vals[l0..l1]) {
+                *l = x[r] / pivot;
                 x[r] = T::ZERO;
             }
         }
@@ -493,17 +466,18 @@ impl<T: Scalar> SparseLu<T> {
     /// Panics if `b.len() != self.dim()`.
     pub fn solve_in_place(&mut self, b: &mut [T]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let y = &mut self.work;
+        let y = &mut self.work[..self.n];
         // Row permutation: y = P b.
-        for i in 0..self.n {
-            y[self.pinv[i]] = b[i];
+        for (&p, &bi) in self.pinv.iter().zip(b.iter()) {
+            y[p] = bi;
         }
         // Forward substitution with unit-diagonal L (column-major).
         for k in 0..self.n {
             let yk = y[k];
             if yk.modulus() != 0.0 {
-                for l in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    y[self.l_rows[l]] -= self.l_vals[l] * yk;
+                let (l0, l1) = (self.l_colptr[k], self.l_colptr[k + 1]);
+                for (&r, &l) in self.l_rows[l0..l1].iter().zip(&self.l_vals[l0..l1]) {
+                    y[r] -= l * yk;
                 }
             }
         }
@@ -512,16 +486,17 @@ impl<T: Scalar> SparseLu<T> {
             let yk = y[k] / self.diag[k];
             y[k] = yk;
             if yk.modulus() != 0.0 {
-                for u in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    y[self.u_rows[u]] -= self.u_vals[u] * yk;
+                let (u0, u1) = (self.u_colptr[k], self.u_colptr[k + 1]);
+                for (&r, &u) in self.u_rows[u0..u1].iter().zip(&self.u_vals[u0..u1]) {
+                    y[r] -= u * yk;
                 }
             }
         }
         // Column permutation back to original unknown order; leave the
         // workspace zeroed for the next call.
-        for k in 0..self.n {
-            b[self.q[k]] = y[k];
-            y[k] = T::ZERO;
+        for (&q, yk) in self.q.iter().zip(y.iter_mut()) {
+            b[q] = *yk;
+            *yk = T::ZERO;
         }
     }
 }
@@ -740,27 +715,5 @@ mod tests {
         let (m, _) = csc_from_rows(&[&[1.0, 2.0, 0.0], &[0.0, 3.0, 4.0], &[5.0, 0.0, 6.0]]);
         let x = [1.0, -1.0, 2.0];
         assert_eq!(m.mul_vec(&x), m.to_dense().mul_vec(&x));
-    }
-
-    #[test]
-    fn mul_vec_complex_matches_dense() {
-        use crate::Complex;
-        let (m, _) = csc_from_rows(&[&[1.0, 2.0, 0.0], &[0.0, 3.0, 4.0], &[5.0, 0.0, 6.0]]);
-        let x = [
-            Complex::new(1.0, -0.5),
-            Complex::new(0.0, 2.0),
-            Complex::new(-1.5, 0.25),
-        ];
-        let mut y = vec![Complex::ZERO; 3];
-        m.mul_vec_complex_into(&x, &mut y);
-        // Dense reference: promote the real matrix entrywise to complex.
-        let d = m.to_dense();
-        for r in 0..3 {
-            let mut acc = Complex::ZERO;
-            for c in 0..3 {
-                acc += x[c].scale(d[(r, c)]);
-            }
-            assert!((y[r] - acc).abs() < 1e-15, "row {r}: {:?} vs {acc:?}", y[r]);
-        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::analysis::solver::{parallel_freq_map, singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::{MnaSink, Options, PatternProbe};
 use crate::circuit::Prepared;
-use crate::devices::{AcCtx, AcStamper};
+use crate::devices::AcCtx;
 use crate::error::{Result, SpiceError};
 use crate::wave::AcWaveform;
 use ahfic_num::Complex;
@@ -32,7 +32,7 @@ pub fn assemble_ac<M: MnaSink<Complex>>(
         x_op,
         omega,
     };
-    let mut s = AcStamper::new(mat, rhs);
+    let mut s = mat.stamper(rhs);
     for d in prep.linear.iter().chain(&prep.nonlinear) {
         prep.devices[*d].stamp_ac(&cx, &mut s);
     }

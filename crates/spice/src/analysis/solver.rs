@@ -15,6 +15,7 @@
 
 use crate::analysis::stamp::MnaSink;
 use crate::circuit::Prepared;
+use crate::devices::Stamper;
 use crate::error::SpiceError;
 use ahfic_num::lu::{LuFactors, SingularMatrixError};
 use ahfic_num::sparse::{CscMatrix, SparseLu, TripletBuilder};
@@ -79,6 +80,58 @@ pub(crate) enum Kernel<T: Scalar> {
     },
 }
 
+/// A sparse kernel's frozen stamp sequence, borrowed for one stamping
+/// pass: each stamp is checked against the recorded `(row, col)` and
+/// accumulated straight into its CSC value slot.
+pub(crate) struct ReplayTape<'a, T> {
+    coords: &'a [(usize, usize)],
+    slots: &'a [usize],
+    values: &'a mut [T],
+    /// Next stamp index.
+    cursor: &'a mut usize,
+    /// Set when a stamp disagrees with the recorded sequence.
+    mismatch: &'a mut bool,
+}
+
+impl<T: Scalar> ReplayTape<'_, T> {
+    /// Accumulates `v` at `(r, c)`, the next stamp of the sequence.
+    #[inline]
+    pub(crate) fn add(&mut self, r: usize, c: usize, v: T) {
+        let k = *self.cursor;
+        if k < self.slots.len() && self.coords[k] == (r, c) {
+            self.values[self.slots[k]] += v;
+            *self.cursor = k + 1;
+        } else {
+            *self.mismatch = true;
+        }
+    }
+}
+
+impl<T: Scalar> Kernel<T> {
+    /// The replay tape of a sparse kernel whose pattern is compiled;
+    /// the kernel itself while it records, and for the dense kernel.
+    fn tape(&mut self) -> Result<ReplayTape<'_, T>, &mut Self> {
+        match self {
+            Kernel::Sparse {
+                recording: false,
+                coords,
+                slots,
+                csc: Some(m),
+                cursor,
+                mismatch,
+                ..
+            } => Ok(ReplayTape {
+                coords,
+                slots,
+                values: m.values_mut(),
+                cursor,
+                mismatch,
+            }),
+            other => Err(other),
+        }
+    }
+}
+
 // The `expect`s below encode the kernel's own state machine (a pattern
 // exists once recording finished, factors exist after `factor()`), not
 // user input; a violation is a bug in this module, so panicking is the
@@ -114,25 +167,25 @@ impl<T: Scalar> MnaSink<T> for Kernel<T> {
         match self {
             Kernel::Dense { mat, .. } => mat.add_at(r, c, v),
             Kernel::Sparse {
-                recording,
+                recording: true,
                 coords,
                 rec_vals,
-                slots,
-                csc,
-                cursor,
-                mismatch,
                 ..
             } => {
-                if *recording {
-                    coords.push((r, c));
-                    rec_vals.push(v);
-                } else if *cursor < slots.len() && coords[*cursor] == (r, c) {
-                    csc.as_mut().expect("compiled pattern").values_mut()[slots[*cursor]] += v;
-                    *cursor += 1;
-                } else {
-                    *mismatch = true;
-                }
+                coords.push((r, c));
+                rec_vals.push(v);
             }
+            Kernel::Sparse { .. } => match self.tape() {
+                Ok(mut tape) => tape.add(r, c, v),
+                Err(_) => unreachable!("a replaying sparse kernel has a compiled pattern"),
+            },
+        }
+    }
+
+    fn stamper<'a>(&'a mut self, rhs: &'a mut [T]) -> Stamper<'a, T> {
+        match self.tape() {
+            Ok(tape) => Stamper::replaying(tape, rhs),
+            Err(sink) => Stamper::new(sink, rhs),
         }
     }
 }
@@ -637,6 +690,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::stamp::{
+        assemble, update_all_charges, ChargeBank, Mode, NonlinMemory, Options,
+    };
     use crate::circuit::Circuit;
 
     /// Drives a sparse and a dense workspace by hand through the same
@@ -701,7 +757,8 @@ mod tests {
         }
     }
 
-    /// A changed stamp sequence is detected and re-recorded once.
+    /// A changed stamp sequence is detected and re-recorded once, both
+    /// through the sink and through a stamper writing the replay tape.
     #[test]
     fn pattern_change_triggers_rerecord() {
         let mut ws: SolverWorkspace<f64> = SolverWorkspace::new(2, SolverChoice::Sparse);
@@ -725,6 +782,129 @@ mod tests {
         let x = ws.solve();
         assert!((x[1] - 2.0).abs() < 1e-12);
         assert!((x[0] - (2.0 - 5.0 * 2.0) / 2.0).abs() < 1e-12);
+
+        // One pass through a stamper; `tape` reports whether it wrote the
+        // replay tape directly.
+        let stamp = |ws: &mut SolverWorkspace<f64>, seq: &[(usize, usize)]| {
+            ws.kernel.reset();
+            let tape = ws.kernel.tape().is_ok();
+            let mut s = ws.kernel.stamper(&mut ws.rhs);
+            for &(r, c) in seq {
+                s.add(r, c, 1.0);
+            }
+            (tape, ws.finish_assembly())
+        };
+        let recorded = [(0, 0), (0, 1), (1, 1)];
+        assert_eq!(stamp(&mut ws, &recorded), (true, false));
+        let reordered = [(0, 0), (1, 1), (0, 1)];
+        assert_eq!(stamp(&mut ws, &reordered), (true, true), "reordered");
+        // Re-recorded through the sink, then replayed from the tape.
+        assert_eq!(stamp(&mut ws, &reordered), (false, false));
+        assert_eq!(stamp(&mut ws, &reordered), (true, false));
+        assert_eq!(stamp(&mut ws, &reordered[..2]), (true, true), "short");
+        assert_eq!(stamp(&mut ws, &recorded), (false, false));
+        let long = [(0, 0), (0, 1), (1, 1), (1, 0)];
+        assert_eq!(stamp(&mut ws, &long), (true, true), "long");
+    }
+
+    /// The stamper's replay tape writes the same bits as a dense
+    /// assembly of the same deck: every matrix entry and right-hand-side
+    /// row, in DC and in transient mode (with the charge companions).
+    #[test]
+    fn replay_tape_assembly_matches_dense_bitwise() {
+        let deck = "* two-stage BJT amplifier\n\
+            .model qn NPN (BF=80 RB=150 RE=2 RC=20 CJE=50f CJC=30f XCJC=0.6 \
+            CJS=40f TF=10p XTF=2 VTF=3 ITF=10m TR=1n VAF=40 IKF=10m ISE=1f)\n\
+            VCC vcc 0 5\nVIN in 0 SIN(0.9 10m 100meg)\nRS in b1 1k\n\
+            Q1 c1 b1 e1 qn\nRC1 vcc c1 2k\nRE1 e1 0 200\nCE1 e1 0 10p\n\
+            Q2 vcc c1 out qn\nRL out 0 1k\nCL out 0 1p\n.end\n";
+        let prep = Prepared::compile(&crate::parse::parse_netlist(deck).unwrap()).unwrap();
+        let opts = Options::default();
+        let n = prep.num_unknowns;
+        let x0 = crate::analysis::op::op_eval(&prep, &opts).unwrap().x;
+        let mut bank = ChargeBank::new(&prep);
+        let mut states = bank.states.clone();
+        let init = Mode::Tran {
+            time: 0.0,
+            a: 0.0,
+            bank: &bank,
+            x_prev: &x0,
+        };
+        update_all_charges(&prep, &x0, &opts, &init, &mut states);
+        bank.states = states;
+        // Off the operating point, so the replayed values differ from the
+        // recorded ones.
+        let x: Vec<f64> = x0
+            .iter()
+            .enumerate()
+            .map(|(k, v)| v + 0.05 * (k % 3) as f64)
+            .collect();
+        let mut mem = NonlinMemory::new(&prep);
+        let dc = Mode::Dc { source_scale: 1.0 };
+        assemble(
+            &prep,
+            &x0,
+            &opts,
+            &dc,
+            &mut mem,
+            &mut Matrix::zeros(n, n),
+            &mut vec![0.0; n],
+        );
+        let tran = Mode::Tran {
+            time: 1e-9,
+            a: 2e11,
+            bank: &bank,
+            x_prev: &x0,
+        };
+        for mode in [dc, tran] {
+            let mut ws: SolverWorkspace<f64> = SolverWorkspace::new(n, SolverChoice::Sparse);
+            assemble(
+                &prep,
+                &x0,
+                &opts,
+                &mode,
+                &mut mem.clone(),
+                &mut ws.kernel,
+                &mut ws.rhs,
+            );
+            assert!(!ws.finish_assembly());
+            assert!(ws.kernel.tape().is_ok(), "pattern compiled");
+            assemble(
+                &prep,
+                &x,
+                &opts,
+                &mode,
+                &mut mem.clone(),
+                &mut ws.kernel,
+                &mut ws.rhs,
+            );
+            assert!(!ws.finish_assembly(), "replay kept the pattern");
+            let mut dense = Matrix::zeros(n, n);
+            let mut rhs = vec![0.0; n];
+            assemble(
+                &prep,
+                &x,
+                &opts,
+                &mode,
+                &mut mem.clone(),
+                &mut dense,
+                &mut rhs,
+            );
+            let Kernel::Sparse { csc: Some(m), .. } = &ws.kernel else {
+                panic!("sparse kernel with a compiled pattern");
+            };
+            let replayed = m.to_dense();
+            for r in 0..n {
+                for c in 0..n {
+                    assert_eq!(
+                        replayed[(r, c)].to_bits(),
+                        dense[(r, c)].to_bits(),
+                        "{mode:?} ({r}, {c})"
+                    );
+                }
+                assert_eq!(ws.rhs[r].to_bits(), rhs[r].to_bits(), "{mode:?} rhs {r}");
+            }
+        }
     }
 
     /// Auto picks dense for small systems and sparse for large ones.

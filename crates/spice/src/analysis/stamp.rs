@@ -15,7 +15,7 @@ use crate::analysis::control::{Budget, CancelHandle, CancelToken, StreamPolicy};
 use crate::analysis::fault::{FaultHandle, FaultInjector};
 use crate::analysis::solver::SolverChoice;
 use crate::circuit::Prepared;
-use crate::devices::{RealCtx, RealStamper};
+use crate::devices::{RealCtx, Stamper};
 use crate::lint::LintPolicy;
 use ahfic_num::{Matrix, Scalar};
 use ahfic_trace::{TraceHandle, TraceSink};
@@ -186,6 +186,15 @@ pub trait MnaSink<T: Scalar> {
     fn reset(&mut self);
     /// Accumulates `v` at `(r, c)`.
     fn add(&mut self, r: usize, c: usize, v: T);
+    /// Opens a ground-guarded [`Stamper`] over this sink and `rhs` for
+    /// one stamping pass. The default sends every stamp through
+    /// [`MnaSink::add`].
+    fn stamper<'a>(&'a mut self, rhs: &'a mut [T]) -> Stamper<'a, T>
+    where
+        Self: Sized,
+    {
+        Stamper::new(self, rhs)
+    }
 }
 
 impl<T: Scalar> MnaSink<T> for Matrix<T> {
@@ -513,7 +522,7 @@ pub fn stamp_linear<M: MnaSink<f64>>(
         limited: 0,
         max_limit_shift: 0.0,
     };
-    let mut s = RealStamper::new(mat, rhs);
+    let mut s = mat.stamper(rhs);
     for &i in &prep.linear {
         prep.devices[i].stamp_real(&cx, &mut mem_unused, &mut s);
     }
@@ -538,7 +547,7 @@ pub fn stamp_nonlinear<M: MnaSink<f64>>(
         mode,
         x,
     };
-    let mut s = RealStamper::new(mat, rhs);
+    let mut s = mat.stamper(rhs);
     for &i in &prep.nonlinear {
         prep.devices[i].stamp_real(&cx, mem, &mut s);
     }

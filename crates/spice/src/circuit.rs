@@ -948,7 +948,13 @@ impl Prepared {
 
         // Compile every element into its device object (validates K-card
         // references along the way).
-        let set = build_devices(circuit, &branch_of, &bjt_nodes, &diode_internal)?;
+        let set = build_devices(
+            circuit,
+            &branch_of,
+            &bjt_nodes,
+            &scaled_bjt,
+            &diode_internal,
+        )?;
 
         Ok(Prepared {
             num_voltage_unknowns,

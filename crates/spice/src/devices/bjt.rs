@@ -7,14 +7,20 @@
 //! caller flips terminal voltage signs before and current/charge signs
 //! after (conductances and capacitances are invariant under that
 //! transformation).
+//!
+//! A compiled BJT evaluates the same equations against the
+//! voltage-independent depletion terms of its model card, computed once
+//! at compile time, and takes the extrinsic B-C' charge at the true
+//! external-base voltage. Its transient charge commit evaluates only the
+//! four charges.
 
 use super::{
     AcCtx, AcStamper, Device, EdgeKind, NoiseGenerator, OpCtx, RealCtx, RealStamper, TopologyEdge,
     KB, Q,
 };
-use crate::analysis::stamp::{ChargeState, Mode, NonlinMemory};
+use crate::analysis::stamp::{ChargeState, Mode, NonlinMemory, Options};
 use crate::circuit::{read_slot, BjtNodes, Prepared};
-use crate::devices::junction::{depletion, diode_current, limexp, pnjlim, vcrit};
+use crate::devices::junction::{depletion, diode_current, limexp, pnjlim, vcrit, Junction};
 use crate::model::BjtModel;
 use ahfic_num::Complex;
 
@@ -55,7 +61,8 @@ pub struct BjtOperating {
     pub qbe: f64,
     /// Internal B'-C' stored charge (C).
     pub qbc: f64,
-    /// External B-C' depletion charge (the `1-XCJC` fraction) (C).
+    /// External B-C' depletion charge (the `1-XCJC` fraction) at the
+    /// external-base voltage (C). [`eval_bjt`] evaluates it at `vbc`.
     pub qbx: f64,
     /// Collector-substrate depletion charge (C).
     pub qcs: f64,
@@ -100,7 +107,10 @@ impl BjtOperating {
 /// NPN polarity.
 ///
 /// `vt` is the thermal voltage and `gmin` the convergence-aid conductance
-/// placed across both junctions.
+/// placed across both junctions. The extrinsic B-C' charge `qbx` needs the
+/// external-base voltage, which this signature does not carry; it is
+/// evaluated at `vbc`, an adequate proxy when RB is small. Compiled
+/// devices evaluate it at the true external-base voltage.
 pub fn eval_bjt(
     model: &BjtModel,
     vbe: f64,
@@ -110,6 +120,121 @@ pub fn eval_bjt(
     gmin: f64,
 ) -> BjtOperating {
     let m = model;
+    let xcjc = m.xcjc.clamp(0.0, 1.0);
+    let dep = [
+        depletion(vbe, m.cje, m.vje, m.mje, m.fc),
+        depletion(vbc, m.cjc * xcjc, m.vjc, m.mjc, m.fc),
+        depletion(vbc, m.cjc * (1.0 - xcjc), m.vjc, m.mjc, m.fc),
+        depletion(vcs, m.cjs, m.vjs, m.mjs, m.fc),
+    ];
+    eval_gp(m, vbe, vbc, dep, vt, gmin)
+}
+
+/// Depletion charge and capacitance `(q, c)` of the B-E, internal B'-C',
+/// external B-C' and collector-substrate junctions, in that order.
+type Depletions = [(f64, f64); 4];
+
+/// Voltage-independent depletion terms of a BJT's four junctions,
+/// compiled once from its area-scaled model card.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BjtJunctions {
+    /// B-E (`CJE`).
+    be: Junction,
+    /// Internal B'-C' (the `XCJC` fraction of `CJC`).
+    bc: Junction,
+    /// External B-C' (the `1-XCJC` fraction of `CJC`).
+    bx: Junction,
+    /// Collector-substrate (`CJS`).
+    cs: Junction,
+}
+
+impl BjtJunctions {
+    pub(crate) fn new(m: &BjtModel) -> Self {
+        let xcjc = m.xcjc.clamp(0.0, 1.0);
+        BjtJunctions {
+            be: Junction::new(m.cje, m.vje, m.mje, m.fc),
+            bc: Junction::new(m.cjc * xcjc, m.vjc, m.mjc, m.fc),
+            bx: Junction::new(m.cjc * (1.0 - xcjc), m.vjc, m.mjc, m.fc),
+            cs: Junction::new(m.cjs, m.vjs, m.mjs, m.fc),
+        }
+    }
+
+    /// The four junctions' depletion terms at `b`, the external B-C'
+    /// junction at the external-base voltage.
+    fn eval(&self, b: Bias) -> Depletions {
+        [
+            self.be.eval(b.vbe),
+            self.bc.eval(b.vbc),
+            self.bx.eval(b.vbx),
+            self.cs.eval(b.vcs),
+        ]
+    }
+}
+
+/// Junction voltages of one evaluation, in normalized NPN polarity.
+#[derive(Clone, Copy, Debug)]
+struct Bias {
+    /// Internal B'-E'.
+    vbe: f64,
+    /// Internal B'-C'.
+    vbc: f64,
+    /// External base to internal collector (the extrinsic B-C' junction).
+    vbx: f64,
+    /// Substrate to internal collector.
+    vcs: f64,
+}
+
+/// Bias-dependent forward transit time (XTF/VTF/ITF Kirk-effect
+/// surrogate) at forward diode current `i_f` (conductance `gif`) and
+/// `vbc`, with its derivatives: `(tff, d/dvbe, d/dvbc)`.
+fn transit_time(m: &BjtModel, i_f: f64, gif: f64, vbc: f64) -> (f64, f64, f64) {
+    if m.tf > 0.0 && m.xtf > 0.0 {
+        let denom = i_f + m.itf;
+        let ratio = if denom > 0.0 { i_f / denom } else { 0.0 };
+        let expv = if m.vtf.is_finite() {
+            (vbc / (1.44 * m.vtf)).exp()
+        } else {
+            1.0
+        };
+        let tff = m.tf * (1.0 + m.xtf * ratio * ratio * expv);
+        let dratio_dvbe = if denom > 0.0 {
+            gif * m.itf / (denom * denom)
+        } else {
+            0.0
+        };
+        let dtff_dvbe = m.tf * m.xtf * 2.0 * ratio * dratio_dvbe * expv;
+        let dtff_dvbc = if m.vtf.is_finite() {
+            m.tf * m.xtf * ratio * ratio * expv / (1.44 * m.vtf)
+        } else {
+            0.0
+        };
+        (tff, dtff_dvbe, dtff_dvbc)
+    } else {
+        (m.tf, 0.0, 0.0)
+    }
+}
+
+/// The stored charges `[qbe, qbc, qbx, qcs]` at `b`: what [`eval_gp`]
+/// computes from `j.eval(b)`, bit for bit, without its currents and
+/// conductances.
+fn charges(m: &BjtModel, j: &BjtJunctions, b: Bias, vt: f64) -> [f64; 4] {
+    let (ef, def) = limexp(b.vbe, m.nf * vt);
+    let i_f = m.is_ * (ef - 1.0);
+    let (er, _) = limexp(b.vbc, m.nr * vt);
+    let i_r = m.is_ * (er - 1.0);
+    let (tff, _, _) = transit_time(m, i_f, m.is_ * def, b.vbc);
+    [
+        tff * i_f + j.be.eval(b.vbe).0,
+        m.tr * i_r + j.bc.eval(b.vbc).0,
+        j.bx.eval(b.vbx).0,
+        j.cs.eval(b.vcs).0,
+    ]
+}
+
+/// The Gummel–Poon evaluation behind [`eval_bjt`] and the compiled
+/// device, at internal junction voltages `vbe`, `vbc` with the
+/// junctions' depletion terms `dep`.
+fn eval_gp(m: &BjtModel, vbe: f64, vbc: f64, dep: Depletions, vt: f64, gmin: f64) -> BjtOperating {
     let nfvt = m.nf * vt;
     let nrvt = m.nr * vt;
 
@@ -183,48 +308,17 @@ pub fn eval_bjt(
     let ibc = ibc_ideal + iblc + gmin * vbc;
     let gmu = gbc_ideal + gblc + gmin;
 
-    // Bias-dependent transit time (XTF/VTF/ITF Kirk-effect surrogate).
-    let (tff, dtff_dvbe, dtff_dvbc) = if m.tf > 0.0 && m.xtf > 0.0 {
-        let denom = i_f + m.itf;
-        let ratio = if denom > 0.0 { i_f / denom } else { 0.0 };
-        let expv = if m.vtf.is_finite() {
-            (vbc / (1.44 * m.vtf)).exp()
-        } else {
-            1.0
-        };
-        let tff = m.tf * (1.0 + m.xtf * ratio * ratio * expv);
-        let dratio_dvbe = if denom > 0.0 {
-            gif * m.itf / (denom * denom)
-        } else {
-            0.0
-        };
-        let dtff_dvbe = m.tf * m.xtf * 2.0 * ratio * dratio_dvbe * expv;
-        let dtff_dvbc = if m.vtf.is_finite() {
-            m.tf * m.xtf * ratio * ratio * expv / (1.44 * m.vtf)
-        } else {
-            0.0
-        };
-        (tff, dtff_dvbe, dtff_dvbc)
-    } else {
-        (m.tf, 0.0, 0.0)
-    };
+    let (tff, dtff_dvbe, dtff_dvbc) = transit_time(m, i_f, gif, vbc);
 
-    // Stored charges.
-    let (qje, cje) = depletion(vbe, m.cje, m.vje, m.mje, m.fc);
+    // Stored charges. The external (extrinsic-base) fraction of the B-C
+    // capacitance, `qbx`, is pure depletion.
+    let [(qje, cje), (qjc_int, cjc_int), (qbx, cbx), (qcs, ccs)] = dep;
     let qbe = tff * i_f + qje;
     let cbe = tff * gif + dtff_dvbe * i_f + cje;
     let cbe_bc = dtff_dvbc * i_f;
 
-    let xcjc = m.xcjc.clamp(0.0, 1.0);
-    let (qjc_int, cjc_int) = depletion(vbc, m.cjc * xcjc, m.vjc, m.mjc, m.fc);
     let qbc = m.tr * i_r + qjc_int;
     let cbc = m.tr * gir + cjc_int;
-    // External (extrinsic-base) fraction of the B-C capacitance. The
-    // caller evaluates it at the *external* base to internal collector
-    // voltage; here vbc is used as an adequate proxy when RB is small.
-    let (qbx, cbx) = depletion(vbc, m.cjc * (1.0 - xcjc), m.vjc, m.mjc, m.fc);
-
-    let (qcs, ccs) = depletion(vcs, m.cjs, m.vjs, m.mjs, m.fc);
 
     // Bias-dependent base resistance (SPICE formulation without IRB uses
     // qb; with IRB uses the tan(x)/x solution — we use the qb form, and
@@ -269,11 +363,13 @@ pub fn eval_bjt(
     }
 }
 
-/// Compiled BJT: external and internal node slots.
+/// Compiled BJT: external and internal node slots, and the depletion
+/// terms of its area-scaled model card.
 #[derive(Debug)]
 pub(crate) struct BjtInstance {
     pub idx: usize,
     pub nodes: BjtNodes,
+    pub junctions: BjtJunctions,
 }
 
 impl BjtInstance {
@@ -283,14 +379,23 @@ impl BjtInstance {
             .expect("bjt element has a scaled model")
     }
 
-    /// Junction voltages `(vbe, vbc, vcs)` in normalized NPN polarity.
-    fn junction_voltages(&self, model: &BjtModel, x: &[f64]) -> (f64, f64, f64) {
+    /// Junction voltages at `x` in normalized NPN polarity.
+    fn bias(&self, model: &BjtModel, x: &[f64]) -> Bias {
         let nd = &self.nodes;
         let sg = model.polarity.sign();
-        let vbe = sg * (read_slot(x, nd.bi) - read_slot(x, nd.ei));
-        let vbc = sg * (read_slot(x, nd.bi) - read_slot(x, nd.ci));
-        let vcs = sg * (read_slot(x, nd.s) - read_slot(x, nd.ci));
-        (vbe, vbc, vcs)
+        Bias {
+            vbe: sg * (read_slot(x, nd.bi) - read_slot(x, nd.ei)),
+            vbc: sg * (read_slot(x, nd.bi) - read_slot(x, nd.ci)),
+            vbx: sg * (read_slot(x, nd.b) - read_slot(x, nd.ci)),
+            vcs: sg * (read_slot(x, nd.s) - read_slot(x, nd.ci)),
+        }
+    }
+
+    /// The full operating state at `x`, without junction limiting.
+    fn operating(&self, model: &BjtModel, x: &[f64], opts: &Options) -> BjtOperating {
+        let b = self.bias(model, x);
+        let dep = self.junctions.eval(b);
+        eval_gp(model, b.vbe, b.vbc, dep, opts.vt, opts.gmin)
     }
 }
 
@@ -327,38 +432,40 @@ impl Device for BjtInstance {
         let model = self.model(cx.prep);
         let nd = self.nodes;
         let sg = model.polarity.sign();
-        let (vbe_raw, vbc_raw, vcs) = self.junction_voltages(model, cx.x);
+        let raw = self.bias(model, cx.x);
         let (old_vbe, old_vbc) = mem.bjt[self.idx];
         let nfvt = model.nf * cx.opts.vt;
         let nrvt = model.nr * cx.opts.vt;
-        let vbe = pnjlim(vbe_raw, old_vbe, nfvt, vcrit(model.is_, nfvt));
-        let vbc = pnjlim(vbc_raw, old_vbc, nrvt, vcrit(model.is_, nrvt));
-        let be_shift = (vbe - vbe_raw).abs();
+        let vbe = pnjlim(raw.vbe, old_vbe, nfvt, vcrit(model.is_, nfvt));
+        let vbc = pnjlim(raw.vbc, old_vbc, nrvt, vcrit(model.is_, nrvt));
+        let be_shift = (vbe - raw.vbe).abs();
         if be_shift > 1e-15 {
             mem.note_limited(be_shift);
         }
-        let bc_shift = (vbc - vbc_raw).abs();
+        let bc_shift = (vbc - raw.vbc).abs();
         if bc_shift > 1e-15 {
             mem.note_limited(bc_shift);
         }
         mem.bjt[self.idx] = (vbe, vbc);
-        let op = eval_bjt(model, vbe, vbc, vcs, cx.opts.vt, cx.opts.gmin);
+        let Bias { vbx, vcs, .. } = raw;
+        let dep = self.junctions.eval(Bias { vbe, vbc, ..raw });
+        let op = eval_gp(model, vbe, vbc, dep, cx.opts.vt, cx.opts.gmin);
 
         // Parasitic terminal resistances into the internal nodes.
         if nd.bi != nd.b {
-            s.conductance(nd.b, nd.bi, 1.0 / op.rbb.max(1e-3));
+            s.admittance(nd.b, nd.bi, 1.0 / op.rbb.max(1e-3));
         }
         if nd.ci != nd.c {
-            s.conductance(nd.c, nd.ci, 1.0 / model.rc);
+            s.admittance(nd.c, nd.ci, 1.0 / model.rc);
         }
         if nd.ei != nd.e {
-            s.conductance(nd.e, nd.ei, 1.0 / model.re);
+            s.admittance(nd.e, nd.ei, 1.0 / model.re);
         }
 
         // B-E and B-C junction linearizations.
-        s.conductance(nd.bi, nd.ei, op.gpi);
+        s.admittance(nd.bi, nd.ei, op.gpi);
         s.current(nd.bi, nd.ei, sg * (op.ibe - op.gpi * vbe));
-        s.conductance(nd.bi, nd.ci, op.gmu);
+        s.admittance(nd.bi, nd.ci, op.gmu);
         s.current(nd.bi, nd.ci, sg * (op.ibc - op.gmu * vbc));
 
         // Transport current from collector to emitter.
@@ -388,28 +495,18 @@ impl Device for BjtInstance {
             let st = bank.states[b0 + 1];
             let i = a * (op.qbc - st.q) - st.i;
             let geq = a * op.cbc;
-            s.conductance(nd.bi, nd.ci, geq);
+            s.admittance(nd.bi, nd.ci, geq);
             s.current(nd.bi, nd.ci, sg * (i - geq * vbc));
-            // qbx: external-base fraction of the B-C depletion charge,
-            // evaluated at the true external-base voltage.
-            let vbx = sg * (read_slot(cx.x, nd.b) - read_slot(cx.x, nd.ci));
-            let xcjc = model.xcjc.clamp(0.0, 1.0);
-            let (qbx, cbx) = depletion(
-                vbx,
-                model.cjc * (1.0 - xcjc),
-                model.vjc,
-                model.mjc,
-                model.fc,
-            );
+            // qbx: external-base fraction of the B-C depletion charge.
             let st = bank.states[b0 + 2];
-            let i = a * (qbx - st.q) - st.i;
-            s.conductance(nd.b, nd.ci, a * cbx);
-            s.current(nd.b, nd.ci, sg * (i - a * cbx * vbx));
+            let i = a * (op.qbx - st.q) - st.i;
+            s.admittance(nd.b, nd.ci, a * op.cbx);
+            s.current(nd.b, nd.ci, sg * (i - a * op.cbx * vbx));
             // qcs.
             let st = bank.states[b0 + 3];
             let i = a * (op.qcs - st.q) - st.i;
             let geq = a * op.ccs;
-            s.conductance(nd.s, nd.ci, geq);
+            s.admittance(nd.s, nd.ci, geq);
             s.current(nd.s, nd.ci, sg * (i - geq * vcs));
         }
     }
@@ -419,21 +516,9 @@ impl Device for BjtInstance {
             return;
         };
         let model = self.model(cx.prep);
-        let nd = self.nodes;
-        let sg = model.polarity.sign();
-        let (vbe, vbc, vcs) = self.junction_voltages(model, cx.x);
-        let op = eval_bjt(model, vbe, vbc, vcs, cx.opts.vt, cx.opts.gmin);
-        let vbx = sg * (read_slot(cx.x, nd.b) - read_slot(cx.x, nd.ci));
-        let xcjc = model.xcjc.clamp(0.0, 1.0);
-        let (qbx, _) = depletion(
-            vbx,
-            model.cjc * (1.0 - xcjc),
-            model.vjc,
-            model.mjc,
-            model.fc,
-        );
+        let qs = charges(model, &self.junctions, self.bias(model, cx.x), cx.opts.vt);
         let b0 = bank.base[self.idx];
-        for (slot, q) in [op.qbe, op.qbc, qbx, op.qcs].into_iter().enumerate() {
+        for (slot, q) in qs.into_iter().enumerate() {
             let st = bank.states[b0 + slot];
             out[slot] = ChargeState {
                 q,
@@ -445,10 +530,8 @@ impl Device for BjtInstance {
     fn stamp_ac(&self, cx: &AcCtx, s: &mut AcStamper) {
         let model = self.model(cx.prep);
         let nd = self.nodes;
-        let sg = model.polarity.sign();
         let jw = Complex::new(0.0, cx.omega);
-        let (vbe, vbc, vcs) = self.junction_voltages(model, cx.x_op);
-        let op = eval_bjt(model, vbe, vbc, vcs, cx.opts.vt, cx.opts.gmin);
+        let op = self.operating(model, cx.x_op, cx.opts);
 
         if nd.bi != nd.b {
             s.admittance(nd.b, nd.bi, Complex::from_re(1.0 / op.rbb.max(1e-3)));
@@ -475,17 +558,8 @@ impl Device for BjtInstance {
         s.add(nd.ei, nd.ei, Complex::from_re(op.gmf));
         s.add(nd.ei, nd.ci, Complex::from_re(op.gmr));
 
-        let xcjc = model.xcjc.clamp(0.0, 1.0);
-        if model.cjc * (1.0 - xcjc) > 0.0 {
-            let vbx = sg * (read_slot(cx.x_op, nd.b) - read_slot(cx.x_op, nd.ci));
-            let (_, cbx) = depletion(
-                vbx,
-                model.cjc * (1.0 - xcjc),
-                model.vjc,
-                model.mjc,
-                model.fc,
-            );
-            s.admittance(nd.b, nd.ci, jw * cbx);
+        if model.cjc * (1.0 - model.xcjc.clamp(0.0, 1.0)) > 0.0 {
+            s.admittance(nd.b, nd.ci, jw * op.cbx);
         }
         if model.cjs > 0.0 {
             s.admittance(nd.s, nd.ci, jw * op.ccs);
@@ -496,8 +570,7 @@ impl Device for BjtInstance {
         let model = self.model(cx.prep);
         let nd = self.nodes;
         let name = &cx.prep.circuit.elements()[self.idx].name;
-        let (vbe, vbc, vcs) = self.junction_voltages(model, cx.x);
-        let op = eval_bjt(model, vbe, vbc, vcs, cx.opts.vt, cx.opts.gmin);
+        let op = self.operating(model, cx.x, cx.opts);
         let four_kt = 4.0 * KB * cx.temp_k();
         out.push(NoiseGenerator::white(
             name,
@@ -552,16 +625,16 @@ impl Device for BjtInstance {
     }
 
     fn bjt_operating(&self, cx: &OpCtx) -> Option<BjtOperating> {
-        let model = self.model(cx.prep);
-        let (vbe, vbc, vcs) = self.junction_voltages(model, cx.x);
-        Some(eval_bjt(model, vbe, vbc, vcs, cx.opts.vt, cx.opts.gmin))
+        Some(self.operating(self.model(cx.prep), cx.x, cx.opts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::junction::VT_300K;
+    use crate::analysis::stamp::{update_all_charges, ChargeBank};
+    use crate::circuit::Circuit;
+    use crate::devices::junction::{depletion, VT_300K};
 
     fn test_model() -> BjtModel {
         BjtModel {
@@ -705,6 +778,124 @@ mod tests {
         let hi = eval_bjt(&m, 0.85, -1.0, -3.0, VT_300K, 0.0);
         assert!(lo.rbb > hi.rbb);
         assert!(hi.rbb >= 20.0 && lo.rbb <= 100.0);
+    }
+
+    /// A common-emitter stage whose base current flows through RB, so
+    /// the external and internal base voltages differ.
+    fn biased_stage() -> (Prepared, Vec<f64>) {
+        let mut m = test_model();
+        m.name = "q".into();
+        m.rb = 200.0;
+        m.rc = 20.0;
+        m.re = 2.0;
+        m.xcjc = 0.4;
+        let mut c = Circuit::new();
+        let (vcc, b, col, e, src) = (
+            c.node("vcc"),
+            c.node("b"),
+            c.node("c"),
+            c.node("e"),
+            c.node("src"),
+        );
+        let mi = c.add_bjt_model(m);
+        c.vsource("VCC", vcc, Circuit::gnd(), 5.0);
+        c.vsource("VB", src, Circuit::gnd(), 1.2);
+        c.resistor("RBIAS", src, b, 10e3);
+        c.resistor("RL", vcc, col, 2e3);
+        c.resistor("RE", e, Circuit::gnd(), 100.0);
+        c.bjt("Q1", col, b, e, mi, 1.0);
+        let prep = Prepared::compile(&c).unwrap();
+        let x = crate::analysis::op::op_eval(&prep, &Options::default())
+            .unwrap()
+            .x;
+        (prep, x)
+    }
+
+    fn slot(prep: &Prepared, name: &str) -> usize {
+        prep.unknown_names.iter().position(|n| n == name).unwrap()
+    }
+
+    /// Q1's area-scaled model card.
+    fn q1_model(prep: &Prepared) -> &BjtModel {
+        let idx = prep.circuit.find_element("Q1").unwrap();
+        prep.scaled_bjt[idx].as_ref().unwrap()
+    }
+
+    /// The OP record evaluates the extrinsic B-C' junction across the
+    /// external base and the internal collector, as the AC and
+    /// transient stamps do, not at the internal `vbc`.
+    #[test]
+    fn bjt_operating_evaluates_cbx_at_external_base() {
+        let (prep, x) = biased_stage();
+        let (b, bi, ci) = (
+            slot(&prep, "v(b)"),
+            slot(&prep, "v(Q1.bi)"),
+            slot(&prep, "v(Q1.ci)"),
+        );
+        let opts = Options::default();
+        let q = crate::analysis::op::bjt_operating(&prep, &x, &opts, "Q1").unwrap();
+        assert!(q.ib > 1e-7, "base current {} A", q.ib);
+        assert!(x[b] - x[bi] > 1e-5, "RB drop {} V", x[b] - x[bi]);
+        let m = q1_model(&prep);
+        let (qbx, cbx) = depletion(x[b] - x[ci], m.cjc * (1.0 - m.xcjc), m.vjc, m.mjc, m.fc);
+        assert_eq!(q.cbx.to_bits(), cbx.to_bits());
+        assert_eq!(q.qbx.to_bits(), qbx.to_bits());
+    }
+
+    /// The transient charge commit evaluates only the four charges, and
+    /// gets the bits [`eval_bjt`] computes for `qbe`, `qbc` and `qcs`;
+    /// `qbx` is [`depletion`] at the external-base voltage. Checked at
+    /// the operating point, in saturation and in cutoff.
+    #[test]
+    fn charge_commit_matches_eval_bjt_bitwise() {
+        let (prep, x_op) = biased_stage();
+        let opts = Options::default();
+        let (b, bi, ci, ei) = (
+            slot(&prep, "v(b)"),
+            slot(&prep, "v(Q1.bi)"),
+            slot(&prep, "v(Q1.ci)"),
+            slot(&prep, "v(Q1.ei)"),
+        );
+        let m = q1_model(&prep);
+        let mut bank = ChargeBank::new(&prep);
+        for (k, st) in bank.states.iter_mut().enumerate() {
+            *st = ChargeState {
+                q: 1e-15 * k as f64,
+                i: -1e-6 * k as f64,
+            };
+        }
+        let b0 = bank.base[prep.circuit.find_element("Q1").unwrap()];
+        let saturated = {
+            let mut x = x_op.clone();
+            x[ci] = x[bi] - 0.3;
+            x
+        };
+        let cutoff = {
+            let mut x = x_op.clone();
+            x[bi] = x[ei] - 0.5;
+            x
+        };
+        for x in [x_op, saturated, cutoff] {
+            let a = 4e11;
+            let mode = Mode::Tran {
+                time: 1e-9,
+                a,
+                bank: &bank,
+                x_prev: &x,
+            };
+            let mut out = bank.states.clone();
+            update_all_charges(&prep, &x, &opts, &mode, &mut out);
+            let (vbe, vbc, vcs) = (x[bi] - x[ei], x[bi] - x[ci], -x[ci]);
+            let op = eval_bjt(m, vbe, vbc, vcs, opts.vt, opts.gmin);
+            let qbx = depletion(x[b] - x[ci], m.cjc * (1.0 - m.xcjc), m.vjc, m.mjc, m.fc).0;
+            for (k, q) in [op.qbe, op.qbc, qbx, op.qcs].into_iter().enumerate() {
+                let prev = bank.states[b0 + k];
+                let got = out[b0 + k];
+                assert_eq!(got.q.to_bits(), q.to_bits(), "slot {k} charge");
+                let i = a * (q - prev.q) - prev.i;
+                assert_eq!(got.i.to_bits(), i.to_bits(), "slot {k} current");
+            }
+        }
     }
 
     #[test]

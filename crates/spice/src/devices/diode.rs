@@ -95,7 +95,7 @@ impl Device for DiodeInstance {
     fn stamp_real(&self, cx: &RealCtx, mem: &mut NonlinMemory, s: &mut RealStamper) {
         let model = self.model(cx.prep);
         if self.internal != self.anode {
-            s.conductance(self.anode, self.internal, 1.0 / model.rs);
+            s.admittance(self.anode, self.internal, 1.0 / model.rs);
         }
         let vd_raw = read_slot(cx.x, self.internal) - read_slot(cx.x, self.cathode);
         let nvt = model.n * cx.opts.vt;
@@ -106,13 +106,13 @@ impl Device for DiodeInstance {
         }
         mem.diode[self.idx] = vd;
         let op = eval_diode(model, vd, cx.opts.vt, cx.opts.gmin);
-        s.conductance(self.internal, self.cathode, op.gd);
+        s.admittance(self.internal, self.cathode, op.gd);
         s.current(self.internal, self.cathode, op.id - op.gd * vd);
         if let Mode::Tran { a, bank, .. } = cx.mode {
             let st = bank.states[bank.base[self.idx]];
             let i = a * (op.qd - st.q) - st.i;
             let geq = a * op.cd;
-            s.conductance(self.internal, self.cathode, geq);
+            s.admittance(self.internal, self.cathode, geq);
             s.current(self.internal, self.cathode, i - geq * vd);
         }
     }

@@ -55,6 +55,70 @@ pub fn depletion(v: f64, cj: f64, vj: f64, m: f64, fc: f64) -> (f64, f64) {
     }
 }
 
+/// A depletion junction with its voltage-independent terms computed
+/// once: [`Junction::eval`] returns exactly the bits of [`depletion`]
+/// called with the same parameters, without the forward-bias branch's
+/// `powf` calls on constants.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Junction {
+    cj: f64,
+    vj: f64,
+    m: f64,
+    /// `fc * vj`: the forward-bias linearization point.
+    fcv: f64,
+    /// `cj * vj / (1 - m)`: the reverse-branch charge scale.
+    q_scale: f64,
+    /// SPICE F1, F2, F3.
+    f1: f64,
+    f2: f64,
+    f3: f64,
+    /// `m / (2 * vj)`: the forward-branch quadratic coefficient.
+    half_m_vj: f64,
+    /// `cj / f2`: the forward-branch capacitance scale.
+    c_scale: f64,
+}
+
+impl Junction {
+    /// Compiles the junction `depletion(_, cj, vj, m, fc)` evaluates.
+    pub(crate) fn new(cj: f64, vj: f64, m: f64, fc: f64) -> Self {
+        let fcv = fc * vj;
+        let f2 = (1.0 - fc).powf(1.0 + m);
+        Junction {
+            cj,
+            vj,
+            m,
+            fcv,
+            q_scale: cj * vj / (1.0 - m),
+            f1: vj / (1.0 - m) * (1.0 - (1.0 - fc).powf(1.0 - m)),
+            f2,
+            f3: 1.0 - fc * (1.0 + m),
+            half_m_vj: m / (2.0 * vj),
+            c_scale: cj / f2,
+        }
+    }
+
+    /// Depletion charge and capacitance at `v`, as [`depletion`].
+    #[inline]
+    pub(crate) fn eval(&self, v: f64) -> (f64, f64) {
+        if self.cj == 0.0 {
+            return (0.0, 0.0);
+        }
+        if v < self.fcv {
+            let arg = 1.0 - v / self.vj;
+            let q = self.q_scale * (1.0 - arg.powf(1.0 - self.m));
+            let c = self.cj * arg.powf(-self.m);
+            (q, c)
+        } else {
+            let fcv = self.fcv;
+            let q = self.cj
+                * (self.f1
+                    + (self.f3 * (v - fcv) + self.half_m_vj * (v * v - fcv * fcv)) / self.f2);
+            let c = self.c_scale * (self.f3 + self.m * v / self.vj);
+            (q, c)
+        }
+    }
+}
+
 /// Critical voltage for junction limiting: the voltage at which the diode
 /// curve's curvature makes naive Newton steps overshoot.
 pub fn vcrit(is_: f64, nvt: f64) -> f64 {
@@ -156,6 +220,36 @@ mod tests {
             let (_, c) = depletion(v, cj, vj, m, fc);
             let c_num = (qp - qm) / (2.0 * h);
             assert!((c - c_num).abs() / c < 1e-5, "v={v}");
+        }
+    }
+
+    #[test]
+    fn compiled_junction_is_bitwise_depletion() {
+        // (cj, vj, m, fc): typical cards, a zero-capacitance junction and
+        // a grading near the abrupt limit.
+        for (cj, vj, m, fc) in [
+            (1e-12, 0.75, 0.33, 0.5),
+            (2.3e-14, 0.9, 0.5, 0.8),
+            (0.0, 0.7, 0.4, 0.5),
+            (7e-15, 0.6, 0.01, 0.95),
+        ] {
+            let j = Junction::new(cj, vj, m, fc);
+            let fcv = fc * vj;
+            let mut vs = vec![-50.0, -3.0, -0.5, 0.0, 0.3, 0.9, 2.0, 10.0];
+            // Both sides of the FC·VJ boundary, to the last ULP.
+            vs.extend([
+                fcv,
+                f64::from_bits(fcv.to_bits() - 1),
+                f64::from_bits(fcv.to_bits() + 1),
+                fcv - 1e-9,
+                fcv + 1e-9,
+            ]);
+            for v in vs {
+                let (q, c) = j.eval(v);
+                let (qr, cr) = depletion(v, cj, vj, m, fc);
+                assert_eq!(q.to_bits(), qr.to_bits(), "q at v={v}, cj={cj}");
+                assert_eq!(c.to_bits(), cr.to_bits(), "c at v={v}, cj={cj}");
+            }
         }
     }
 

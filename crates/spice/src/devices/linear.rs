@@ -3,13 +3,14 @@
 //! the Newton loop caches them in the replay baseline.
 
 use super::{
-    AcCtx, AcStamper, Device, EdgeKind, NoiseGenerator, OpCtx, RealCtx, RealStamper, TopologyEdge,
+    AcCtx, AcStamper, Device, EdgeKind, NoiseGenerator, OpCtx, RealCtx, RealStamper, Stamper,
+    TopologyEdge,
 };
 use crate::analysis::stamp::{ChargeState, Mode, NonlinMemory};
 use crate::circuit::{read_slot, Circuit, ElementKind};
 use crate::devices::KB;
 use crate::wave::SourceWave;
-use ahfic_num::Complex;
+use ahfic_num::{Complex, Scalar};
 
 /// DC/transient value of an independent source waveform.
 fn source_value(wave: &SourceWave, mode: &Mode) -> f64 {
@@ -21,18 +22,11 @@ fn source_value(wave: &SourceWave, mode: &Mode) -> f64 {
 
 /// Branch-row pattern shared by every element that adds a branch
 /// current unknown `k` between terminals `p` and `n`.
-fn branch_rows(s: &mut RealStamper, p: usize, n: usize, k: usize) {
-    s.add(p, k, 1.0);
-    s.add(n, k, -1.0);
-    s.add(k, p, 1.0);
-    s.add(k, n, -1.0);
-}
-
-fn branch_rows_ac(s: &mut AcStamper, p: usize, n: usize, k: usize) {
-    s.add(p, k, Complex::ONE);
-    s.add(n, k, -Complex::ONE);
-    s.add(k, p, Complex::ONE);
-    s.add(k, n, -Complex::ONE);
+fn branch_rows<T: Scalar>(s: &mut Stamper<T>, p: usize, n: usize, k: usize) {
+    s.add(p, k, T::ONE);
+    s.add(n, k, -T::ONE);
+    s.add(k, p, T::ONE);
+    s.add(k, n, -T::ONE);
 }
 
 /// Linear resistor.
@@ -62,7 +56,7 @@ impl Device for Resistor {
     }
 
     fn stamp_real(&self, cx: &RealCtx, _mem: &mut NonlinMemory, s: &mut RealStamper) {
-        s.conductance(self.p, self.n, 1.0 / self.r(&cx.prep.circuit));
+        s.admittance(self.p, self.n, 1.0 / self.r(&cx.prep.circuit));
     }
 
     fn stamp_ac(&self, cx: &AcCtx, s: &mut AcStamper) {
@@ -119,7 +113,7 @@ impl Device for Capacitor {
             // equivalent source must not be written in terms of the
             // current iterate, or the cached replay baseline and a fresh
             // re-stamp would differ by rounding.
-            s.conductance(self.p, self.n, a * c);
+            s.admittance(self.p, self.n, a * c);
             s.current(self.p, self.n, -(a * st.q + st.i));
         }
     }
@@ -196,7 +190,7 @@ impl Device for Inductor {
 
     fn stamp_ac(&self, cx: &AcCtx, s: &mut AcStamper) {
         let jw = Complex::new(0.0, cx.omega);
-        branch_rows_ac(s, self.p, self.n, self.k);
+        branch_rows(s, self.p, self.n, self.k);
         s.add(self.k, self.k, -(jw * self.l(&cx.prep.circuit)));
     }
 }
@@ -231,7 +225,7 @@ impl Device for VoltageSource {
         let ElementKind::Vsource { ac, .. } = &cx.prep.circuit.elements()[self.idx].kind else {
             unreachable!("vsource device on non-vsource element")
         };
-        branch_rows_ac(s, self.p, self.n, self.k);
+        branch_rows(s, self.p, self.n, self.k);
         s.rhs_add(
             self.k,
             Complex::from_polar(ac.mag, ac.phase_deg.to_radians()),
@@ -326,7 +320,7 @@ impl Device for Vcvs {
 
     fn stamp_ac(&self, cx: &AcCtx, s: &mut AcStamper) {
         let gain = self.gain(&cx.prep.circuit);
-        branch_rows_ac(s, self.p, self.n, self.k);
+        branch_rows(s, self.p, self.n, self.k);
         s.add(self.k, self.cp, Complex::from_re(-gain));
         s.add(self.k, self.cn, Complex::from_re(gain));
     }
@@ -451,7 +445,7 @@ impl Device for Ccvs {
     }
 
     fn stamp_ac(&self, cx: &AcCtx, s: &mut AcStamper) {
-        branch_rows_ac(s, self.p, self.n, self.k);
+        branch_rows(s, self.p, self.n, self.k);
         s.add(self.k, self.j, Complex::from_re(-self.r(&cx.prep.circuit)));
     }
 }

@@ -37,12 +37,14 @@ pub mod mutual;
 pub use bjt::{eval_bjt, BjtOperating};
 pub use diode::{eval_diode, DiodeOperating};
 
+use crate::analysis::solver::ReplayTape;
 use crate::analysis::stamp::{ChargeState, MnaSink, Mode, NonlinMemory, Options};
 use crate::circuit::{
     node_slot, BjtNodes, BranchSlot, Circuit, ElementKind, Prepared, GROUND_SLOT,
 };
 use crate::error::{Result, SpiceError};
-use ahfic_num::Complex;
+use crate::model::BjtModel;
+use ahfic_num::{Complex, Scalar};
 use std::fmt;
 use std::sync::Arc;
 
@@ -93,101 +95,88 @@ impl OpCtx<'_> {
     }
 }
 
-/// Ground-guarded stamper for real-valued assembly. Wraps the matrix
-/// sink and the right-hand side; all slot arguments may be
-/// [`GROUND_SLOT`], in which case the contribution is dropped.
-pub struct RealStamper<'a> {
-    mat: &'a mut dyn MnaSink<f64>,
-    rhs: &'a mut [f64],
+/// Ground-guarded stamper: wraps a matrix sink and the right-hand side;
+/// all slot arguments may be [`GROUND_SLOT`], in which case the
+/// contribution is dropped. [`RealStamper`] assembles DC and transient
+/// systems, [`AcStamper`] complex small-signal ones.
+///
+/// Open one with [`MnaSink::stamper`]: a sparse solver kernel replaying
+/// its frozen pattern then takes each stamp straight into its value slot
+/// (after the same `(row, col)` sequence check), while every other sink
+/// receives [`MnaSink::add`] calls.
+pub struct Stamper<'a, T: Scalar> {
+    mat: Target<'a, T>,
+    rhs: &'a mut [T],
 }
 
-impl<'a> RealStamper<'a> {
-    /// Wraps a matrix sink and RHS vector.
-    pub fn new(mat: &'a mut dyn MnaSink<f64>, rhs: &'a mut [f64]) -> Self {
-        RealStamper { mat, rhs }
+/// Real-valued (DC / transient) stamper.
+pub type RealStamper<'a> = Stamper<'a, f64>;
+/// Complex small-signal stamper.
+pub type AcStamper<'a> = Stamper<'a, Complex>;
+
+/// Where a [`Stamper`] writes matrix entries.
+enum Target<'a, T: Scalar> {
+    /// Any sink, one [`MnaSink::add`] call per stamp.
+    Sink(&'a mut dyn MnaSink<T>),
+    /// A sparse kernel's value slots.
+    Tape(ReplayTape<'a, T>),
+}
+
+impl<'a, T: Scalar> Stamper<'a, T> {
+    /// Wraps a matrix sink and RHS vector; stamps go through
+    /// [`MnaSink::add`].
+    pub fn new(mat: &'a mut dyn MnaSink<T>, rhs: &'a mut [T]) -> Self {
+        Stamper {
+            mat: Target::Sink(mat),
+            rhs,
+        }
+    }
+
+    /// Wraps a sparse kernel's replay tape and RHS vector.
+    pub(crate) fn replaying(tape: ReplayTape<'a, T>, rhs: &'a mut [T]) -> Self {
+        Stamper {
+            mat: Target::Tape(tape),
+            rhs,
+        }
     }
 
     /// Adds `v` at `(r, c)` unless either index is ground.
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
+    #[inline]
+    pub fn add(&mut self, r: usize, c: usize, v: T) {
         if r != GROUND_SLOT && c != GROUND_SLOT {
-            self.mat.add(r, c, v);
+            match &mut self.mat {
+                Target::Tape(tape) => tape.add(r, c, v),
+                Target::Sink(mat) => mat.add(r, c, v),
+            }
         }
     }
 
     /// Adds `v` to RHS row `r` unless it is ground.
-    pub fn rhs_add(&mut self, r: usize, v: f64) {
+    #[inline]
+    pub fn rhs_add(&mut self, r: usize, v: T) {
         if r != GROUND_SLOT {
             self.rhs[r] += v;
         }
     }
 
-    /// Stamps a conductance `g` between nodes `p` and `n`.
-    pub fn conductance(&mut self, p: usize, n: usize, g: f64) {
-        self.add(p, p, g);
-        self.add(n, n, g);
-        self.add(p, n, -g);
-        self.add(n, p, -g);
-    }
-
-    /// Stamps an independent current `i` flowing from `p` to `n`.
-    pub fn current(&mut self, p: usize, n: usize, i: f64) {
-        self.rhs_add(p, -i);
-        self.rhs_add(n, i);
-    }
-
-    /// Stamps a transconductance: current `g * (v(cp) - v(cn))` from `p`
-    /// to `n`.
-    pub fn transadmittance(&mut self, p: usize, n: usize, cp: usize, cn: usize, g: f64) {
-        self.add(p, cp, g);
-        self.add(p, cn, -g);
-        self.add(n, cp, -g);
-        self.add(n, cn, g);
-    }
-}
-
-/// Ground-guarded stamper for complex small-signal assembly.
-pub struct AcStamper<'a> {
-    mat: &'a mut dyn MnaSink<Complex>,
-    rhs: &'a mut [Complex],
-}
-
-impl<'a> AcStamper<'a> {
-    /// Wraps a matrix sink and RHS vector.
-    pub fn new(mat: &'a mut dyn MnaSink<Complex>, rhs: &'a mut [Complex]) -> Self {
-        AcStamper { mat, rhs }
-    }
-
-    /// Adds `v` at `(r, c)` unless either index is ground.
-    pub fn add(&mut self, r: usize, c: usize, v: Complex) {
-        if r != GROUND_SLOT && c != GROUND_SLOT {
-            self.mat.add(r, c, v);
-        }
-    }
-
-    /// Adds `v` to RHS row `r` unless it is ground.
-    pub fn rhs_add(&mut self, r: usize, v: Complex) {
-        if r != GROUND_SLOT {
-            self.rhs[r] += v;
-        }
-    }
-
-    /// Stamps an admittance `y` between nodes `p` and `n`.
-    pub fn admittance(&mut self, p: usize, n: usize, y: Complex) {
+    /// Stamps an admittance `y` between nodes `p` and `n` (a conductance
+    /// in real assembly).
+    pub fn admittance(&mut self, p: usize, n: usize, y: T) {
         self.add(p, p, y);
         self.add(n, n, y);
         self.add(p, n, -y);
         self.add(n, p, -y);
     }
 
-    /// Stamps an independent phasor current `i` flowing from `p` to `n`.
-    pub fn current(&mut self, p: usize, n: usize, i: Complex) {
+    /// Stamps an independent current `i` flowing from `p` to `n`.
+    pub fn current(&mut self, p: usize, n: usize, i: T) {
         self.rhs_add(p, -i);
         self.rhs_add(n, i);
     }
 
     /// Stamps a transadmittance: current `y * (v(cp) - v(cn))` from `p`
     /// to `n`.
-    pub fn transadmittance(&mut self, p: usize, n: usize, cp: usize, cn: usize, y: Complex) {
+    pub fn transadmittance(&mut self, p: usize, n: usize, cp: usize, cn: usize, y: T) {
         self.add(p, cp, y);
         self.add(p, cn, -y);
         self.add(n, cp, -y);
@@ -305,7 +294,8 @@ impl TopologyEdge {
 /// [`RealCtx::prep`]`.circuit` at stamp time (never cache them at
 /// compile time) so that sweeps mutating the compiled circuit — DC
 /// source sweeps, Monte-Carlo resistance perturbations — are picked up
-/// without recompiling.
+/// without recompiling. Model cards never change after compile, so
+/// constants derived from them may be cached in the device.
 pub trait Device: Send + Sync + fmt::Debug {
     /// Index of the element this device was compiled from.
     fn index(&self) -> usize;
@@ -369,6 +359,7 @@ pub(crate) fn build_devices(
     circuit: &Circuit,
     branch_of: &[BranchSlot],
     bjt_nodes: &[Option<BjtNodes>],
+    scaled_bjt: &[Option<BjtModel>],
     diode_internal: &[Option<usize>],
 ) -> Result<DeviceSet> {
     let elements = circuit.elements();
@@ -454,6 +445,9 @@ pub(crate) fn build_devices(
             ElementKind::Bjt { .. } => Arc::new(bjt::BjtInstance {
                 idx,
                 nodes: bjt_nodes[idx].expect("BJT internal nodes resolved"),
+                junctions: bjt::BjtJunctions::new(
+                    scaled_bjt[idx].as_ref().expect("BJT model scaled"),
+                ),
             }),
             ElementKind::MutualInd { l1, l2, k } => {
                 let (i1, k1) = coupled_inductor(circuit, branch_of, &el.name, l1)?;

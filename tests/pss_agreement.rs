@@ -1,63 +1,21 @@
 //! Shooting-Newton periodic steady state pinned against brute-force
-//! transient ring-down and against a closed-form phasor solution.
+//! transient ring-down.
 //!
 //! The PSS engine finds the periodic orbit directly; the ring-down
 //! reference is the same circuit integrated long enough for every
 //! natural time constant to die out. The two must land on the same
 //! waveform — sample-for-sample for the stiff rectifier (1 mV),
 //! fundamental amplitude for the weakly-damped coupled tank (0.1 dB).
-//! A linear RC lowpass checks the orbit against physics instead:
-//! its fundamental must match `H = 1/(1 + jωRC)`.
+//! The PSS-against-physics check (a driven RC vs its phasor solution)
+//! lives in `tests/analytic.rs`.
 
-use ahfic_num::Complex;
+mod common;
+
 use ahfic_spice::analysis::{PssParams, Session, TranParams};
 use ahfic_spice::circuit::Circuit;
-use ahfic_spice::wave::{SourceWave, Waveform};
+use ahfic_spice::wave::SourceWave;
 use ahfic_spice::DiodeModel;
-
-/// Linear interpolation of an (irregularly sampled) transient signal.
-fn sample_at(ts: &[f64], ys: &[f64], t: f64) -> f64 {
-    let i = ts.partition_point(|&x| x < t).clamp(1, ts.len() - 1);
-    let (t0, t1) = (ts[i - 1], ts[i]);
-    let frac = if t1 > t0 {
-        ((t - t0) / (t1 - t0)).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    ys[i - 1] + frac * (ys[i] - ys[i - 1])
-}
-
-/// Fundamental phasor of `signal` over `[t_start, t_end]` by
-/// trapezoidal Fourier projection at `freq` (the window must hold an
-/// integer number of cycles for this to be leakage-free).
-fn fundamental_phasor(
-    wave: &Waveform,
-    signal: &str,
-    freq: f64,
-    t_start: f64,
-    t_end: f64,
-) -> Complex {
-    let ts = wave.axis();
-    let ys = wave.signal(signal).expect("signal exists");
-    let w = 2.0 * std::f64::consts::PI * freq;
-    let f = |t: f64| {
-        let y = sample_at(ts, ys, t);
-        Complex::new(y * (w * t).cos(), -y * (w * t).sin())
-    };
-    // Integrate on the union of the window edges and the samples inside.
-    let mut acc = Complex::new(0.0, 0.0);
-    let mut prev_t = t_start;
-    let mut prev_f = f(t_start);
-    for &t in ts.iter().filter(|&&t| t > t_start && t < t_end) {
-        let cur = f(t);
-        acc += (prev_f + cur).scale(0.5 * (t - prev_t));
-        prev_t = t;
-        prev_f = cur;
-    }
-    let end = f(t_end);
-    acc += (prev_f + end).scale(0.5 * (t_end - prev_t));
-    acc.scale(2.0 / (t_end - t_start))
-}
+use common::{fundamental_phasor, sample_at};
 
 /// Half-wave rectifier whose ring-down time constant (RL·CL = 2 µs)
 /// spans many drive periods.
@@ -177,58 +135,4 @@ fn coupled_tank_pss_amplitude_matches_ringdown_within_tenth_db() {
             "{node}: PSS {a_pss:.6} V vs ring-down {a_ring:.6} V ({delta_db:+.4} dB)"
         );
     }
-}
-
-/// Sine-driven RC lowpass: the PSS orbit's fundamental must match the
-/// phasor solution `H = 1/(1 + jωRC)`, i.e. `|H| = 1/√(1+(ωRC)²)` and
-/// `∠H = −atan(ωRC)`. Shooting starts from the DC point with no warmup,
-/// so the orbit comes from the matrix-free GMRES update. Tolerance:
-/// trapezoidal integration at 256 steps per period warps `ωRC` by
-/// about `(ωh)²/12 ≈ 5e-5` relative, so 1e-3 relative in magnitude and
-/// 0.05° in phase hold with margin while any wrong orbit (a shifted
-/// period, a sign slip, an unconverged update) fails by far more.
-#[test]
-fn driven_rc_pss_matches_phasor_closed_form() {
-    let (r, cap, freq) = (1e3, 200e-12, 1e6);
-    let period = 1.0 / freq;
-    let mut c = Circuit::new();
-    let vin = c.node("vin");
-    let out = c.node("out");
-    c.vsource_wave(
-        "VIN",
-        vin,
-        Circuit::gnd(),
-        SourceWave::Sin {
-            offset: 0.0,
-            ampl: 1.0,
-            freq,
-            delay: 0.0,
-            damping: 0.0,
-            phase_deg: 0.0,
-        },
-    );
-    c.resistor("R1", vin, out, r);
-    c.capacitor("C1", out, Circuit::gnd(), cap);
-    let sess = Session::compile(&c).expect("rc compiles");
-    let pss = sess
-        .pss(&PssParams::new(period, 256).warmup_periods(0))
-        .expect("rc pss");
-    assert!(pss.is_converged(), "{:?}", pss.status());
-    assert!(pss.gmres_iterations > 0, "shooting never ran GMRES");
-
-    let h = fundamental_phasor(pss.wave(), "v(out)", freq, 0.0, period)
-        / fundamental_phasor(pss.wave(), "v(vin)", freq, 0.0, period);
-    let wrc = 2.0 * std::f64::consts::PI * freq * r * cap;
-    let mag = 1.0 / (1.0 + wrc * wrc).sqrt();
-    let phase_deg = -wrc.atan().to_degrees();
-    assert!(
-        (h.abs() / mag - 1.0).abs() < 1e-3,
-        "|H| {:.6} vs closed form {mag:.6}",
-        h.abs()
-    );
-    assert!(
-        (h.arg_deg() - phase_deg).abs() < 0.05,
-        "angle H {:.4} deg vs closed form {phase_deg:.4} deg",
-        h.arg_deg()
-    );
 }
