@@ -87,7 +87,7 @@ struct Deck {
     ac_freqs: Vec<f64>,
     tran: TranParams,
     /// The mixer bench: PSS on its LO orbit, and its image-rejection
-    /// ratio by two PAC runs.
+    /// ratio by one PAC call over both sidebands.
     mixer: Option<HartleyMixerParams>,
 }
 

@@ -188,19 +188,19 @@ impl PssResult {
 /// Reusable one-period integrator: the fixed grid plus every buffer a
 /// period integration needs, so the dozens of integrations a shooting
 /// solve performs allocate nothing after the first.
-pub(crate) struct PeriodIntegrator<'a> {
+struct PeriodIntegrator<'a> {
     prep: &'a Prepared,
     opts: &'a Options,
     /// Fixed time grid over `[0, period]`, endpoints included.
-    pub(crate) grid: Vec<f64>,
+    grid: Vec<f64>,
     ws: SolverWorkspace<f64>,
     mem: NonlinMemory,
     bank: ChargeBank,
     scratch_states: Vec<ChargeState>,
     /// Newton iterations across every integration so far.
-    pub(crate) newton_iterations: u64,
+    newton_iterations: u64,
     /// Timesteps attempted across every integration so far.
-    pub(crate) steps: u64,
+    steps: u64,
 }
 
 /// Bisection depth per grid interval when an inner Newton solve fails:
@@ -208,7 +208,7 @@ pub(crate) struct PeriodIntegrator<'a> {
 const MAX_SPLIT: u32 = 6;
 
 impl<'a> PeriodIntegrator<'a> {
-    pub(crate) fn new(prep: &'a Prepared, opts: &'a Options, params: &PssParams) -> Self {
+    fn new(prep: &'a Prepared, opts: &'a Options, params: &PssParams) -> Self {
         // Uniform grid merged with the device-declared breakpoints
         // (source corners), so sharp LO edges are hit exactly on every
         // integration and Φ stays smooth in x₀.
@@ -243,15 +243,8 @@ impl<'a> PeriodIntegrator<'a> {
 
     /// Integrates one period from `x0`, returning the end state. When
     /// `record` is given, every grid sample (including the start) is
-    /// pushed into it. `t_offset` shifts the grid in absolute time —
-    /// the PSS shooting loop always passes `0.0`; the periodic
-    /// small-signal analysis tiles consecutive periods with it.
-    pub(crate) fn integrate(
-        &mut self,
-        x0: &[f64],
-        t_offset: f64,
-        mut record: Option<&mut Waveform>,
-    ) -> Result<Vec<f64>> {
+    /// pushed into it.
+    fn integrate(&mut self, x0: &[f64], mut record: Option<&mut Waveform>) -> Result<Vec<f64>> {
         let mut x = x0.to_vec();
         // Charge bank initialized at the starting solution. The `a = 0`
         // companion reads `i = -i_prev` from the bank, so the bank must
@@ -265,7 +258,7 @@ impl<'a> PeriodIntegrator<'a> {
         }
         {
             let mode = Mode::Tran {
-                time: t_offset + self.grid[0],
+                time: self.grid[0],
                 a: 0.0,
                 bank: &self.bank,
                 x_prev: &x,
@@ -274,10 +267,10 @@ impl<'a> PeriodIntegrator<'a> {
         }
         self.bank.states.copy_from_slice(&self.scratch_states);
         if let Some(w) = record.as_deref_mut() {
-            w.push_sample(t_offset + self.grid[0], &x);
+            w.push_sample(self.grid[0], &x);
         }
         for k in 1..self.grid.len() {
-            let (t0, t1) = (t_offset + self.grid[k - 1], t_offset + self.grid[k]);
+            let (t0, t1) = (self.grid[k - 1], self.grid[k]);
             // First step of the period is backward Euler: the zeroed
             // init current is exactly the BE companion, so the step is
             // self-starting. A trapezoidal first step would instead
@@ -345,7 +338,7 @@ impl<'a> PeriodIntegrator<'a> {
     }
 
     /// A fresh empty waveform shaped for this circuit's unknowns.
-    pub(crate) fn fresh_wave(&self) -> Waveform {
+    fn fresh_wave(&self) -> Waveform {
         let mut w = Waveform::new("time");
         for name in &self.prep.unknown_names {
             w.push_signal(name);
@@ -389,7 +382,7 @@ impl LinearOperator<f64> for ShootingOp<'_, '_> {
             self.xp
                 .extend(self.x0.iter().zip(v).map(|(&x, &vi)| x + eps * vi));
             let xp = std::mem::take(&mut self.xp);
-            match self.integ.integrate(&xp, 0.0, None) {
+            match self.integ.integrate(&xp, None) {
                 Ok(phi) => {
                     for ((yi, &pi), (&p0, &vi)) in
                         y.iter_mut().zip(&phi).zip(self.phi0.iter().zip(v))
@@ -457,7 +450,7 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
         if opts.cancel.cancelled() {
             break;
         }
-        x0 = integ.integrate(&x0, 0.0, None)?;
+        x0 = integ.integrate(&x0, None)?;
     }
 
     let n = prep.num_unknowns;
@@ -506,7 +499,7 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
 
         // Φ(x₀), recording the candidate orbit.
         let mut wave = integ.fresh_wave();
-        let phi0 = match integ.integrate(&x0, 0.0, Some(&mut wave)) {
+        let phi0 = match integ.integrate(&x0, Some(&mut wave)) {
             Ok(p) => p,
             Err(e) if e.is_abort() => {
                 status = Some(match e {

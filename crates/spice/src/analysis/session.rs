@@ -342,8 +342,9 @@ impl Session {
         pss_impl(&self.prepared, &self.options, params)
     }
 
-    /// Periodic small-signal conversion gain (PSS plus a difference
-    /// transient against the tiled orbit).
+    /// Periodic small-signal conversion gain of every input tone in
+    /// `params.freqs_in`: one PSS, then the circuit linearized along the
+    /// orbit (see [`crate::analysis::pac`]).
     ///
     /// Mutates the input source's waveform in place (restoring it
     /// afterwards), so a deck shared with other sessions is copied on
@@ -353,7 +354,9 @@ impl Session {
     ///
     /// Same failure modes as [`Session::pss`], plus
     /// [`crate::error::SpiceError::BadAnalysis`] when the measurement
-    /// window does not hold an integer number of input/output cycles.
+    /// window does not hold an integer number of input/output cycles,
+    /// and the typed cancellation and budget errors when the recurrence
+    /// is stopped at a period boundary.
     pub fn pac(&mut self, pss_params: &PssParams, params: &PacParams) -> Result<PacResult> {
         pac_impl(
             Arc::make_mut(&mut self.prepared),

@@ -4,7 +4,7 @@
 
 mod common;
 
-use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, TranParams};
+use ahfic_spice::analysis::{bjt_operating, Options, PacParams, PssParams, Session, TranParams};
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::devices::junction::VT_300K;
 use ahfic_spice::wave::SourceWave;
@@ -151,4 +151,82 @@ fn driven_rc_pss_matches_phasor_closed_form() {
         "angle H {:.4} deg vs closed form {phase_deg:.4} deg",
         h.arg_deg()
     );
+}
+
+/// Emitter-pumped BJT mixer: the LO `V_E + A·sin ωt` drives the emitter,
+/// the RF reaches the base through a stiff source at `V_B`, and `R_L`
+/// loads the collector. With no charges, no resistances and `VAF`
+/// infinite, the collector current is `IS·e^(v_BE/VT)`, so a small base
+/// signal `δv` gives `δi_C = (IS/VT)·e^((V_B − V_E)/VT)·e^(−z·sin ωt)·δv`
+/// with `z = A/VT`. The `e^(−z·sin ωt)` term's fundamental is
+/// `−2·I_1(z)·sin ωt` (modified Bessel function of the first kind), so
+/// either sideband `f_LO ± f_IF` converts to the IF with gain
+/// `R_L·(IS/VT)·e^((V_B − V_E)/VT)·I_1(z)`. The bench has no dynamics,
+/// so the periodic small-signal solve meets this to within the gmin
+/// leak across the collector junction (`GMIN·R_L` = 1e-9 relative); a
+/// large-signal difference with a finite tone `a` would add the
+/// `(a/VT)²/8` term of `I_1`'s expansion (1.9e-4 at 1 mV). Tolerance
+/// 1e-6 relative on both sidebands.
+#[test]
+fn emitter_pumped_bjt_conversion_gain_is_bessel_i1() {
+    let (vcc, rl, vb, ve, lo_ampl) = (5.0, 1e3, 0.75, 0.1, 0.1);
+    let (f_lo, f_if) = (10e6, 1e6);
+    let model = BjtModel::default();
+    let is = model.is_;
+    let mut c = Circuit::new();
+    let supply = c.node("vcc");
+    let bias = c.node("bb");
+    let b = c.node("b");
+    let col = c.node("c");
+    let e = c.node("e");
+    c.vsource("VCC", supply, Circuit::gnd(), vcc);
+    c.resistor("RL", supply, col, rl);
+    c.vsource("VB", bias, Circuit::gnd(), vb);
+    c.vsource_wave("VRF", b, bias, SourceWave::Dc(0.0));
+    c.vsource_wave(
+        "VLO",
+        e,
+        Circuit::gnd(),
+        SourceWave::Sin {
+            offset: ve,
+            ampl: lo_ampl,
+            freq: f_lo,
+            delay: 0.0,
+            damping: 0.0,
+            phase_deg: 0.0,
+        },
+    );
+    let m = c.add_bjt_model(model);
+    c.bjt("Q1", col, b, e, m, 1.0);
+    let mut sess = Session::compile(&c).expect("mixer compiles");
+    let pac = sess
+        .pac(
+            &PssParams::new(1.0 / f_lo, 200),
+            &PacParams::new("VRF", "v(c)", [f_lo + f_if, f_lo - f_if], f_if).measure_periods(10),
+        )
+        .expect("mixer pac");
+    let want = rl * is / VT_300K * ((vb - ve) / VT_300K).exp() * bessel_i1(lo_ampl / VT_300K);
+    for (tone, g) in pac.gains.iter().enumerate() {
+        assert!(
+            (g.abs() / want - 1.0).abs() < 1e-6,
+            "sideband {tone}: |gain| {:.9e} vs R_L·g0·I_1(z) {want:.9e}",
+            g.abs()
+        );
+    }
+}
+
+/// Modified Bessel function `I_1(z) = Σ_m (z/2)^(2m+1) / (m!·(m+1)!)`,
+/// summed until the terms no longer change the sum.
+fn bessel_i1(z: f64) -> f64 {
+    let q = 0.25 * z * z;
+    let mut term = 0.5 * z;
+    let mut sum = term;
+    for m in 1..200 {
+        term *= q / (m * (m + 1)) as f64;
+        if sum + term == sum {
+            break;
+        }
+        sum += term;
+    }
+    sum
 }
