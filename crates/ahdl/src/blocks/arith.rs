@@ -21,6 +21,11 @@ impl Gain {
             k: 10f64.powf(db / 20.0),
         }
     }
+
+    #[inline]
+    fn sample(&self, x: f64) -> f64 {
+        self.k * x
+    }
 }
 
 impl Block for Gain {
@@ -31,7 +36,12 @@ impl Block for Gain {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self.k * inputs[0];
+        outputs[0] = self.sample(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.sample(x);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -67,6 +77,17 @@ impl Adder {
         assert!(!weights.is_empty(), "adder needs at least one input");
         Adder { weights }
     }
+
+    /// The weighted sum of sample `j` of port-major inputs `stride`
+    /// samples long.
+    #[inline]
+    fn sum_at(&self, inputs: &[f64], stride: usize, j: usize) -> f64 {
+        self.weights
+            .iter()
+            .enumerate()
+            .map(|(p, w)| w * inputs[p * stride + j])
+            .sum()
+    }
 }
 
 impl Block for Adder {
@@ -77,12 +98,12 @@ impl Block for Adder {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self
-            .weights
-            .iter()
-            .zip(inputs.iter())
-            .map(|(w, x)| w * x)
-            .sum();
+        outputs[0] = self.sum_at(inputs, 1, 0);
+    }
+    fn tick_frame(&mut self, _k0: usize, n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (j, y) in outputs.iter_mut().enumerate() {
+            *y = self.sum_at(inputs, n, j);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -103,6 +124,11 @@ impl Mixer {
     pub fn new(k: f64) -> Self {
         Mixer { k }
     }
+
+    #[inline]
+    fn sample(&self, a: f64, b: f64) -> f64 {
+        self.k * a * b
+    }
 }
 
 impl Block for Mixer {
@@ -113,7 +139,13 @@ impl Block for Mixer {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self.k * inputs[0] * inputs[1];
+        outputs[0] = self.sample(inputs[0], inputs[1]);
+    }
+    fn tick_frame(&mut self, _k0: usize, n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        let (a, b) = inputs.split_at(n);
+        for ((y, &a), &b) in outputs.iter_mut().zip(a).zip(b) {
+            *y = self.sample(a, b);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -144,6 +176,16 @@ impl Block for Constant {
     }
     fn tick(&mut self, _t: f64, _dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = self.level;
+    }
+    fn tick_frame(
+        &mut self,
+        _k0: usize,
+        _n: usize,
+        _dt: f64,
+        _inputs: &[f64],
+        outputs: &mut [f64],
+    ) {
+        outputs.fill(self.level);
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {

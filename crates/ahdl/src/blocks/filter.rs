@@ -179,6 +179,12 @@ impl FilterChain {
             .iter()
             .fold(ahfic_num::Complex::ONE, |acc, s| acc * s.response(f, fs))
     }
+
+    /// Passes one sample through every section in turn.
+    #[inline]
+    fn step(&mut self, x: f64) -> f64 {
+        self.sections.iter_mut().fold(x, |x, s| s.step(x))
+    }
 }
 
 impl Block for FilterChain {
@@ -189,11 +195,12 @@ impl Block for FilterChain {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        let mut x = inputs[0];
-        for s in &mut self.sections {
-            x = s.step(x);
+        outputs[0] = self.step(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.step(x);
         }
-        outputs[0] = x;
     }
     fn reset(&mut self) {
         for s in &mut self.sections {
@@ -237,6 +244,11 @@ impl Block for FirstOrderLp {
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
         outputs[0] = self.section.step(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.section.step(x);
+        }
     }
     fn reset(&mut self) {
         self.section.clear();

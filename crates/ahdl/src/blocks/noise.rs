@@ -38,6 +38,11 @@ impl GaussianNoise {
         self.spare = Some(r * theta.sin());
         r * theta.cos()
     }
+
+    #[inline]
+    fn sample(&mut self) -> f64 {
+        self.rms * self.draw()
+    }
 }
 
 impl Block for GaussianNoise {
@@ -48,7 +53,19 @@ impl Block for GaussianNoise {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self.rms * self.draw();
+        outputs[0] = self.sample();
+    }
+    fn tick_frame(
+        &mut self,
+        _k0: usize,
+        _n: usize,
+        _dt: f64,
+        _inputs: &[f64],
+        outputs: &mut [f64],
+    ) {
+        for y in outputs {
+            *y = self.sample();
+        }
     }
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);

@@ -20,6 +20,11 @@ impl HardLimiter {
         assert!(limit > 0.0, "limit must be positive");
         HardLimiter { limit }
     }
+
+    #[inline]
+    fn sample(&self, x: f64) -> f64 {
+        x.clamp(-self.limit, self.limit)
+    }
 }
 
 impl Block for HardLimiter {
@@ -30,7 +35,12 @@ impl Block for HardLimiter {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = inputs[0].clamp(-self.limit, self.limit);
+        outputs[0] = self.sample(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.sample(x);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -56,6 +66,11 @@ impl SoftLimiter {
         assert!(limit > 0.0, "limit must be positive");
         SoftLimiter { limit }
     }
+
+    #[inline]
+    fn sample(&self, x: f64) -> f64 {
+        self.limit * (x / self.limit).tanh()
+    }
 }
 
 impl Block for SoftLimiter {
@@ -66,7 +81,12 @@ impl Block for SoftLimiter {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self.limit * (inputs[0] / self.limit).tanh();
+        outputs[0] = self.sample(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.sample(x);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -101,6 +121,11 @@ impl Polynomial {
             (4.0 / 3.0 * (self.a1 / self.a3).abs()).sqrt()
         }
     }
+
+    #[inline]
+    fn sample(&self, x: f64) -> f64 {
+        self.a1 * x + self.a2 * x * x + self.a3 * x * x * x
+    }
 }
 
 impl Block for Polynomial {
@@ -111,8 +136,12 @@ impl Block for Polynomial {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        let x = inputs[0];
-        outputs[0] = self.a1 * x + self.a2 * x * x + self.a3 * x * x * x;
+        outputs[0] = self.sample(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.sample(x);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {

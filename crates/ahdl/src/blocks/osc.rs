@@ -27,6 +27,11 @@ impl SineSource {
             offset: 0.0,
         }
     }
+
+    #[inline]
+    fn sample(&self, t: f64) -> f64 {
+        self.offset + self.ampl * (2.0 * PI * self.freq * t + self.phase).sin()
+    }
 }
 
 impl Block for SineSource {
@@ -37,7 +42,12 @@ impl Block for SineSource {
         1
     }
     fn tick(&mut self, t: f64, _dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
-        outputs[0] = self.offset + self.ampl * (2.0 * PI * self.freq * t + self.phase).sin();
+        outputs[0] = self.sample(t);
+    }
+    fn tick_frame(&mut self, k0: usize, _n: usize, dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
+        for (j, y) in outputs.iter_mut().enumerate() {
+            *y = self.sample((k0 + j) as f64 * dt);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -80,6 +90,16 @@ impl QuadratureLo {
         self.phase_err_deg = phase_err_deg;
         self
     }
+
+    /// The `(I, Q)` outputs at time `t`.
+    #[inline]
+    fn sample(&self, t: f64) -> (f64, f64) {
+        let w = 2.0 * PI * self.freq * t;
+        (
+            self.ampl * w.cos(),
+            self.ampl * (1.0 + self.gain_err) * (w + self.phase_err_deg.to_radians()).sin(),
+        )
+    }
 }
 
 impl Block for QuadratureLo {
@@ -90,10 +110,13 @@ impl Block for QuadratureLo {
         2
     }
     fn tick(&mut self, t: f64, _dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
-        let w = 2.0 * PI * self.freq * t;
-        outputs[0] = self.ampl * w.cos();
-        outputs[1] =
-            self.ampl * (1.0 + self.gain_err) * (w + self.phase_err_deg.to_radians()).sin();
+        (outputs[0], outputs[1]) = self.sample(t);
+    }
+    fn tick_frame(&mut self, k0: usize, n: usize, dt: f64, _inputs: &[f64], outputs: &mut [f64]) {
+        let (i, q) = outputs.split_at_mut(n);
+        for (j, (i, q)) in i.iter_mut().zip(q).enumerate() {
+            (*i, *q) = self.sample((k0 + j) as f64 * dt);
+        }
     }
     fn reset(&mut self) {}
     fn kind(&self) -> &str {
@@ -125,6 +148,16 @@ impl Vco {
             phase: 0.0,
         }
     }
+
+    /// Advances the phase by one step of input `x` and returns the output.
+    #[inline]
+    fn step(&mut self, x: f64, dt: f64) -> f64 {
+        self.phase += 2.0 * PI * (self.f0 + self.kvco * x) * dt;
+        if self.phase > 2.0 * PI {
+            self.phase -= 2.0 * PI * (self.phase / (2.0 * PI)).floor();
+        }
+        self.ampl * self.phase.sin()
+    }
 }
 
 impl Block for Vco {
@@ -135,11 +168,12 @@ impl Block for Vco {
         1
     }
     fn tick(&mut self, _t: f64, dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        self.phase += 2.0 * PI * (self.f0 + self.kvco * inputs[0]) * dt;
-        if self.phase > 2.0 * PI {
-            self.phase -= 2.0 * PI * (self.phase / (2.0 * PI)).floor();
+        outputs[0] = self.step(inputs[0], dt);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.step(x, dt);
         }
-        outputs[0] = self.ampl * self.phase.sin();
     }
     fn reset(&mut self) {
         self.phase = 0.0;

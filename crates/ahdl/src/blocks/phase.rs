@@ -40,6 +40,16 @@ impl PhaseShifter90 {
         let h = (z1 - self.a) / (Complex::ONE - z1 * self.a);
         h.arg()
     }
+
+    /// Processes one sample.
+    #[inline]
+    fn step(&mut self, x: f64) -> f64 {
+        // DF-II all-pass: y[n] = -a*x[n] + x[n-1] + a*y[n-1]; store the
+        // combined state z = x[n-1] + a*y[n-1].
+        let y = -self.a * x + self.z;
+        self.z = x + self.a * y;
+        y
+    }
 }
 
 impl Block for PhaseShifter90 {
@@ -50,12 +60,12 @@ impl Block for PhaseShifter90 {
         1
     }
     fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        // DF-II all-pass: y[n] = -a*x[n] + x[n-1] + a*y[n-1]; store the
-        // combined state z = x[n-1] + a*y[n-1].
-        let x = inputs[0];
-        let y = -self.a * x + self.z;
-        self.z = x + self.a * y;
-        outputs[0] = y;
+        outputs[0] = self.step(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.step(x);
+        }
     }
     fn reset(&mut self) {
         self.z = 0.0;
@@ -99,6 +109,15 @@ impl ImpairedShifter90 {
             gain_err,
         }
     }
+
+    /// Processes one sample.
+    #[inline]
+    fn step(&mut self, x: f64) -> f64 {
+        // For a narrowband tone at f0: `x` is the 0° phasor and `shifted`
+        // the -90° phasor; the combination below realizes -90° + e.
+        let shifted = self.inner.step(x);
+        self.gain * (self.cos_e * shifted + self.sin_e * x)
+    }
 }
 
 impl Block for ImpairedShifter90 {
@@ -108,13 +127,13 @@ impl Block for ImpairedShifter90 {
     fn num_outputs(&self) -> usize {
         1
     }
-    fn tick(&mut self, t: f64, dt: f64, inputs: &[f64], outputs: &mut [f64]) {
-        let mut shifted = [0.0];
-        self.inner.tick(t, dt, inputs, &mut shifted);
-        // For a narrowband tone at f0: `inputs[0]` is the 0° phasor and
-        // `shifted[0]` the -90° phasor; the combination below realizes
-        // -90° + e.
-        outputs[0] = self.gain * (self.cos_e * shifted[0] + self.sin_e * inputs[0]);
+    fn tick(&mut self, _t: f64, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        outputs[0] = self.step(inputs[0]);
+    }
+    fn tick_frame(&mut self, _k0: usize, _n: usize, _dt: f64, inputs: &[f64], outputs: &mut [f64]) {
+        for (y, &x) in outputs.iter_mut().zip(inputs) {
+            *y = self.step(x);
+        }
     }
     fn reset(&mut self) {
         self.inner.reset();

@@ -30,20 +30,22 @@ impl Trace {
         }
     }
 
-    /// Appends one sample row.
+    /// Appends a frame of `n` samples of every signal, one slice per
+    /// signal in signal order.
     ///
     /// # Panics
     ///
-    /// Panics if the iterator yields a different count than the signal
-    /// count.
-    pub fn push(&mut self, values: impl Iterator<Item = f64>) {
+    /// Panics if the slice count differs from the signal count, or a
+    /// slice is not `n` samples long.
+    pub fn push_frame<'a>(&mut self, n: usize, columns: impl Iterator<Item = &'a [f64]>) {
         let mut count = 0;
-        for (k, v) in values.enumerate() {
-            self.data[k].push(v);
+        for (k, xs) in columns.enumerate() {
+            assert_eq!(xs.len(), n, "frame length mismatch");
+            self.data[k].extend_from_slice(xs);
             count += 1;
         }
         assert_eq!(count, self.data.len(), "row width mismatch");
-        self.len += 1;
+        self.len += n;
     }
 
     /// Sample rate (Hz).
@@ -121,9 +123,11 @@ mod tests {
 
     fn trace() -> Trace {
         let mut t = Trace::with_capacity(10.0, &["a".into(), "b".into()], 4);
-        for k in 0..4 {
-            t.push([k as f64, -(k as f64)].into_iter());
-        }
+        t.push_frame(1, [&[0.0][..], &[0.0][..]].into_iter());
+        t.push_frame(
+            3,
+            [&[1.0, 2.0, 3.0][..], &[-1.0, -2.0, -3.0][..]].into_iter(),
+        );
         t
     }
 
@@ -161,6 +165,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         let mut t = Trace::with_capacity(1.0, &["a".into(), "b".into()], 1);
-        t.push([1.0].into_iter());
+        t.push_frame(1, [&[1.0][..]].into_iter());
     }
 }

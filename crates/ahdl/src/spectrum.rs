@@ -80,15 +80,17 @@ mod tests {
     use std::f64::consts::PI;
 
     fn tone_trace(fs: f64, comps: &[(f64, f64)], n: usize) -> Trace {
+        let x: Vec<f64> = (0..n)
+            .map(|k| {
+                let tt = k as f64 / fs;
+                comps
+                    .iter()
+                    .map(|&(f, a)| a * (2.0 * PI * f * tt).sin())
+                    .sum()
+            })
+            .collect();
         let mut t = Trace::with_capacity(fs, &["x".into()], n);
-        for k in 0..n {
-            let tt = k as f64 / fs;
-            let v: f64 = comps
-                .iter()
-                .map(|&(f, a)| a * (2.0 * PI * f * tt).sin())
-                .sum();
-            t.push([v].into_iter());
-        }
+        t.push_frame(n, std::iter::once(&x[..]));
         t
     }
 

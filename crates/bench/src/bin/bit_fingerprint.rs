@@ -1,10 +1,13 @@
-//! Prints a bit-exact fingerprint of every analysis on three decks, so
-//! two builds can be compared for bit-identical results.
+//! Prints a bit-exact fingerprint of every analysis on three decks, and
+//! of the behavioral simulator on the paper's systems, so two builds can
+//! be compared for bit-identical results.
 //!
-//! One line per deck, analysis and [`SolverChoice`]:
+//! One line per deck, analysis and [`SolverChoice`], then one per
+//! behavioral system and case:
 //!
 //! ```text
 //! <deck> <analysis> <solver> <fnv1a-64 hash> n=<values hashed>
+//! ahdl <system> <case> <fnv1a-64 hash> n=<values hashed>
 //! ```
 //!
 //! The hash is FNV-1a over the `f64::to_bits` of every result value (and
@@ -17,7 +20,14 @@
 //! workloads serve, and the transistor-level Hartley mixer, which adds
 //! a PSS of its LO orbit and its image-rejection ratio by PSS + PAC.
 //! The `bjt` lines hash every BJT's operating record except
-//! `qbx`/`cbx`, which the `bjt.qbx_cbx` lines hash on their own.
+//! `qbx`/`cbx`, which the `bjt.qbx_cbx` lines hash on their own. The
+//! `mixer fig5_tl` line hashes the four transistor-level Fig. 5 IRRs.
+//!
+//! Behavioral systems: every net of the single-channel image-rejection
+//! tuner (wanted and image tone, two impairment sets), of the
+//! conventional tuner, of the PLL and of a netlist with a compiled AHDL
+//! module, each hashed in net-name order; then the `measure_irr_db` bits
+//! of the 50 Fig. 5 points.
 //!
 //! Compare two builds on the same machine (libm's `pow` and `exp` may
 //! round differently across platforms):
@@ -27,9 +37,19 @@
 //! diff before.txt after.txt
 //! ```
 
+use ahfic_ahdl::netlist::load_system;
+use ahfic_ahdl::probe::Trace;
+use ahfic_ahdl::system::System;
 use ahfic_bench::standard_generator;
+use ahfic_rf::image_rejection::fig5_sweep;
 use ahfic_rf::mixer_tl::{build_hartley_mixer, measure_irr_transistor_db, HartleyMixerParams};
+use ahfic_rf::plan::FrequencyPlan;
+use ahfic_rf::pll::{build_pll, suggested_fs, PllConfig};
 use ahfic_rf::ringosc::{build_ring_oscillator, RingOscParams};
+use ahfic_rf::tuner::{
+    build_conventional_tuner, build_image_rejection_tuner, drive_rf, ImageRejectionErrors,
+    TunerConfig,
+};
 use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, SolverChoice, TranParams};
 use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
@@ -73,6 +93,17 @@ impl Fingerprint {
         self.all(w.axis());
         for name in w.signal_names() {
             self.all(w.signal(name)?);
+        }
+        Ok(())
+    }
+
+    /// Every net of a behavioral trace in name order, so the order in
+    /// which a builder interns its nets does not move the line.
+    fn nets(&mut self, trace: &Trace) -> ahfic_ahdl::error::Result<()> {
+        let mut names = trace.names().to_vec();
+        names.sort();
+        for name in &names {
+            self.all(trace.signal(name)?);
         }
         Ok(())
     }
@@ -154,18 +185,13 @@ fn decks() -> Result<Vec<Deck>> {
 /// Runs one analysis and prints its line; a failed analysis prints its
 /// error instead of a hash.
 fn report(
-    deck: &str,
-    analysis: &str,
-    solver: SolverChoice,
-    run: impl FnOnce(&mut Fingerprint) -> Result<()>,
+    label: &str,
+    run: impl FnOnce(&mut Fingerprint) -> std::result::Result<(), Box<dyn std::error::Error>>,
 ) {
     let mut fp = Fingerprint::new();
     match run(&mut fp) {
-        Ok(()) => println!(
-            "{deck} {analysis} {solver:?} {:016x} n={}",
-            fp.hash, fp.count
-        ),
-        Err(e) => println!("{deck} {analysis} {solver:?} error: {e}"),
+        Ok(()) => println!("{label} {:016x} n={}", fp.hash, fp.count),
+        Err(e) => println!("{label} error: {e}"),
     }
 }
 
@@ -180,7 +206,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
             return Ok(());
         }
     };
-    report(name, "op", solver, |fp| {
+    report(&format!("{name} op {solver:?}"), |fp| {
         fp.all(op.x());
         fp.bits(op.iterations() as u64);
         Ok(())
@@ -192,7 +218,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         .filter(|el| matches!(el.kind, ElementKind::Bjt { .. }))
         .map(|el| el.name.clone())
         .collect();
-    report(name, "bjt", solver, |fp| {
+    report(&format!("{name} bjt {solver:?}"), |fp| {
         for q in &bjts {
             let b = bjt_operating(sess.prepared(), op.x(), &opts, q)?;
             fp.all(&[
@@ -202,14 +228,14 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(name, "bjt.qbx_cbx", solver, |fp| {
+    report(&format!("{name} bjt.qbx_cbx {solver:?}"), |fp| {
         for q in &bjts {
             let b = bjt_operating(sess.prepared(), op.x(), &opts, q)?;
             fp.all(&[b.qbx, b.cbx]);
         }
         Ok(())
     });
-    report(name, "ac", solver, |fp| {
+    report(&format!("{name} ac {solver:?}"), |fp| {
         let ac = sess.ac(op.x(), &deck.ac_freqs)?;
         fp.all(ac.freqs());
         for unknown in &sess.prepared().unknown_names {
@@ -219,7 +245,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(name, "noise", solver, |fp| {
+    report(&format!("{name} noise {solver:?}"), |fp| {
         let out = deck
             .circuit
             .find_node(deck.noise_out)
@@ -232,7 +258,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(name, "tran", solver, |fp| {
+    report(&format!("{name} tran {solver:?}"), |fp| {
         let r = sess.tran(&deck.tran)?;
         fp.wave(r.wave())?;
         fp.bits(r.accepted_steps());
@@ -243,7 +269,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
     let Some(params) = &deck.mixer else {
         return Ok(());
     };
-    report(name, "pss", solver, |fp| {
+    report(&format!("{name} pss {solver:?}"), |fp| {
         let r = sess.pss(&PssParams::new(1.0 / params.f_lo, 200))?;
         fp.wave(r.wave())?;
         fp.bits(u64::from(r.is_converged()));
@@ -253,12 +279,95 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         fp.f64(r.residual);
         Ok(())
     });
-    report(name, "pac", solver, |fp| {
+    report(&format!("{name} pac {solver:?}"), |fp| {
         let irr = measure_irr_transistor_db(params, &opts)?;
         fp.all(&[irr.irr_db, irr.gain_rf_db, irr.gain_image_db]);
         Ok(())
     });
     Ok(())
+}
+
+/// A compiled AHDL module with `idt`, `ddt`, `delay` and a branch, wired
+/// among the built-in kinds the tuners and the PLL leave out.
+const MODULE_NETLIST: &str = "
+    module shaper(x, y, z) {
+        input x; output y, z;
+        parameter real k = 0.5;
+        analog {
+            real v = V(x);
+            if (v > k) { V(y) <- k; } else { V(y) <- v; }
+            V(z) <- idt(v, 0.1) * 1e7 + delay(v, 3e-9) + ddt(v) * 1e-10;
+        }
+    }
+    system fingerprint {
+        S1 : sine(freq=37e6, ampl=1.0, phase_deg=30, offset=0.1) -> (a);
+        N1 : noise(rms=0.01, seed=7) -> (n);
+        C1 : constant(value=0.25) -> (c);
+        ADD : adder(n=3) (a, n, c) -> (x);
+        SH : shaper(k=0.8) (x) -> (y, z);
+        LIM : limiter(limit=0.7) (y) -> (yl);
+        SOFT : softlimiter(limit=0.5) (z) -> (zs);
+        POLY : poly(a1=1.0, a2=0.1, a3=-0.05) (yl) -> (p);
+        LP : lp1(fc=50e6) (p) -> (lp);
+        BW : butterworth(order=3, fc=80e6) (zs) -> (bw);
+        BP : bandpass(f0=40e6, bw=10e6, sections=2) (x) -> (bp);
+        PS : phase90(f0=37e6) (bp) -> (ps);
+        PSE : phase90err(f0=37e6, phase_err_deg=2.0, gain_err=0.01) (bp) -> (pse);
+        VCO : vco(f0=20e6, kvco=5e6) (lp) -> (v);
+        MIX : mixer(k=2.0) (v, bw) -> (m);
+        G : gain(k=0.5) (m) -> (out);
+    }";
+
+/// The behavioral simulator's lines (see the module docs).
+fn fingerprint_behavioral() {
+    let plan = FrequencyPlan::catv(500e6);
+    let cfg = TunerConfig::for_plan(&plan);
+    let tones = [("wanted", plan.rf_wanted), ("image", plan.rf_image())];
+    let impairments = [
+        ("2deg_3pct", 2.0, 0.03, 0.0),
+        ("10deg_9pct_ps1.5deg", 10.0, 0.09, 1.5),
+    ];
+    for (case, lo_phase_err_deg, gain_err, shifter_phase_err_deg) in impairments {
+        let errors = ImageRejectionErrors {
+            lo_phase_err_deg,
+            gain_err,
+            shifter_phase_err_deg,
+        };
+        for (tone, f) in tones {
+            report(&format!("ahdl irr_tuner {case}_{tone}"), |fp| {
+                let mut sys = System::new();
+                let nets = build_image_rejection_tuner(&mut sys, &plan, &cfg, &errors)?;
+                drive_rf(&mut sys, &nets, "RFSRC", f, 1.0)?;
+                Ok(fp.nets(&sys.run(cfg.fs, 2e-6)?)?)
+            });
+        }
+    }
+    for (tone, f) in tones {
+        report(&format!("ahdl conventional_tuner {tone}"), |fp| {
+            let mut sys = System::new();
+            let nets = build_conventional_tuner(&mut sys, &plan, &cfg)?;
+            drive_rf(&mut sys, &nets, "RFSRC", f, 1.0)?;
+            Ok(fp.nets(&sys.run(cfg.fs, 2e-6)?)?)
+        });
+    }
+    report("ahdl pll demo", |fp| {
+        let pll = PllConfig::demo();
+        let mut sys = System::new();
+        build_pll(&mut sys, &pll)?;
+        Ok(fp.nets(&sys.run(suggested_fs(&pll), 200e-6)?)?)
+    });
+    report("ahdl netlist module", |fp| {
+        let fs = 1e9;
+        Ok(fp.nets(&load_system(MODULE_NETLIST, fs)?.run(fs, 2e-6)?)?)
+    });
+    report("ahdl fig5 measure_irr_db", |fp| {
+        let phases = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0];
+        let gains = [0.01, 0.03, 0.05, 0.07, 0.09];
+        for pt in fig5_sweep(&plan, &cfg, &phases, &gains, Some(2e-6))? {
+            fp.f64(pt.simulated_db);
+        }
+        Ok(())
+    });
 }
 
 fn main() -> Result<()> {
@@ -273,5 +382,15 @@ fn main() -> Result<()> {
             }
         }
     }
+    report("mixer fig5_tl Auto", |fp| {
+        for (phase, gain) in [(2.0, 0.0), (5.0, 0.0), (10.0, 0.0), (10.0, 0.05)] {
+            let params = HartleyMixerParams::default()
+                .phase_error_deg(phase)
+                .gain_error(gain);
+            fp.f64(measure_irr_transistor_db(&params, &Options::new())?.irr_db);
+        }
+        Ok(())
+    });
+    fingerprint_behavioral();
     Ok(())
 }

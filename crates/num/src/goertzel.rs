@@ -21,16 +21,39 @@ use std::f64::consts::PI;
 ///
 /// Panics if `signal` is empty or `fs <= 0`.
 pub fn tone_amplitude(signal: &[f64], fs: f64, f: f64) -> Complex {
-    assert!(!signal.is_empty(), "empty signal");
+    tone_amplitudes(&[signal], fs, f)[0]
+}
+
+/// [`tone_amplitude`] of each signal at the same frequency, in one pass
+/// that computes each twiddle factor once for all signals. Each result
+/// is bitwise equal to [`tone_amplitude`] of that signal alone, whatever
+/// the signal lengths.
+///
+/// # Panics
+///
+/// Panics if any signal is empty or `fs <= 0`.
+pub fn tone_amplitudes(signals: &[&[f64]], fs: f64, f: f64) -> Vec<Complex> {
+    assert!(signals.iter().all(|s| !s.is_empty()), "empty signal");
     assert!(fs > 0.0, "sample rate must be positive");
-    let n = integer_period_len(signal.len(), fs, f);
+    let lens: Vec<usize> = signals
+        .iter()
+        .map(|s| integer_period_len(s.len(), fs, f))
+        .collect();
     let w = 2.0 * PI * f / fs;
-    let mut acc = Complex::ZERO;
-    for (k, &x) in signal[..n].iter().enumerate() {
-        acc += Complex::from_polar(1.0, -w * k as f64) * x;
+    let mut acc = vec![Complex::ZERO; signals.len()];
+    for k in 0..lens.iter().copied().max().unwrap_or(0) {
+        let twiddle = Complex::from_polar(1.0, -w * k as f64);
+        for ((a, s), &n) in acc.iter_mut().zip(signals).zip(&lens) {
+            if k < n {
+                *a += twiddle * s[k];
+            }
+        }
     }
     // 2/N scaling recovers the amplitude of a real sinusoid.
-    acc * (2.0 / n as f64)
+    acc.iter()
+        .zip(&lens)
+        .map(|(&a, &n)| a * (2.0 / n as f64))
+        .collect()
 }
 
 /// Power (mean square) of the component of `signal` at frequency `f`.
@@ -127,6 +150,26 @@ mod tests {
         }
         assert!((tone_amplitude(&sig, fs, 500.0).abs() - 1.0).abs() < 1e-9);
         assert!((tone_amplitude(&sig, fs, 1500.0).abs() - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_pass_over_many_signals_matches_one_call_per_signal() {
+        let fs = 1000.0;
+        let a = sine(fs, 50.0, 2.0, 0.3, 1000);
+        let b = sine(fs, 50.0, 0.7, 1.1, 1000);
+        // 620 samples hold 29 whole periods of 47.3 Hz in 613.
+        let short = sine(fs, 47.3, 1.5, 0.2, 620);
+        let long = sine(fs, 47.3, 0.4, 2.0, 5000);
+        for (f, signals) in [(50.0, [&a[..], &b[..]]), (47.3, [&short[..], &long[..]])] {
+            let joint = tone_amplitudes(&signals, fs, f);
+            assert_eq!(joint.len(), 2);
+            for (z, s) in joint.iter().zip(signals) {
+                let alone = tone_amplitude(s, fs, f);
+                assert_eq!(z.re.to_bits(), alone.re.to_bits());
+                assert_eq!(z.im.to_bits(), alone.im.to_bits());
+            }
+        }
+        assert!(tone_amplitudes(&[], fs, 50.0).is_empty());
     }
 
     #[test]

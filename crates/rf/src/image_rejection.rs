@@ -2,10 +2,10 @@
 //! (paper Fig. 5).
 
 use crate::plan::FrequencyPlan;
-use crate::tuner::{build_image_rejection_tuner, drive_rf, ImageRejectionErrors, TunerConfig};
+use crate::tuner::{add_lo_section, add_signal_path, drive_rf, ImageRejectionErrors, TunerConfig};
 use ahfic_ahdl::error::Result;
-use ahfic_ahdl::spectrum::tone_power;
 use ahfic_ahdl::system::System;
+use ahfic_num::goertzel::tone_amplitudes;
 use ahfic_trace::TraceHandle;
 
 /// Closed-form image-rejection ratio (dB) of a Hartley architecture with
@@ -35,9 +35,11 @@ pub struct IrrPoint {
     pub analytic_db: f64,
 }
 
-/// Measures the image-rejection ratio of the behavioral Fig. 4 tuner by
-/// running it twice — wanted-channel-only, then image-channel-only — and
-/// comparing the 45 MHz output tone powers.
+/// Measures the image-rejection ratio of the behavioral Fig. 4 tuner:
+/// one simulation drives a wanted-channel-only and an image-channel-only
+/// signal path from one shared LO section, and the ratio compares the
+/// 45 MHz tone powers of their outputs. Each path computes what a
+/// single-channel tuner driven by that channel alone would, bit for bit.
 ///
 /// `duration` defaults to 2 µs when `None` (≈ 90 second-IF cycles).
 ///
@@ -53,8 +55,8 @@ pub fn measure_irr_db(
     measure_irr_db_traced(plan, cfg, errors, duration, &TraceHandle::off())
 }
 
-/// [`measure_irr_db`] with telemetry: the behavioral runs (wanted, then
-/// image channel) each emit an `ahdl.run` span into `trace`.
+/// [`measure_irr_db`] with telemetry: the behavioral run emits one
+/// `ahdl.run` span into `trace`.
 ///
 /// # Errors
 ///
@@ -67,20 +69,24 @@ pub fn measure_irr_db_traced(
     trace: &TraceHandle,
 ) -> Result<f64> {
     let duration = duration.unwrap_or(2e-6);
-    let run = |freq: f64| -> Result<f64> {
-        let mut sys = System::new();
-        sys.set_trace(trace.clone());
-        let nets = build_image_rejection_tuner(&mut sys, plan, cfg, errors)?;
-        drive_rf(&mut sys, &nets, "RFSRC", freq, 1.0)?;
-        // `build_image_rejection_tuner` always registers the if2 net.
-        #[allow(clippy::expect_used)]
-        let probe = sys.find_net("if2").expect("tuner exposes if2");
-        let trace = sys.run_probed(cfg.fs, duration, &[probe])?;
-        tone_power(&trace, "if2", plan.f2_if, 0.5)
-    };
-    let p_wanted = run(plan.rf_wanted)?;
-    let p_image = run(plan.rf_image())?;
-    Ok(10.0 * (p_wanted / p_image).log10())
+    let mut sys = System::new();
+    sys.set_trace(trace.clone());
+    let lo = add_lo_section(&mut sys, plan, cfg, errors)?;
+    let channels = [("_wanted", plan.rf_wanted), ("_image", plan.rf_image())];
+    let mut probes = Vec::with_capacity(channels.len());
+    for (suffix, freq) in channels {
+        let nets = add_signal_path(&mut sys, plan, cfg, errors, &lo, suffix)?;
+        drive_rf(&mut sys, &nets, &format!("RFSRC{suffix}"), freq, 1.0)?;
+        probes.push(nets.if2);
+    }
+    let out = sys.run_probed(cfg.fs, duration, &probes)?;
+    let tails = [out.tail("if2_wanted", 0.5)?, out.tail("if2_image", 0.5)?];
+    // Tone power, as `ahfic_ahdl::spectrum::tone_power` computes it.
+    let power: Vec<f64> = tone_amplitudes(&tails, out.fs(), plan.f2_if)
+        .iter()
+        .map(|a| a.norm_sqr() / 2.0)
+        .collect();
+    Ok(10.0 * (power[0] / power[1]).log10())
 }
 
 /// Runs the full Fig. 5 sweep: IRR vs phase error, one series per gain

@@ -20,8 +20,10 @@ pub struct TunerConfig {
     pub fs: f64,
     /// First-IF band-pass: number of cascaded sections.
     pub bpf_sections: usize,
-    /// First-IF band-pass bandwidth (Hz). Centered between the wanted and
-    /// image first-IF tones so both experience equal gain.
+    /// First-IF band-pass bandwidth (Hz). Centered midway between the
+    /// wanted and image first-IF tones; the response is not symmetric in
+    /// linear frequency, so the wanted tone passes 0.0245 dB weaker than
+    /// the image (the default two sections, 400 MHz).
     pub bpf_bandwidth: f64,
     /// LO amplitudes.
     pub lo_ampl: f64,
@@ -84,8 +86,8 @@ pub fn build_conventional_tuner(
         &[rf_in, lo1],
         &[if1_raw],
     )?;
-    // Center between wanted (1.3 GHz) and image (1.39 GHz) first IFs so
-    // the filter treats both identically.
+    // Center midway between the wanted (1.3 GHz) and image (1.39 GHz)
+    // first IFs, so the filter treats both nearly alike.
     let center = (plan.f1_if + plan.if1_image()) / 2.0;
     sys.add(
         "BPF1",
@@ -128,35 +130,38 @@ pub fn build_image_rejection_tuner(
     cfg: &TunerConfig,
     errors: &ImageRejectionErrors,
 ) -> Result<TunerNets> {
-    let rf_in = sys.net("rf_in");
+    let lo = add_lo_section(sys, plan, cfg, errors)?;
+    add_signal_path(sys, plan, cfg, errors, &lo, "")
+}
+
+/// Nets of the image-rejection tuner's LO section.
+pub(crate) struct LoNets {
+    lo1: NetId,
+    lo2_i: NetId,
+    lo2_q: NetId,
+}
+
+/// Adds the image-rejection tuner's LO section: LO1 and the impaired
+/// quadrature LO2. Both are stateless sources, so any number of signal
+/// paths can share them.
+///
+/// # Errors
+///
+/// Propagates wiring errors.
+pub(crate) fn add_lo_section(
+    sys: &mut System,
+    plan: &FrequencyPlan,
+    cfg: &TunerConfig,
+    errors: &ImageRejectionErrors,
+) -> Result<LoNets> {
     let lo1 = sys.net("lo1");
-    let if1_raw = sys.net("if1_raw");
-    let if1 = sys.net("if1");
     let lo2_i = sys.net("lo2_i");
     let lo2_q = sys.net("lo2_q");
-    let arm_i = sys.net("arm_i");
-    let arm_q = sys.net("arm_q");
-    let arm_i_shift = sys.net("arm_i_shift");
-    let if2 = sys.net("if2");
-
     sys.add(
         "LO1",
         SineSource::new(plan.f_up(), cfg.lo_ampl),
         &[],
         &[lo1],
-    )?;
-    sys.add(
-        "MIX1",
-        Mixer::new(cfg.mixer_gain),
-        &[rf_in, lo1],
-        &[if1_raw],
-    )?;
-    let center = (plan.f1_if + plan.if1_image()) / 2.0;
-    sys.add(
-        "BPF1",
-        FilterChain::bandpass(center, cfg.bpf_bandwidth, cfg.bpf_sections, cfg.fs),
-        &[if1_raw],
-        &[if1],
     )?;
     sys.add(
         "LO2",
@@ -165,15 +170,65 @@ pub fn build_image_rejection_tuner(
         &[],
         &[lo2_i, lo2_q],
     )?;
-    sys.add("MIX2I", Mixer::new(cfg.mixer_gain), &[if1, lo2_i], &[arm_i])?;
-    sys.add("MIX2Q", Mixer::new(cfg.mixer_gain), &[if1, lo2_q], &[arm_q])?;
+    Ok(LoNets { lo1, lo2_i, lo2_q })
+}
+
+/// Adds one signal path of the image-rejection tuner, from `rf_in` to
+/// `if2`, fed by the LO section `lo`. Its block and net names end in
+/// `suffix`.
+///
+/// # Errors
+///
+/// Propagates wiring errors.
+pub(crate) fn add_signal_path(
+    sys: &mut System,
+    plan: &FrequencyPlan,
+    cfg: &TunerConfig,
+    errors: &ImageRejectionErrors,
+    lo: &LoNets,
+    suffix: &str,
+) -> Result<TunerNets> {
+    let name = |base: &str| format!("{base}{suffix}");
+    let rf_in = sys.net(&name("rf_in"));
+    let if1_raw = sys.net(&name("if1_raw"));
+    let if1 = sys.net(&name("if1"));
+    let arm_i = sys.net(&name("arm_i"));
+    let arm_q = sys.net(&name("arm_q"));
+    let arm_i_shift = sys.net(&name("arm_i_shift"));
+    let if2 = sys.net(&name("if2"));
+
     sys.add(
-        "PS90",
+        &name("MIX1"),
+        Mixer::new(cfg.mixer_gain),
+        &[rf_in, lo.lo1],
+        &[if1_raw],
+    )?;
+    let center = (plan.f1_if + plan.if1_image()) / 2.0;
+    sys.add(
+        &name("BPF1"),
+        FilterChain::bandpass(center, cfg.bpf_bandwidth, cfg.bpf_sections, cfg.fs),
+        &[if1_raw],
+        &[if1],
+    )?;
+    sys.add(
+        &name("MIX2I"),
+        Mixer::new(cfg.mixer_gain),
+        &[if1, lo.lo2_i],
+        &[arm_i],
+    )?;
+    sys.add(
+        &name("MIX2Q"),
+        Mixer::new(cfg.mixer_gain),
+        &[if1, lo.lo2_q],
+        &[arm_q],
+    )?;
+    sys.add(
+        &name("PS90"),
         ImpairedShifter90::new(plan.f2_if, cfg.fs, errors.shifter_phase_err_deg, 0.0),
         &[arm_i],
         &[arm_i_shift],
     )?;
-    sys.add("SUM", Adder::new(2), &[arm_i_shift, arm_q], &[if2])?;
+    sys.add(&name("SUM"), Adder::new(2), &[arm_i_shift, arm_q], &[if2])?;
     Ok(TunerNets { rf_in, if1, if2 })
 }
 
