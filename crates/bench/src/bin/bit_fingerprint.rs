@@ -40,7 +40,7 @@
 use ahfic_ahdl::netlist::load_system;
 use ahfic_ahdl::probe::Trace;
 use ahfic_ahdl::system::System;
-use ahfic_bench::standard_generator;
+use ahfic_bench::{standard_generator, TUNER_DECK};
 use ahfic_rf::image_rejection::fig5_sweep;
 use ahfic_rf::mixer_tl::{build_hartley_mixer, measure_irr_transistor_db, HartleyMixerParams};
 use ahfic_rf::plan::FrequencyPlan;
@@ -121,20 +121,6 @@ struct Deck {
     /// ratio by one PAC call over both sidebands.
     mixer: Option<HartleyMixerParams>,
 }
-
-/// The 19-unknown image-rejection front end of the tuner workloads.
-const TUNER_DECK: &str = "* image-rejection front end\n\
-.model rfnpn NPN (BF=90 RB=120 RE=1.5 RC=25 CJE=60f CJC=40f TF=12p)\n\
-VCC vcc 0 5\n\
-VRF vin 0 SIN(0 10m 100meg) AC 1\n\
-RB1i vcc bi 47k\nRB2i bi 0 10k\nCINi vin bi 10p\n\
-RCi vcc ci 1k\nREi ei 0 220\nCEi ei 0 20p\n\
-Qi ci bi ei rfnpn\n\
-RB1q vcc bq 47k\nRB2q bq 0 10k\nCINq vin bq 10p\n\
-RCq vcc cq 1k\nREq eq 0 220\nCEq eq 0 20p\n\
-Qq cq bq eq rfnpn\n\
-CPI ci oi 2p\nRPI oi 0 800\nRPQ cq oq 800\nCPQ oq 0 2p\n\
-RSI oi sum 2k\nRSQ oq sum 2k\nRL sum 0 1000\n.end\n";
 
 /// `n` log-spaced frequencies from `lo` to `hi`.
 fn log_freqs(lo: f64, hi: f64, n: usize) -> Vec<f64> {

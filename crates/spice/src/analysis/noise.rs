@@ -197,52 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn resistor_divider_noise_matches_4ktr_parallel() {
-        // Two resistors to ground from a driven node... classic: node
-        // fed by R1 from an ideal (noiseless-source) rail, R2 to ground.
-        // Output noise = 4kT * (R1 || R2).
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let o = c.node("o");
-        c.vsource("V1", a, Circuit::gnd(), 1.0);
-        c.resistor("R1", a, o, 2e3);
-        c.resistor("R2", o, Circuit::gnd(), 3e3);
-        let prep = Prepared::compile(&c).unwrap();
-        let opts = Options::default();
-        let dc = op(&prep, &opts).unwrap();
-        let pts = noise_analysis(&prep, &dc.x, &opts, o, &[1e3, 1e6]).unwrap();
-        let r_par = 2e3 * 3e3 / 5e3;
-        let temp_k = opts.vt / (KB / Q);
-        let expect = 4.0 * KB * temp_k * r_par;
-        for p in &pts {
-            assert!(
-                (p.output_density - expect).abs() / expect < 1e-9,
-                "{} vs {expect}",
-                p.output_density
-            );
-        }
-        // White: both frequencies identical.
-        assert!((pts[0].output_density - pts[1].output_density).abs() < 1e-30);
-    }
-
-    #[test]
-    fn capacitor_rolls_off_resistor_noise() {
-        // R-C: output noise density falls above the pole; the integrated
-        // noise would be kT/C. Check the density ratio at 10x the pole.
-        let mut c = Circuit::new();
-        let o = c.node("o");
-        c.resistor("R1", o, Circuit::gnd(), 10e3);
-        c.capacitor("C1", o, Circuit::gnd(), 1e-9); // pole ~15.9 kHz
-        let prep = Prepared::compile(&c).unwrap();
-        let opts = Options::default();
-        let dc = op(&prep, &opts).unwrap();
-        let f_pole = 1.0 / (2.0 * std::f64::consts::PI * 10e3 * 1e-9);
-        let pts = noise_analysis(&prep, &dc.x, &opts, o, &[f_pole / 100.0, 10.0 * f_pole]).unwrap();
-        let ratio = pts[1].output_density / pts[0].output_density;
-        assert!((ratio - 1.0 / 101.0).abs() < 0.002, "ratio {ratio}");
-    }
-
-    #[test]
     fn amplifier_noise_is_gain_shaped_and_attributed() {
         let mut c = Circuit::new();
         let vcc = c.node("vcc");

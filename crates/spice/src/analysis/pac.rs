@@ -513,94 +513,11 @@ fn wall_check(opts: &Options) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::ac::ac_sweep_impl;
     use crate::analysis::op::op_eval;
-    use crate::analysis::solver::SolverChoice;
     use crate::analysis::stamp::{assemble, ChargeBank};
     use crate::circuit::Circuit;
     use crate::model::BjtModel;
     use ahfic_num::Matrix;
-
-    /// PAC on a linear time-invariant circuit, whose "LO" does nothing:
-    /// the conversion gain at `f_out = f_in` is the AC transfer, up to
-    /// the discretization error of 256 steps per period.
-    fn lti_gain_vs_ac(
-        c: &Circuit,
-        source: &str,
-        output: &str,
-        f_in: f64,
-        solver: SolverChoice,
-    ) -> (Complex, Complex) {
-        let mut prep = Prepared::compile(c).unwrap();
-        let opts = Options::default().solver(solver);
-        let pss_params = PssParams::new(1e-6, 256);
-        let pac = PacParams::new(source, output, [f_in], f_in)
-            .measure_periods(10)
-            .settle_periods(10);
-        let r = pac_impl(&mut prep, &opts, &pss_params, &pac).unwrap();
-        let mut ac_ckt = c.clone();
-        ac_ckt.set_ac(source, 1.0, 0.0).unwrap();
-        let ac_prep = Prepared::compile(&ac_ckt).unwrap();
-        let x_op = op_eval(&ac_prep, &opts).unwrap().x;
-        let ac = ac_sweep_impl(&ac_prep, &x_op, &opts, &[f_in]).unwrap();
-        // The input is sin(ωt) = Im e^{jωt}: the phasor convention of
-        // the projection turns an AC transfer H into H·e^{−jπ/2}.
-        let h = ac.signal(output).unwrap()[0] * Complex::new(0.0, -1.0);
-        // The input waveform was restored.
-        assert_eq!(
-            prep.circuit.source_wave(source).cloned(),
-            c.source_wave(source).cloned()
-        );
-        (r.gains[0], h)
-    }
-
-    #[test]
-    fn linear_circuit_reproduces_ac_transfer() {
-        let mut c = Circuit::new();
-        let inp = c.node("in");
-        let out = c.node("out");
-        c.vsource_wave("VIN", inp, Circuit::gnd(), SourceWave::Dc(0.0));
-        c.resistor("R1", inp, out, 1e3);
-        c.capacitor("C1", out, Circuit::gnd(), 1e-9);
-        let (g, h) = lti_gain_vs_ac(&c, "VIN", "v(out)", 2e6, SolverChoice::Auto);
-        assert!((g - h).abs() < 1e-3 * h.abs(), "pac {g:?} vs ac {h:?}");
-
-        // Its Norton form: a current input stamps `b` into node rows.
-        let mut c = Circuit::new();
-        let out = c.node("out");
-        c.isource_wave("IIN", Circuit::gnd(), out, SourceWave::Dc(0.0));
-        c.resistor("R1", out, Circuit::gnd(), 1e3);
-        c.capacitor("C1", out, Circuit::gnd(), 1e-9);
-        let (g, h) = lti_gain_vs_ac(&c, "IIN", "v(out)", 2e6, SolverChoice::Auto);
-        assert!((g - h).abs() < 1e-3 * h.abs(), "pac {g:?} vs ac {h:?}");
-    }
-
-    #[test]
-    fn linear_rlc_reproduces_ac_transfer() {
-        // Series RLC band-pass driven near its 2.25 MHz resonance: the
-        // inductor's flux enters through its branch row. Taking the
-        // period integrator's inductor companion on the first step
-        // instead of backward Euler misses AC by 0.8 %.
-        let mut c = Circuit::new();
-        let inp = c.node("in");
-        let mid = c.node("mid");
-        let out = c.node("out");
-        c.vsource_wave("VIN", inp, Circuit::gnd(), SourceWave::Dc(0.0));
-        c.inductor("L1", inp, mid, 5e-6);
-        c.capacitor("C1", mid, out, 1e-9);
-        c.resistor("R1", out, Circuit::gnd(), 50.0);
-        let (dense, h) = lti_gain_vs_ac(&c, "VIN", "v(out)", 2e6, SolverChoice::Dense);
-        assert!(
-            (dense - h).abs() < 1e-3 * h.abs(),
-            "pac {dense:?} vs ac {h:?}"
-        );
-        // The stored sparse factors give the same recurrence.
-        let (sparse, _) = lti_gain_vs_ac(&c, "VIN", "v(out)", 2e6, SolverChoice::Sparse);
-        assert!(
-            (sparse - dense).abs() < 1e-12 * h.abs(),
-            "sparse {sparse:?} vs dense {dense:?}"
-        );
-    }
 
     /// The recurrence rests on `G + a·C` from one ω = 1 AC assembly
     /// being the transient Newton Jacobian at the same `x`.

@@ -43,14 +43,13 @@ fn rectifier() -> Circuit {
     c
 }
 
+/// Two starts of the same orbit: the default warmup periods, and none,
+/// so that shooting begins at the operating point and the Newton–Krylov
+/// update alone must carry the orbit to the ring-down.
 #[test]
 fn rectifier_pss_matches_ringdown_transient_to_a_millivolt() {
     let period = 1e-6;
     let sess = Session::compile(&rectifier()).expect("rectifier compiles");
-    let pss = sess
-        .pss(&PssParams::new(period, 256))
-        .expect("rectifier pss");
-    assert!(pss.is_converged(), "{:?}", pss.status());
 
     // 40 µs = 20 ring-down time constants: the transient's last period
     // is periodic to far below the comparison tolerance.
@@ -59,17 +58,27 @@ fn rectifier_pss_matches_ringdown_transient_to_a_millivolt() {
         .tran(&TranParams::new(t_stop, 2e-9))
         .expect("rectifier transient")
         .into_wave();
-
     let ts = tran.axis();
     let vt = tran.signal("v(out)").expect("transient v(out)");
-    let grid = pss.wave().axis();
-    let vp = pss.wave().signal("v(out)").expect("pss v(out)");
-    let mut worst = 0.0f64;
-    for (k, &t) in grid.iter().enumerate() {
-        let reference = sample_at(ts, vt, t_stop - period + t);
-        worst = worst.max((vp[k] - reference).abs());
+
+    for params in [
+        PssParams::new(period, 256),
+        PssParams::new(period, 256).warmup_periods(0),
+    ] {
+        let pss = sess.pss(&params).expect("rectifier pss");
+        assert!(pss.is_converged(), "{params:?}: {:?}", pss.status());
+        let grid = pss.wave().axis();
+        let vp = pss.wave().signal("v(out)").expect("pss v(out)");
+        let mut worst = 0.0f64;
+        for (k, &t) in grid.iter().enumerate() {
+            let reference = sample_at(ts, vt, t_stop - period + t);
+            worst = worst.max((vp[k] - reference).abs());
+        }
+        assert!(
+            worst < 1e-3,
+            "{params:?}: PSS vs ring-down worst error {worst:.2e} V"
+        );
     }
-    assert!(worst < 1e-3, "PSS vs ring-down worst error {worst:.2e} V");
 }
 
 /// Two capacitively-coupled 1 MHz LC tanks (Q ≈ 20 each), driven
