@@ -11,12 +11,12 @@
 
 use ahfic_geom::generate::ModelGenerator;
 use ahfic_geom::shape::TransistorShape;
-use ahfic_spice::analysis::{Options, Session, TranParams};
+use ahfic_spice::analysis::{Options, Session, TranParams, TranResult};
 use ahfic_spice::circuit::{Circuit, NodeId};
 use ahfic_spice::error::Result;
 use ahfic_spice::measure::{oscillation_frequency, OscMeasurement};
 use ahfic_spice::model::BjtModel;
-use ahfic_spice::wave::SourceWave;
+use ahfic_spice::wave::{SourceWave, Waveform};
 
 /// Electrical parameters of the ring oscillator test bench.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -135,7 +135,8 @@ pub struct RingOscRow {
 }
 
 /// Simulates the ring oscillator with the given diff-pair model and
-/// measures the free-running frequency from the differential output.
+/// measures the free-running frequency from the differential output:
+/// [`ring_frequency`] of [`ring_transient`].
 ///
 /// # Errors
 ///
@@ -147,6 +148,23 @@ pub fn measure_ring_frequency(
     follower_model: &BjtModel,
     opts: &Options,
 ) -> Result<OscMeasurement> {
+    let tran = ring_transient(params, pair_model, follower_model, opts)?;
+    ring_frequency(tran.wave())
+}
+
+/// Runs the ring oscillator's transient, with the differential output
+/// of the last stage carried as `v(diff)`, and returns the whole
+/// [`TranResult`] (waveform and step and Newton counts).
+///
+/// # Errors
+///
+/// Propagates compile and simulation errors.
+pub fn ring_transient(
+    params: &RingOscParams,
+    pair_model: &BjtModel,
+    follower_model: &BjtModel,
+    opts: &Options,
+) -> Result<TranResult> {
     let (mut ckt, probe_p, probe_n) = build_ring_oscillator(params, pair_model, follower_model);
     // Differential probe: v(diff) = v(out+) - v(out-), realized with a
     // VCVS into a dummy load so the waveform carries it directly.
@@ -164,10 +182,18 @@ pub fn measure_ring_frequency(
     ckt.vcvs("Ediff", diff, Circuit::gnd(), pp, pn, 1.0);
     ckt.resistor("Rdiff", diff, Circuit::gnd(), 1e6);
     let sess = Session::compile(&ckt)?.with_options(opts.clone());
-    let wave = sess
-        .tran(&TranParams::new(params.t_stop, params.dt_max))?
-        .into_wave();
-    oscillation_frequency(&wave, "v(diff)", 0.4)
+    sess.tran(&TranParams::new(params.t_stop, params.dt_max))
+}
+
+/// The free-running frequency of a [`ring_transient`] waveform, from
+/// the rising mean crossings of `v(diff)` after the first 40 % of the
+/// record (the start-up).
+///
+/// # Errors
+///
+/// Fails with a measure error when the ring does not oscillate.
+pub fn ring_frequency(wave: &Waveform) -> Result<OscMeasurement> {
+    oscillation_frequency(wave, "v(diff)", 0.4)
 }
 
 /// Runs the full Table 1 experiment: for each shape, generate the

@@ -19,7 +19,7 @@ use ahfic_spice::analysis::{
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::devices::junction::VT_300K;
 use ahfic_spice::wave::SourceWave;
-use ahfic_spice::BjtModel;
+use ahfic_spice::{BjtModel, DiodeModel};
 use common::fundamental_phasor;
 
 /// RC step response: a 1 V step through `R` into `C` must follow
@@ -270,9 +270,11 @@ fn resistor_divider_noise_matches_4ktr_parallel() {
 /// Thermal noise of `R ∥ C`: the resistor's `4kT/R` sees the impedance
 /// `R/(1 + jf/f_p)`, so the density falls as `1/(1 + (f/f_p)²)` above
 /// the pole `f_p = 1/(2πRC)`. The ratio of the density at `10·f_p` to
-/// that at `f_p/100` is `(1 + 10⁻⁴)/101`, within 1e-6 of `1/101`; the
-/// tolerance is 0.002 on that ratio (measured: the exact ratio to
-/// 4e-18).
+/// that at `f_p/100` is exactly `(1 + 10⁻⁴)/101`. The analysis solves
+/// one complex linear system per frequency, so only rounding separates
+/// it from that value (measured 4e-18 on a ratio of 0.0099); the
+/// tolerance is 1e-9 relative. A capacitor stamp scaled by `1 + 10⁻⁶`
+/// moves the ratio by 2e-6 relative and fails it.
 #[test]
 fn capacitor_rolls_off_resistor_noise() {
     let mut c = Circuit::new();
@@ -286,7 +288,54 @@ fn capacitor_rolls_off_resistor_noise() {
         .noise(op.x(), o, &[f_pole / 100.0, 10.0 * f_pole])
         .expect("rc noise");
     let ratio = pts[1].output_density() / pts[0].output_density();
-    assert!((ratio - 1.0 / 101.0).abs() < 0.002, "ratio {ratio}");
+    let exact = (1.0 + 1e-4) / 101.0;
+    assert!(
+        (ratio / exact - 1.0).abs() < 1e-9,
+        "ratio {ratio} vs {exact}"
+    );
+}
+
+/// Shockley operating point: a source `V` drives a diode through `R`,
+/// so the diode voltage `v` solves the KCL
+/// `(V − v)/R = IS·(e^(v/(N·VT)) − 1) + GMIN·v`. Its left side falls and
+/// its right side rises with `v`, so it has one root in `(0, V)`, found
+/// here by bisection to the last bit. The operating point's convergence
+/// test accepts a last Newton update `δ` of up to
+/// `reltol·v + vntol ≈ 0.7 mV`; Newton on the exponential converges
+/// quadratically, so the accepted iterate lies within
+/// `δ²/(2·N·VT) ≈ 9e-6 V` of the root, and the tolerance is 2e-5 V
+/// (measured 1.1e-8 V). An `IS` off by 1 % moves the root by
+/// `N·VT·ln 1.01 ≈ 0.26 mV` and fails it.
+#[test]
+fn diode_operating_point_solves_shockley_kcl() {
+    let (v_src, r) = (5.0, 1e3);
+    let model = DiodeModel::named("d");
+    let opts = Options::new();
+    let mut c = Circuit::new();
+    let a = c.node("a");
+    let d = c.node("d");
+    c.vsource("V1", a, Circuit::gnd(), v_src);
+    c.resistor("R1", a, d, r);
+    let m = c.add_diode_model(model.clone());
+    c.diode("D1", d, Circuit::gnd(), m, 1.0);
+    let sess = Session::compile(&c).expect("diode loop compiles");
+    let op = sess.op().expect("diode op");
+    let v = sess.prepared().voltage(op.x(), d);
+
+    let nvt = model.n * opts.vt;
+    let kcl = |v: f64| (v_src - v) / r - model.is_ * ((v / nvt).exp() - 1.0) - opts.gmin * v;
+    // 100 halvings of 5 V end on two adjacent doubles.
+    let (mut lo, mut hi) = (0.0, v_src);
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if kcl(mid) > 0.0 {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    assert!(v > 0.6 && v < 0.8, "v(d) = {v} V");
+    assert!((v - lo).abs() < 2e-5, "v(d) = {v} V vs root {lo} V");
 }
 
 /// Transconductance of a forward-active BJT: with the Early voltages,
