@@ -2,11 +2,11 @@
 //! of the behavioral simulator on the paper's systems, so two builds can
 //! be compared for bit-identical results.
 //!
-//! One line per deck, analysis and [`SolverChoice`], then one per
-//! behavioral system and case:
+//! One line per deck and analysis, then one per behavioral system and
+//! case:
 //!
 //! ```text
-//! <deck> <analysis> <solver> <fnv1a-64 hash> n=<values hashed>
+//! <deck> <analysis> <fnv1a-64 hash> n=<values hashed>
 //! ahdl <system> <case> <fnv1a-64 hash> n=<values hashed>
 //! ```
 //!
@@ -22,6 +22,8 @@
 //! The `bjt` lines hash every BJT's operating record except
 //! `qbx`/`cbx`, which the `bjt.qbx_cbx` lines hash on their own. The
 //! `mixer fig5_tl` line hashes the four transistor-level Fig. 5 IRRs.
+//! The analyses run at one thread; AC and noise give the same bits at
+//! any thread count.
 //!
 //! Behavioral systems: every net of the single-channel image-rejection
 //! tuner (wanted and image tone, two impairment sets), of the
@@ -50,7 +52,7 @@ use ahfic_rf::tuner::{
     build_conventional_tuner, build_image_rejection_tuner, drive_rf, ImageRejectionErrors,
     TunerConfig,
 };
-use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, SolverChoice, TranParams};
+use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, TranParams};
 use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
 use ahfic_spice::parse::parse_netlist;
@@ -181,18 +183,18 @@ fn report(
     }
 }
 
-fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
-    let opts = Options::new().solver(solver).threads(1);
+fn fingerprint_deck(deck: &Deck) -> Result<()> {
+    let opts = Options::new().threads(1);
     let sess = Session::compile(&deck.circuit)?.with_options(opts.clone());
     let name = deck.name;
     let op = match sess.op() {
         Ok(op) => op,
         Err(e) => {
-            println!("{name} op {solver:?} error: {e}");
+            println!("{name} op error: {e}");
             return Ok(());
         }
     };
-    report(&format!("{name} op {solver:?}"), |fp| {
+    report(&format!("{name} op"), |fp| {
         fp.all(op.x());
         fp.bits(op.iterations() as u64);
         Ok(())
@@ -204,7 +206,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         .filter(|el| matches!(el.kind, ElementKind::Bjt { .. }))
         .map(|el| el.name.clone())
         .collect();
-    report(&format!("{name} bjt {solver:?}"), |fp| {
+    report(&format!("{name} bjt"), |fp| {
         for q in &bjts {
             let b = bjt_operating(sess.prepared(), op.x(), &opts, q)?;
             fp.all(&[
@@ -214,14 +216,14 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(&format!("{name} bjt.qbx_cbx {solver:?}"), |fp| {
+    report(&format!("{name} bjt.qbx_cbx"), |fp| {
         for q in &bjts {
             let b = bjt_operating(sess.prepared(), op.x(), &opts, q)?;
             fp.all(&[b.qbx, b.cbx]);
         }
         Ok(())
     });
-    report(&format!("{name} ac {solver:?}"), |fp| {
+    report(&format!("{name} ac"), |fp| {
         let ac = sess.ac(op.x(), &deck.ac_freqs)?;
         fp.all(ac.freqs());
         for unknown in &sess.prepared().unknown_names {
@@ -231,7 +233,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(&format!("{name} noise {solver:?}"), |fp| {
+    report(&format!("{name} noise"), |fp| {
         let out = deck
             .circuit
             .find_node(deck.noise_out)
@@ -244,7 +246,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         }
         Ok(())
     });
-    report(&format!("{name} tran {solver:?}"), |fp| {
+    report(&format!("{name} tran"), |fp| {
         let r = sess.tran(&deck.tran)?;
         fp.wave(r.wave())?;
         fp.bits(r.accepted_steps());
@@ -255,7 +257,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
     let Some(params) = &deck.mixer else {
         return Ok(());
     };
-    report(&format!("{name} pss {solver:?}"), |fp| {
+    report(&format!("{name} pss"), |fp| {
         let r = sess.pss(&PssParams::new(1.0 / params.f_lo, 200))?;
         fp.wave(r.wave())?;
         fp.bits(u64::from(r.is_converged()));
@@ -265,7 +267,7 @@ fn fingerprint_deck(deck: &Deck, solver: SolverChoice) -> Result<()> {
         fp.f64(r.residual);
         Ok(())
     });
-    report(&format!("{name} pac {solver:?}"), |fp| {
+    report(&format!("{name} pac"), |fp| {
         let irr = measure_irr_transistor_db(params, &opts)?;
         fp.all(&[irr.irr_db, irr.gain_rf_db, irr.gain_image_db]);
         Ok(())
@@ -358,17 +360,11 @@ fn fingerprint_behavioral() {
 
 fn main() -> Result<()> {
     for deck in decks()? {
-        for solver in [
-            SolverChoice::Dense,
-            SolverChoice::Sparse,
-            SolverChoice::Auto,
-        ] {
-            if let Err(e) = fingerprint_deck(&deck, solver) {
-                println!("{} compile {solver:?} error: {e}", deck.name);
-            }
+        if let Err(e) = fingerprint_deck(&deck) {
+            println!("{} compile error: {e}", deck.name);
         }
     }
-    report("mixer fig5_tl Auto", |fp| {
+    report("mixer fig5_tl", |fp| {
         for (phase, gain) in [(2.0, 0.0), (5.0, 0.0), (10.0, 0.0), (10.0, 0.05)] {
             let params = HartleyMixerParams::default()
                 .phase_error_deg(phase)

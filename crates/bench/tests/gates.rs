@@ -19,7 +19,7 @@ use ahfic::yield_mc::YieldStudy;
 use ahfic_bench::TUNER_DECK;
 use ahfic_rf::image_rejection::irr_analytic_db;
 use ahfic_serve::{JobQueue, JobReport, JobRequest, JobSpec, QueueConfig};
-use ahfic_spice::analysis::{Options, Session, SolverChoice};
+use ahfic_spice::analysis::{Options, Session};
 use ahfic_spice::parse::parse_netlist;
 
 /// Warms both sides once, then returns the best of `reps` interleaved
@@ -98,7 +98,7 @@ fn batched_yield_study_is_no_slower_than_a_per_sample_loop() {
 fn shared_cache_serving_amortizes_compiles_five_fold() {
     let jobs = 64;
     let ckt = parse_netlist(TUNER_DECK).expect("tuner deck parses");
-    let opts = Options::new().solver(SolverChoice::Sparse);
+    let opts = Options::new();
     let recompile = || {
         let t0 = Instant::now();
         for _ in 0..jobs {

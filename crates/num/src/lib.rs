@@ -8,7 +8,9 @@
 //!   simulation needs;
 //! - [`Matrix`] and [`lu`] — dense column-major matrices and LU
 //!   factorization with partial pivoting, generic over real and complex
-//!   scalars (the MNA solvers in `ahfic-spice` use both);
+//!   scalars: the reference for the sparse kernel;
+//! - [`sparse`] — compressed-sparse-column matrices and the LU with
+//!   symbolic-pattern reuse that every MNA solve in `ahfic-spice` runs on;
 //! - [`fft`] — an in-place radix-2 FFT and helpers for spectra of real
 //!   signals;
 //! - [`goertzel`] — single-bin DFT evaluation, the workhorse behind tone

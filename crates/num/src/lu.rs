@@ -1,8 +1,8 @@
-//! LU factorization with partial pivoting, generic over [`Scalar`].
+//! Dense LU factorization with partial pivoting, generic over [`Scalar`].
 //!
-//! This is the linear-solver core of the whole workspace: every Newton
-//! iteration of the DC/transient engines and every frequency point of the
-//! AC engine in `ahfic-spice` funnels through [`LuFactors::solve`].
+//! The simulators solve every linear system with the sparse kernel of
+//! [`crate::sparse`]; this dense factorization is the reference the
+//! tests hold that kernel to.
 
 use crate::{Matrix, Scalar};
 use std::fmt;
@@ -75,28 +75,6 @@ impl<T: Scalar> LuFactors<T> {
         };
         f.eliminate()?;
         Ok(f)
-    }
-
-    /// Refactors new values into the existing buffers — the dense
-    /// counterpart of `SparseLu::refactor`, for reuse across Newton
-    /// iterations and frequency points without reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if `a` is singular; the factors are
-    /// garbage afterwards until a successful refactor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has a different dimension than the stored factors.
-    pub fn refactor_from(&mut self, a: &Matrix<T>) -> Result<(), SingularMatrixError> {
-        assert_eq!(a.rows(), self.n, "refactor dimension mismatch");
-        assert_eq!(a.cols(), self.n, "refactor dimension mismatch");
-        self.lu.as_mut_slice().copy_from_slice(a.as_slice());
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.eliminate()
     }
 
     fn eliminate(&mut self) -> Result<(), SingularMatrixError> {
@@ -174,34 +152,6 @@ impl<T: Scalar> LuFactors<T> {
         }
         x
     }
-
-    /// Solves `A x = b` into a caller-provided buffer, reusing its
-    /// capacity — the hot-loop variant of [`LuFactors::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    #[allow(clippy::needless_range_loop)] // triangular index windows read clearest
-    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let n = self.n;
-        x.clear();
-        x.extend((0..n).map(|i| b[self.perm[i]]));
-        for r in 1..n {
-            let mut acc = x[r];
-            for c in 0..r {
-                acc -= self.lu[(r, c)] * x[c];
-            }
-            x[r] = acc;
-        }
-        for r in (0..n).rev() {
-            let mut acc = x[r];
-            for c in (r + 1)..n {
-                acc -= self.lu[(r, c)] * x[c];
-            }
-            x[r] = acc / self.lu[(r, r)];
-        }
-    }
 }
 
 /// Convenience one-shot solve of `A x = b`.
@@ -268,26 +218,6 @@ mod tests {
         for i in 0..2 {
             assert!((2.0 * x1[i] - x2[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn refactor_and_solve_into_reuse_buffers() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let mut lu = LuFactors::factor(a).unwrap();
-        // New values, same buffers — including a pivot flip.
-        let b = Matrix::from_rows(&[&[0.0, 2.0], &[5.0, 1.0]]);
-        lu.refactor_from(&b).unwrap();
-        let mut x = Vec::new();
-        lu.solve_into(&[4.0, 11.0], &mut x);
-        let back = b.mul_vec(&x);
-        assert!((back[0] - 4.0).abs() < 1e-12 && (back[1] - 11.0).abs() < 1e-12);
-        // A singular refactor reports, and a later good one recovers.
-        assert!(lu
-            .refactor_from(&Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]))
-            .is_err());
-        lu.refactor_from(&Matrix::identity(2)).unwrap();
-        lu.solve_into(&[7.0, 8.0], &mut x);
-        assert_eq!(x, vec![7.0, 8.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! complex admittance system per frequency, solve.
 
 use crate::analysis::solver::{parallel_freq_map, singular_unknown, SolverWorkspace};
-use crate::analysis::stamp::{MnaSink, Options, PatternProbe};
+use crate::analysis::stamp::{MnaSink, Options};
 use crate::circuit::Prepared;
 use crate::devices::AcCtx;
 use crate::error::{Result, SpiceError};
@@ -61,9 +61,10 @@ pub(crate) fn factor_ac(
 /// unknown as a complex signal (names follow `Prepared::unknown_names`):
 /// the engine behind [`Session::ac`](crate::analysis::Session::ac).
 ///
-/// The sweep is split in contiguous chunks across scoped worker threads;
-/// each worker keeps a private [`SolverWorkspace`], so within a chunk the
-/// matrix pattern and factor storage are reused from point to point.
+/// The sweep is split in contiguous chunks across scoped threads. The
+/// first point records the stamp pattern and fixes the pivot order;
+/// every thread works on a copy of that [`SolverWorkspace`], so each
+/// later point replays the pattern and refactors on those pivots.
 pub(crate) fn ac_sweep_impl(
     prep: &Prepared,
     x_op: &[f64],
@@ -75,26 +76,12 @@ pub(crate) fn ac_sweep_impl(
     }
     let tr = opts.trace.tracer();
     let span = tr.span("ac");
-    let n = prep.num_unknowns;
-    // Device AC stamps are pattern-stable across frequency (conditional
-    // stamps key on model structure, not on omega), so one probe pass
-    // feeds every worker's symbolic analysis up front.
-    let pattern = {
-        let mut probe = PatternProbe::default();
-        let mut rhs = vec![Complex::ZERO; n];
-        assemble_ac(prep, x_op, opts, 1.0, &mut probe, &mut rhs);
-        probe.coords
-    };
     let (sols, par) = parallel_freq_map(
-        n,
-        opts.solver,
+        prep.num_unknowns,
         tr.enabled(),
         opts.threads,
         freqs,
         |ws: &mut SolverWorkspace<Complex>, f| {
-            if ws.needs_pattern() {
-                ws.preset_pattern(&pattern);
-            }
             factor_ac(prep, x_op, opts, 2.0 * std::f64::consts::PI * f, ws)?;
             Ok(ws.solve().to_vec())
         },

@@ -18,8 +18,8 @@
 //! sequential solver, so batch results degrade to sequential results,
 //! never to wrong answers. Cancellation, wall-clock deadlines and
 //! injected faults act on a lane exactly as on a per-sample solve. With
-//! a single lane the batched arithmetic replays the sequential sparse
-//! path bit for bit.
+//! a single lane the batched arithmetic replays the sequential path
+//! bit for bit.
 
 use crate::analysis::ac::{assemble_ac, factor_ac};
 use crate::analysis::fault::{ClaimedSolve, FaultKind};
@@ -353,7 +353,7 @@ impl BatchedOpEngine {
                     LaneState::Active | LaneState::Fallback => {
                         fallbacks += 1;
                         tune(prep, sample).and_then(|()| {
-                            let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+                            let mut ws = SolverWorkspace::new(prep.num_unknowns);
                             op_from_ws(prep, opts, None, &mut ws, claim)
                         })
                     }
@@ -730,7 +730,7 @@ impl BatchedAcEngine {
             out.push(match slot {
                 Some(r) => r,
                 None => tune(prep, idx).and_then(|()| {
-                    let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+                    let mut ws = SolverWorkspace::new(prep.num_unknowns);
                     factor_ac(prep, x_op, opts, omega, &mut ws)?;
                     Ok(ws.solve().to_vec())
                 }),
@@ -743,7 +743,6 @@ impl BatchedAcEngine {
 mod tests {
     use super::*;
     use crate::analysis::op::op_eval as op;
-    use crate::analysis::solver::SolverChoice;
     use crate::analysis::stamp::BatchMode;
     use crate::circuit::Circuit;
 
@@ -776,12 +775,12 @@ mod tests {
         Prepared::compile(&c).unwrap()
     }
 
-    /// Batch size 1 on the sparse backend reproduces the sequential
-    /// operating point bit for bit.
+    /// Batch size 1 reproduces the sequential operating point bit for
+    /// bit.
     #[test]
     fn single_lane_matches_sequential_bitwise() {
         let mut prep = bjt_stage();
-        let opts = Options::new().solver(SolverChoice::Sparse);
+        let opts = Options::new();
         let scales = [0.5, 1.0, 2.0, 7.5];
         let mut engine = BatchedOpEngine::new(1);
         let batched = engine.run(&mut prep, &opts, scales.len(), |p, i| {
@@ -801,7 +800,7 @@ mod tests {
     #[test]
     fn multi_lane_matches_sequential_tightly() {
         let mut prep = bjt_stage();
-        let opts = Options::new().solver(SolverChoice::Sparse);
+        let opts = Options::new();
         let scales: Vec<f64> = (0..11).map(|k| 0.5 + 0.2 * k as f64).collect();
         for lanes in [2, 3, 8] {
             let mut engine = BatchedOpEngine::new(lanes);
@@ -827,7 +826,7 @@ mod tests {
     #[test]
     fn failed_tune_is_contained() {
         let (mut prep, r) = divider();
-        let opts = Options::new().solver(SolverChoice::Sparse);
+        let opts = Options::new();
         let mut engine = BatchedOpEngine::new(4);
         let res = engine.run(&mut prep, &opts, 4, |p, i| {
             if i == 2 {
@@ -861,7 +860,7 @@ mod tests {
     fn ac_engine_matches_ac_sweep() {
         use crate::analysis::ac::ac_sweep_impl as ac_sweep;
         let (mut prep, r) = divider();
-        let opts = Options::new().solver(SolverChoice::Sparse);
+        let opts = Options::new();
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
         let dc = op(&prep, &opts).unwrap();
         let mut engine = BatchedAcEngine::new(3);
@@ -929,10 +928,7 @@ mod tests {
             let mut prep = bjt_stage();
             let scales = [0.5, 1.0, 2.0, 7.5];
             let seq_inj = FaultInjector::once(kind, 2, 1);
-            let seq_opts = Options::new()
-                .solver(SolverChoice::Sparse)
-                .ladder(no_ladder)
-                .fault_injector(&seq_inj);
+            let seq_opts = Options::new().ladder(no_ladder).fault_injector(&seq_inj);
             let seq: Vec<Result<OpResult>> = scales
                 .iter()
                 .map(|s| {

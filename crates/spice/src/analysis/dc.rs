@@ -46,7 +46,7 @@ pub(crate) fn dc_sweep_impl(
     let mut result = Ok(());
     // One workspace for the whole sweep: the stamp pattern is fixed, so
     // every point after the first replays slots and refactors in place.
-    let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+    let mut ws = SolverWorkspace::new(prep.num_unknowns);
     let mut prev: Option<Vec<f64>> = None;
     for &v in values {
         prep.circuit.set_source_wave(source, SourceWave::Dc(v))?;

@@ -42,6 +42,6 @@ pub use pool::sample_pool_map;
 pub use pss::{PssParams, PssResult, PssStatus};
 pub use report::{lint_report, op_report};
 pub use session::Session;
-pub use solver::{SolverChoice, SolverWorkspace};
+pub use solver::SolverWorkspace;
 pub use stamp::{BatchMode, LadderConfig, Options};
 pub use tran::{TranParams, TranResult, TranStatus};

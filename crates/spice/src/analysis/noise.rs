@@ -127,7 +127,6 @@ pub(crate) fn noise_impl(
     // generator's transfer-function solve.
     let (points, par) = parallel_freq_map(
         n,
-        opts.solver,
         tr.enabled(),
         opts.threads,
         freqs,

@@ -334,7 +334,7 @@ pub(crate) fn op_from_eval(
     opts: &Options,
     x0: Option<&[f64]>,
 ) -> Result<OpResult> {
-    let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+    let mut ws = SolverWorkspace::new(prep.num_unknowns);
     op_from_ws(prep, opts, x0, &mut ws, None)
 }
 

@@ -50,12 +50,13 @@
 
 use crate::analysis::ac::assemble_ac;
 use crate::analysis::pss::{pss_impl, PssParams, PssResult, PssStatus};
-use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace, StoredLu};
+use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace};
 use crate::analysis::stamp::{MnaSink, Mode, NonlinMemory, Options, PatternProbe};
 use crate::circuit::Prepared;
 use crate::devices::RealCtx;
 use crate::error::{Result, SpiceError};
 use crate::wave::{SourceWave, Waveform};
+use ahfic_num::sparse::SparseLu;
 use ahfic_num::Complex;
 use ahfic_trace::SolverStats;
 use std::f64::consts::PI;
@@ -307,7 +308,7 @@ struct LinearStep {
     /// Companion coefficient `a_k`.
     a: f64,
     /// Factors of `J_k = G_k + a_k·C_k`.
-    lu: StoredLu<f64>,
+    lu: SparseLu<f64>,
     /// Nonzeros of `C_k` as `(row, col, value)`.
     c: Vec<(usize, usize, f64)>,
 }
@@ -335,8 +336,7 @@ impl MnaSink<Complex> for SplitSink<'_> {
 }
 
 /// Linearizes the circuit at every grid sample of the orbit: one
-/// factored step matrix and one `C_k` per grid step, on the kernel
-/// [`Options::solver`] selects.
+/// factored step matrix and one `C_k` per grid step.
 fn linearize(
     prep: &Prepared,
     opts: &Options,
@@ -350,7 +350,7 @@ fn linearize(
         .iter()
         .map(|name| orbit.signal(name))
         .collect::<Result<Vec<_>>>()?;
-    let mut ws = SolverWorkspace::new(n, opts.solver);
+    let mut ws = SolverWorkspace::new(n);
     ws.set_timing(opts.trace.tracer().enabled());
     let mut x = vec![0.0; n];
     let mut ac_rhs = vec![Complex::ZERO; n];
@@ -431,7 +431,6 @@ fn recur(
         })
         .collect();
     let mut dq_new = vec![0.0; n];
-    let mut scratch = Vec::with_capacity(n);
     let mut steps_taken = 0u64;
     for p in 0..params.settle_periods + params.measure_periods {
         let t0 = p as f64 * period;
@@ -468,7 +467,7 @@ fn recur(
                     *dx = b[j] * u + step.a * tone.dq[j] + tone.di[j];
                 }
                 let started = timing.then(Instant::now);
-                step.lu.solve_in_place(&mut tone.dx, &mut scratch);
+                step.lu.solve_in_place(&mut tone.dx);
                 if let Some(s) = started {
                     stats.solve_seconds += s.elapsed().as_secs_f64();
                 }

@@ -51,11 +51,16 @@ pub struct PssParams {
     /// Plain transient periods integrated before shooting starts, to
     /// drop onto the attractor's basin cheaply (each costs one period).
     pub warmup_periods: usize,
-    /// Knobs for the matrix-free GMRES shooting-update solve. Each
-    /// inner iteration costs one full period integration, so the
-    /// defaults are much tighter than [`GmresOptions::default`].
-    pub gmres: GmresOptions,
 }
+
+/// The matrix-free GMRES shooting-update solve. Each inner iteration
+/// costs one full period integration, so the budget is much tighter
+/// than [`GmresOptions::default`].
+const SHOOTING_GMRES: GmresOptions = GmresOptions {
+    restart: 20,
+    tol: 1e-8,
+    max_iters: 40,
+};
 
 impl PssParams {
     /// Conventional setup: `steps_per_period` uniform steps over
@@ -66,11 +71,6 @@ impl PssParams {
             steps_per_period,
             max_shooting: 25,
             warmup_periods: 2,
-            gmres: GmresOptions {
-                restart: 20,
-                tol: 1e-8,
-                max_iters: 40,
-            },
         }
     }
 
@@ -83,12 +83,6 @@ impl PssParams {
     /// Sets the warmup period count.
     pub fn warmup_periods(mut self, n: usize) -> Self {
         self.warmup_periods = n;
-        self
-    }
-
-    /// Sets the GMRES knobs for the shooting-update solve.
-    pub fn gmres(mut self, gmres: GmresOptions) -> Self {
-        self.gmres = gmres;
         self
     }
 }
@@ -224,7 +218,7 @@ impl<'a> PeriodIntegrator<'a> {
         grid.extend(bps.into_iter().filter(|&t| t > 0.0 && t < t_stop));
         grid.sort_by(|a, b| a.total_cmp(b));
         grid.dedup_by(|a, b| (*a - *b).abs() <= t_stop * 1e-12);
-        let mut ws = SolverWorkspace::new(prep.num_unknowns, opts.solver);
+        let mut ws = SolverWorkspace::new(prep.num_unknowns);
         ws.set_timing(opts.trace.tracer().enabled());
         let bank = ChargeBank::new(prep);
         let scratch_states = bank.states.clone();
@@ -546,7 +540,7 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
             xp: Vec::with_capacity(n),
         };
         dx.fill(0.0);
-        let out = gmres(&mut op, &rhs, &mut dx, &params.gmres);
+        let out = gmres(&mut op, &rhs, &mut dx, &SHOOTING_GMRES);
         gmres_total += out.iterations as u64;
         if let Some(e) = op.error.take() {
             if e.is_abort() {

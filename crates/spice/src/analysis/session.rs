@@ -19,7 +19,7 @@ use crate::analysis::noise::{noise_impl, NoisePoint};
 use crate::analysis::op::{op_from_ws, OpResult};
 use crate::analysis::pac::{pac_impl, PacParams, PacResult};
 use crate::analysis::pss::{pss_impl, PssParams, PssResult};
-use crate::analysis::solver::{SolverChoice, SolverWorkspace};
+use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::Options;
 use crate::analysis::tran::{tran_impl, TranParams, TranResult};
 use crate::cache::PreparedCache;
@@ -57,14 +57,7 @@ pub struct Session {
     /// symbolic setup per call. Taken out of the slot for the duration
     /// of a solve, so concurrent `op` calls on a shared session stay
     /// parallel (late arrivals build a fresh workspace).
-    ws: Mutex<Option<WsSlot>>,
-}
-
-/// A parked workspace plus the shape it was built for.
-struct WsSlot {
-    n: usize,
-    solver: SolverChoice,
-    ws: SolverWorkspace<f64>,
+    ws: Mutex<Option<SolverWorkspace<f64>>>,
 }
 
 impl Clone for Session {
@@ -250,23 +243,18 @@ impl Session {
     #[allow(clippy::expect_used)]
     pub fn op_from(&self, x0: Option<&[f64]>) -> Result<OpResult> {
         let n = self.prepared.num_unknowns;
-        let solver = self.options.solver;
         let parked = self
             .ws
             .lock()
             .expect("session workspace lock")
             .take()
-            .filter(|s| s.n == n && s.solver == solver);
-        let mut slot = parked.unwrap_or_else(|| WsSlot {
-            n,
-            solver,
-            ws: SolverWorkspace::new(n, solver),
-        });
-        let result = op_from_ws(&self.prepared, &self.options, x0, &mut slot.ws, None);
+            .filter(|ws| ws.dim() == n);
+        let mut ws = parked.unwrap_or_else(|| SolverWorkspace::new(n));
+        let result = op_from_ws(&self.prepared, &self.options, x0, &mut ws, None);
         if result.is_ok() {
             let mut parked = self.ws.lock().expect("session workspace lock");
             if parked.is_none() {
-                *parked = Some(slot);
+                *parked = Some(ws);
             }
         }
         result
@@ -387,7 +375,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::SolverChoice;
     use ahfic_trace::{InMemorySink, RecordKind};
     use std::sync::Arc;
 
@@ -405,9 +392,7 @@ mod tests {
     fn session_runs_op_and_dc() {
         let ckt = divider();
         let b = ckt.find_node("b").unwrap();
-        let mut sess = Session::compile(&ckt)
-            .unwrap()
-            .with_options(Options::new().solver(SolverChoice::Dense));
+        let mut sess = Session::compile(&ckt).unwrap();
         let r = sess.op().unwrap();
         assert!((sess.prepared().voltage(r.x(), b) - 4.0).abs() < 1e-9);
         let w = sess.dc("V1", &[3.0, 6.0]).unwrap();

@@ -13,7 +13,6 @@
 
 use crate::analysis::control::{Budget, CancelHandle, CancelToken, StreamPolicy};
 use crate::analysis::fault::{FaultHandle, FaultInjector};
-use crate::analysis::solver::SolverChoice;
 use crate::circuit::Prepared;
 use crate::devices::{RealCtx, Stamper};
 use crate::lint::LintPolicy;
@@ -70,9 +69,9 @@ impl LadderConfig {
 /// the chainable builder methods:
 ///
 /// ```
-/// use ahfic_spice::analysis::{Options, SolverChoice};
-/// let opts = Options::new().solver(SolverChoice::Sparse).reltol(1e-4);
-/// assert_eq!(opts.solver, SolverChoice::Sparse);
+/// use ahfic_spice::analysis::Options;
+/// let opts = Options::new().reltol(1e-4).threads(1);
+/// assert_eq!((opts.reltol, opts.threads), (1e-4, 1));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -89,8 +88,6 @@ pub struct Options {
     pub max_newton: usize,
     /// Thermal voltage kT/q (V); change to simulate other temperatures.
     pub vt: f64,
-    /// Linear-solver backend (dense LU vs sparse LU with pattern reuse).
-    pub solver: SolverChoice,
     /// Cache the linear-device stamps once per Newton solve and replay
     /// them by `memcpy` each iteration (on by default). Off forces a
     /// full re-stamp every iteration; both paths produce bit-identical
@@ -115,8 +112,8 @@ pub struct Options {
     /// Worker-thread budget for `parallel` analyses (AC/noise frequency
     /// fan-out and the batched sample pool). `0` (the default) means
     /// auto-detect from [`std::thread::available_parallelism`]; `1`
-    /// pins everything on the calling thread for deterministic
-    /// debugging and CI.
+    /// pins everything on the calling thread. AC and noise results are
+    /// bit-identical at every thread count.
     pub threads: usize,
     /// Cooperative cancellation; [`CancelHandle::off`] (the default)
     /// makes every poll site a single not-taken branch. Polled at
@@ -136,8 +133,8 @@ pub struct Options {
 /// The study drivers solve groups of variants side by side over one
 /// shared sparse pattern (structure-of-arrays values, SIMD lane
 /// kernels), falling back to the sequential ladder per sample whenever
-/// a lane misbehaves. `Lanes(1)` reproduces the sequential **sparse**
-/// solver bit for bit.
+/// a lane misbehaves. `Lanes(1)` reproduces the sequential solver bit
+/// for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchMode {
     /// Eight lanes — the default.
@@ -159,7 +156,6 @@ impl Default for Options {
             gmin: 1e-12,
             max_newton: 100,
             vt: crate::devices::junction::VT_300K,
-            solver: SolverChoice::Auto,
             linear_replay: true,
             trace: TraceHandle::off(),
             ladder: LadderConfig::default(),
@@ -177,8 +173,8 @@ impl Default for Options {
 /// Destination of MNA stamps.
 ///
 /// The assemblers write every element's linearized companion through this
-/// trait, so the same stamping code fills either a dense [`Matrix`] or the
-/// sparse slot-replay workspace of
+/// trait, so the same stamping code fills either a dense [`Matrix`] (the
+/// tests' reference) or the sparse slot-replay workspace of
 /// [`crate::analysis::solver::SolverWorkspace`]. Callers guarantee indices
 /// are in range and not [`crate::circuit::GROUND_SLOT`].
 pub trait MnaSink<T: Scalar> {
@@ -283,12 +279,6 @@ impl Options {
     /// Sets the thermal voltage kT/q (V).
     pub fn vt(mut self, vt: f64) -> Self {
         self.vt = vt;
-        self
-    }
-
-    /// Sets the linear-solver backend.
-    pub fn solver(mut self, solver: SolverChoice) -> Self {
-        self.solver = solver;
         self
     }
 

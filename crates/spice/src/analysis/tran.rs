@@ -265,7 +265,7 @@ pub(crate) fn tran_impl(
     // One workspace for the whole transient: the Tran-mode stamp sequence
     // is fixed, so every Newton iteration after the first assembly
     // replays precomputed slots and refactors in place.
-    let mut ws = SolverWorkspace::new(n, opts.solver);
+    let mut ws = SolverWorkspace::new(n);
     ws.set_timing(tr.enabled());
 
     // Charge bank initialized at the starting solution (a = 0 turns the

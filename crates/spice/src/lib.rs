@@ -74,8 +74,8 @@ pub use ahfic_trace as trace;
 pub mod prelude {
     pub use crate::analysis::{
         bjt_operating, Budget, CancelToken, FaultInjector, FaultKind, LadderConfig, Options,
-        PacParams, PacResult, PssParams, PssResult, PssStatus, Session, SolverChoice, StreamPolicy,
-        TranParams, TranResult, TranStatus,
+        PacParams, PacResult, PssParams, PssResult, PssStatus, Session, StreamPolicy, TranParams,
+        TranResult, TranStatus,
     };
     pub use crate::cache::PreparedCache;
     pub use crate::circuit::{Circuit, NodeId, Prepared};

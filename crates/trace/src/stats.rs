@@ -6,7 +6,7 @@
 
 use crate::Tracer;
 
-/// Sparse/dense linear-kernel work: factorization and solve counts and
+/// Linear-kernel work: factorization and solve counts and
 /// (when timing is enabled) their accumulated wall time.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolverStats {

@@ -11,7 +11,7 @@
 use ahfic::mixed::RcCrBench;
 use ahfic::yield_mc::YieldStudy;
 use ahfic_rf::image_rejection::irr_analytic_db;
-use ahfic_spice::analysis::{BatchMode, BatchedOpEngine, OpResult, Options, Session, SolverChoice};
+use ahfic_spice::analysis::{BatchMode, BatchedOpEngine, OpResult, Options, Session};
 use ahfic_spice::circuit::{Circuit, Prepared};
 use ahfic_spice::model::BjtModel;
 use proptest::prelude::*;
@@ -130,7 +130,7 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()), // typed rejection is fine
         };
-        let opts = Options::new().solver(SolverChoice::Sparse);
+        let opts = Options::new();
         let rt = rs[4];
         // Sequential reference: tune then solve, one sample at a time.
         let seq: Vec<Result<Vec<f64>, String>> = deltas

@@ -1,12 +1,14 @@
-//! Sparse/dense solver agreement: property tests on MNA-like random
-//! systems, and end-to-end transient/AC runs of a transistor-level
-//! image-rejection front end (the circuit family behind paper Fig. 5)
-//! with the sparse solver forced on vs off.
+//! Linear-solver agreement: the sparse LU against the dense reference
+//! on random MNA-like systems, the linear-replay Newton path against a
+//! full re-stamp, and AC and noise sweeps across thread counts, all
+//! bit for bit except the LU comparison.
 
+use ahfic_bench::TUNER_DECK;
 use ahfic_num::sparse::{SparseLu, TripletBuilder};
 use ahfic_num::{lu::LuFactors, Matrix};
-use ahfic_spice::analysis::{OpResult, Options, Session, SolverChoice, TranParams, TranResult};
+use ahfic_spice::analysis::{OpResult, Options, Session, TranParams, TranResult};
 use ahfic_spice::circuit::{Circuit, Prepared};
+use ahfic_spice::parse::parse_netlist;
 use ahfic_spice::wave::SourceWave;
 use ahfic_spice::BjtModel;
 use proptest::prelude::*;
@@ -225,136 +227,67 @@ proptest! {
     }
 }
 
-/// Transistor-level Hartley image-rejection front end: quadrature BJT
-/// transconductor paths into an RC/CR phase shifter and a resistive
-/// summer — the SPICE-level counterpart of the Fig. 5 tuner.
-fn image_rejection_frontend() -> Prepared {
-    let mut c = Circuit::new();
-    let vcc = c.node("vcc");
-    let vin = c.node("vin");
-    c.vsource("VCC", vcc, Circuit::gnd(), 5.0);
-    c.vsource_wave(
-        "VRF",
-        vin,
-        Circuit::gnd(),
-        SourceWave::Sin {
-            offset: 0.0,
-            ampl: 10e-3,
-            freq: 100e6,
-            delay: 0.0,
-            damping: 0.0,
-            phase_deg: 0.0,
-        },
-    );
-    c.set_ac("VRF", 1.0, 0.0).unwrap();
+/// One common-emitter stage on the tuner deck's transistor card: 10
+/// unknowns, with the card's base, emitter and collector resistances.
+const CE_STAGE_DECK: &str = "* common-emitter stage\n\
+.model rfnpn NPN (BF=90 RB=120 RE=1.5 RC=25 CJE=60f CJC=40f TF=12p)\n\
+VCC vcc 0 5\n\
+VRF vin 0 DC 0 AC 1\n\
+RB1 vcc b 47k\nRB2 b 0 10k\nCIN vin b 10p\n\
+RC vcc c 1k\nRE e 0 220\nCE e 0 20p\n\
+Q1 c b e rfnpn\n.end\n";
 
-    // Parasitic resistances give each BJT internal nodes, growing the
-    // system well past the dense/sparse auto threshold.
-    let mut m = BjtModel::named("rfnpn");
-    m.bf = 90.0;
-    m.rb = 120.0;
-    m.re = 1.5;
-    m.rc = 25.0;
-    m.cje = 60e-15;
-    m.cjc = 40e-15;
-    m.tf = 12e-12;
-    let mi = c.add_bjt_model(m);
-
-    let path = |c: &mut Circuit, tag: &str| {
-        let b = c.node(&format!("b{tag}"));
-        let col = c.node(&format!("c{tag}"));
-        let e = c.node(&format!("e{tag}"));
-        c.resistor(&format!("RB1{tag}"), vcc, b, 47e3);
-        c.resistor(&format!("RB2{tag}"), b, Circuit::gnd(), 10e3);
-        c.capacitor(&format!("CIN{tag}"), vin, b, 10e-12);
-        c.resistor(&format!("RC{tag}"), vcc, col, 1e3);
-        c.resistor(&format!("RE{tag}"), e, Circuit::gnd(), 220.0);
-        c.capacitor(&format!("CE{tag}"), e, Circuit::gnd(), 20e-12);
-        c.bjt(&format!("Q{tag}"), col, b, e, mi, 1.0);
-        col
-    };
-    let ci = path(&mut c, "i");
-    let cq = path(&mut c, "q");
-
-    // 90-degree split at the second IF: CR highpass on I, RC lowpass on Q,
-    // then sum into the load.
-    let oi = c.node("oi");
-    let oq = c.node("oq");
-    let sum = c.node("sum");
-    c.capacitor("CPI", ci, oi, 2e-12);
-    c.resistor("RPI", oi, Circuit::gnd(), 800.0);
-    c.resistor("RPQ", cq, oq, 800.0);
-    c.capacitor("CPQ", oq, Circuit::gnd(), 2e-12);
-    c.resistor("RSI", oi, sum, 2e3);
-    c.resistor("RSQ", oq, sum, 2e3);
-    c.resistor("RL", sum, Circuit::gnd(), 1e3);
-    Prepared::compile(&c).unwrap()
-}
-
-fn opts_with(solver: SolverChoice) -> Options {
-    Options::new().solver(solver)
-}
-
-#[test]
-fn image_rejection_tran_identical_sparse_vs_dense() {
-    let prep = image_rejection_frontend();
-    assert!(
-        prep.num_unknowns >= 16,
-        "front end should exceed the auto-sparse threshold, n = {}",
-        prep.num_unknowns
-    );
-    let params = TranParams::new(50e-9, 0.2e-9);
-    let wd = tran(&prep, &opts_with(SolverChoice::Dense), &params).unwrap();
-    let ws = tran(&prep, &opts_with(SolverChoice::Sparse), &params).unwrap();
-    assert_eq!(wd.axis().len(), ws.axis().len(), "step sequences diverged");
-    for (td, ts) in wd.axis().iter().zip(ws.axis()) {
-        assert!((td - ts).abs() <= 1e-18, "{td} vs {ts}");
-    }
-    for name in ["v(sum)", "v(ci)", "v(cq)", "v(oi)", "v(oq)"] {
-        let sd = wd.signal(name).unwrap();
-        let ss = ws.signal(name).unwrap();
-        for (k, (a, b)) in sd.iter().zip(ss).enumerate() {
-            let tol = 1e-6 * a.abs().max(1.0);
-            assert!((a - b).abs() <= tol, "{name}[{k}]: {a} vs {b}");
+/// The bits of an AC sweep of every unknown (one entry per complex
+/// value, real and imaginary part) and of the noise totals at `out`,
+/// over 60 log-spaced points from 10 MHz to 1 GHz.
+fn sweep_bits(deck: &str, out: &str, threads: usize) -> (Vec<[u64; 2]>, Vec<u64>) {
+    let ckt = parse_netlist(deck).expect("deck parses");
+    let sess = Session::compile(&ckt)
+        .expect("deck compiles")
+        .with_options(Options::new().threads(threads));
+    let op = sess.op().expect("operating point");
+    let freqs = ahfic_num::interp::logspace(10e6, 1e9, 60);
+    let ac = sess.ac(op.x(), &freqs).expect("ac sweep");
+    let mut ac_bits = Vec::new();
+    for name in &sess.prepared().unknown_names {
+        for z in ac.signal(name).expect("unknown recorded") {
+            ac_bits.push([z.re.to_bits(), z.im.to_bits()]);
         }
     }
+    let out = ckt.find_node(out).expect("noise output node");
+    let noise = sess.noise(op.x(), out, &freqs).expect("noise sweep");
+    let noise_bits = noise.iter().map(|p| p.output_density().to_bits()).collect();
+    (ac_bits, noise_bits)
 }
 
+/// AC and noise sweeps give the same bits at 1, 2, 3 and 7 threads,
+/// whatever the deck's size: every frequency point refactors on the
+/// first point's pivot order, however the points are split across
+/// workers, so no result depends on the host's core count.
 #[test]
-fn image_rejection_ac_identical_sparse_vs_dense() {
-    let prep = image_rejection_frontend();
-    let od = op(&prep, &opts_with(SolverChoice::Dense)).unwrap();
-    let os = op(&prep, &opts_with(SolverChoice::Sparse)).unwrap();
-    for (a, b) in od.x.iter().zip(&os.x) {
-        assert!((a - b).abs() <= 1e-8 * a.abs().max(1.0), "op: {a} vs {b}");
-    }
-    let freqs = ahfic_num::interp::logspace(1e6, 1e9, 25);
-    let wd = ac_sweep(&prep, &od.x, &opts_with(SolverChoice::Dense), &freqs).unwrap();
-    let ws = ac_sweep(&prep, &od.x, &opts_with(SolverChoice::Sparse), &freqs).unwrap();
-    for name in ["v(sum)", "v(oi)", "v(oq)"] {
-        let md = wd.magnitude(name).unwrap();
-        let ms = ws.magnitude(name).unwrap();
-        let pd = wd.phase_deg(name).unwrap();
-        let ps = ws.phase_deg(name).unwrap();
-        for k in 0..freqs.len() {
-            assert!(
-                (md[k] - ms[k]).abs() <= 1e-8 * md[k].abs().max(1e-12),
-                "{name} mag[{k}]: {} vs {}",
-                md[k],
-                ms[k]
+fn ac_and_noise_sweeps_are_bit_identical_at_any_thread_count() {
+    for (name, deck, out, unknowns) in [
+        ("tuner", TUNER_DECK, "sum", 19),
+        ("ce_stage", CE_STAGE_DECK, "c", 10),
+    ] {
+        let n = Session::compile(&parse_netlist(deck).expect("deck parses"))
+            .expect("deck compiles")
+            .prepared()
+            .num_unknowns;
+        assert_eq!(n, unknowns, "{name} unknowns");
+        let (ac_one, noise_one) = sweep_bits(deck, out, 1);
+        for threads in [2, 3, 7] {
+            let (ac, noise) = sweep_bits(deck, out, threads);
+            let ac_moved = ac.iter().zip(&ac_one).filter(|(a, b)| a != b).count();
+            let noise_moved = noise.iter().zip(&noise_one).filter(|(a, b)| a != b).count();
+            assert_eq!(
+                (ac_moved, noise_moved),
+                (0, 0),
+                "{name} at {threads} threads against 1: {ac_moved} of {} AC values \
+                 and {noise_moved} of {} noise totals changed bits",
+                ac.len(),
+                noise.len()
             );
-            assert!((pd[k] - ps[k]).abs() <= 1e-6, "{name} phase[{k}]");
         }
     }
-    // The phase shifter must actually quadrature-split near its corner
-    // (~100 MHz, index 16 on the 1e6..1e9 log grid), so the netlist
-    // exercises the paper's architecture. Loading by the summing network
-    // pulls the split off the ideal 90 degrees, hence the loose bound.
-    let f_mid = 16;
-    let dphi = (wd.phase_deg("v(oi)").unwrap()[f_mid] - wd.phase_deg("v(oq)").unwrap()[f_mid])
-        .rem_euclid(360.0);
-    assert!(
-        (dphi - 90.0).abs() < 45.0,
-        "I/Q split should be near quadrature, got {dphi}"
-    );
 }

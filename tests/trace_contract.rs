@@ -2,10 +2,10 @@
 //! counter emission, JSON-lines serialization, and the guarantee that
 //! tracing never perturbs numerical results.
 //!
-//! The circuit under test is the transistor-level Hartley
-//! image-rejection front end also used by the solver-agreement suite.
+//! The circuit under test is a transistor-level Hartley
+//! image-rejection front end.
 
-use ahfic_spice::analysis::{Options, Session, SolverChoice, TranParams};
+use ahfic_spice::analysis::{Options, Session, TranParams};
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::trace::{InMemorySink, JsonLinesSink, NullSink, RecordKind, TraceRecord};
 use ahfic_spice::wave::SourceWave;
@@ -105,7 +105,7 @@ fn op_tran_ac_spans_nest_and_counters_tick() {
     let sink = Arc::new(InMemorySink::new());
     let sess = Session::compile(&ckt)
         .unwrap()
-        .with_options(Options::new().solver(SolverChoice::Sparse).trace(&sink));
+        .with_options(Options::new().trace(&sink));
 
     let dc = sess.op().unwrap();
     sess.tran(&TranParams::new(5e-9, 0.2e-9)).unwrap();
@@ -193,14 +193,10 @@ fn json_lines_sink_round_trips_through_serde() {
 #[test]
 fn null_sink_results_are_bit_identical_to_untraced() {
     let ckt = image_rejection_frontend();
-    let plain = Session::compile(&ckt)
+    let plain = Session::compile(&ckt).unwrap();
+    let nulled = Session::compile(&ckt)
         .unwrap()
-        .with_options(Options::new().solver(SolverChoice::Sparse));
-    let nulled = Session::compile(&ckt).unwrap().with_options(
-        Options::new()
-            .solver(SolverChoice::Sparse)
-            .trace(&Arc::new(NullSink)),
-    );
+        .with_options(Options::new().trace(&Arc::new(NullSink)));
 
     let op_a = plain.op().unwrap();
     let op_b = nulled.op().unwrap();
