@@ -21,7 +21,9 @@
 //! a PSS of its LO orbit and its image-rejection ratio by PSS + PAC.
 //! The `bjt` lines hash every BJT's operating record except
 //! `qbx`/`cbx`, which the `bjt.qbx_cbx` lines hash on their own. The
-//! `mixer fig5_tl` line hashes the four transistor-level Fig. 5 IRRs.
+//! `mixer fig5_tl` line hashes the four transistor-level Fig. 5 IRRs,
+//! and the `tank pss` line the PSS of two coupled LC tanks, the one
+//! fingerprinted orbit through inductors.
 //! The analyses run at one thread; AC and noise give the same bits at
 //! any thread count.
 //!
@@ -56,7 +58,7 @@ use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, TranPara
 use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
 use ahfic_spice::parse::parse_netlist;
-use ahfic_spice::wave::Waveform;
+use ahfic_spice::wave::{SourceWave, Waveform};
 
 /// FNV-1a (64-bit) over the bit patterns of the values pushed.
 struct Fingerprint {
@@ -96,6 +98,23 @@ impl Fingerprint {
         for name in w.signal_names() {
             self.all(w.signal(name)?);
         }
+        Ok(())
+    }
+
+    /// A PSS run: its orbit, whether it converged, its iteration counts
+    /// and its final residual.
+    fn pss(
+        &mut self,
+        sess: &Session,
+        params: &PssParams,
+    ) -> std::result::Result<(), Box<dyn std::error::Error>> {
+        let r = sess.pss(params)?;
+        self.wave(r.wave())?;
+        self.bits(u64::from(r.is_converged()));
+        self.bits(r.shooting_iterations);
+        self.bits(r.gmres_iterations);
+        self.bits(r.newton_iterations);
+        self.f64(r.residual);
         Ok(())
     }
 
@@ -168,6 +187,37 @@ fn decks() -> Result<Vec<Deck>> {
             mixer: Some(mixer_params),
         },
     ])
+}
+
+/// Two 1 MHz LC tanks (Q ≈ 20), capacitively coupled and driven through
+/// a source resistor: the coupled tanks of `tests/pss_agreement.rs`.
+fn coupled_tank() -> Circuit {
+    let mut c = Circuit::new();
+    let vin = c.node("vin");
+    let t1 = c.node("t1");
+    let t2 = c.node("t2");
+    c.vsource_wave(
+        "VIN",
+        vin,
+        Circuit::gnd(),
+        SourceWave::Sin {
+            offset: 0.0,
+            ampl: 1.0,
+            freq: 1e6,
+            delay: 0.0,
+            damping: 0.0,
+            phase_deg: 0.0,
+        },
+    );
+    c.resistor("RS", vin, t1, 10e3);
+    c.inductor("L1", t1, Circuit::gnd(), 25.33e-6);
+    c.capacitor("C1", t1, Circuit::gnd(), 1e-9);
+    c.resistor("RP1", t1, Circuit::gnd(), 3.2e3);
+    c.capacitor("CC", t1, t2, 50e-12);
+    c.inductor("L2", t2, Circuit::gnd(), 25.33e-6);
+    c.capacitor("C2", t2, Circuit::gnd(), 1e-9);
+    c.resistor("RP2", t2, Circuit::gnd(), 3.2e3);
+    c
 }
 
 /// Runs one analysis and prints its line; a failed analysis prints its
@@ -258,14 +308,7 @@ fn fingerprint_deck(deck: &Deck) -> Result<()> {
         return Ok(());
     };
     report(&format!("{name} pss"), |fp| {
-        let r = sess.pss(&PssParams::new(1.0 / params.f_lo, 200))?;
-        fp.wave(r.wave())?;
-        fp.bits(u64::from(r.is_converged()));
-        fp.bits(r.shooting_iterations);
-        fp.bits(r.gmres_iterations);
-        fp.bits(r.newton_iterations);
-        fp.f64(r.residual);
-        Ok(())
+        fp.pss(&sess, &PssParams::new(1.0 / params.f_lo, 200))
     });
     report(&format!("{name} pac"), |fp| {
         let irr = measure_irr_transistor_db(params, &opts)?;
@@ -372,6 +415,10 @@ fn main() -> Result<()> {
             fp.f64(measure_irr_transistor_db(&params, &Options::new())?.irr_db);
         }
         Ok(())
+    });
+    report("tank pss", |fp| {
+        let sess = Session::compile(&coupled_tank())?.with_options(Options::new().threads(1));
+        fp.pss(&sess, &PssParams::new(1e-6, 512).warmup_periods(0))
     });
     fingerprint_behavioral();
     Ok(())

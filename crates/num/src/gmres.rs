@@ -2,8 +2,9 @@
 //!
 //! The caller is shooting-Newton periodic steady state, where the
 //! operator is the *monodromy* sensitivity map `v ↦ (M − I)·v` that is
-//! never formed — each application integrates the circuit over one
-//! period. All the iteration needs is the [`LinearOperator`] trait: a
+//! never formed — each application runs one period of the circuit's
+//! small-signal recurrence on stored factors. All the iteration needs
+//! is the [`LinearOperator`] trait: a
 //! dimension and a matrix-vector product. GMRES itself is the textbook
 //! restarted formulation (Saad, *Iterative Methods for Sparse Linear
 //! Systems*, ch. 6): Arnoldi with modified Gram–Schmidt, the Hessenberg
@@ -21,8 +22,8 @@ use crate::scalar::Scalar;
 /// A linear map `y = A·x`, possibly matrix-free.
 ///
 /// `apply` takes `&mut self` so matrix-free operators (e.g. the shooting
-/// monodromy map, which re-integrates the circuit per product) can reuse
-/// internal scratch state between applications.
+/// monodromy map, which runs a period of triangular solves per product)
+/// can reuse internal scratch state between applications.
 pub trait LinearOperator<T: Scalar> {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;

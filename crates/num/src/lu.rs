@@ -1,8 +1,9 @@
 //! Dense LU factorization with partial pivoting, generic over [`Scalar`].
 //!
-//! The simulators solve every linear system with the sparse kernel of
+//! The simulators solve every circuit matrix with the sparse kernel of
 //! [`crate::sparse`]; this dense factorization is the reference the
-//! tests hold that kernel to.
+//! tests hold that kernel to, and it solves the small dense
+//! boundary-value system of the periodic small-signal analysis.
 
 use crate::{Matrix, Scalar};
 use std::fmt;

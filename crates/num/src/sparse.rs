@@ -465,8 +465,53 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve_in_place(&mut self, b: &mut [T]) {
+        let mut work = std::mem::take(&mut self.work);
+        self.solve_values(&self.l_vals, &self.u_vals, &self.diag, &mut work, b);
+        self.work = work;
+    }
+
+    /// Whether `other` has this factorization's pivot order and fill
+    /// pattern, so that its [`SparseLu::push_values`] fit
+    /// [`SparseLu::solve_with`] on `self`.
+    pub fn same_pattern(&self, other: &Self) -> bool {
+        self.q == other.q
+            && self.pinv == other.pinv
+            && self.l_colptr == other.l_colptr
+            && self.l_rows == other.l_rows
+            && self.u_colptr == other.u_colptr
+            && self.u_rows == other.u_rows
+    }
+
+    /// Appends the numeric factors (`L`, the strict upper `U`, then the
+    /// pivots) to `out`: many factorizations of one pattern, stored as
+    /// one value array each, share the pattern's index arrays.
+    pub fn push_values(&self, out: &mut Vec<T>) {
+        out.extend_from_slice(&self.l_vals);
+        out.extend_from_slice(&self.u_vals);
+        out.extend_from_slice(&self.diag);
+    }
+
+    /// Solves `A x = b` in place for the matrix whose factors on this
+    /// pattern [`SparseLu::push_values`] wrote as `vals`.
+    /// Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != self.dim()` or `vals` is shorter than the
+    /// factors.
+    pub fn solve_with(&mut self, vals: &[T], b: &mut [T]) {
+        let (l_vals, rest) = vals.split_at(self.l_vals.len());
+        let (u_vals, diag) = rest.split_at(self.u_vals.len());
+        let mut work = std::mem::take(&mut self.work);
+        self.solve_values(l_vals, u_vals, &diag[..self.n], &mut work, b);
+        self.work = work;
+    }
+
+    /// The triangular solves on this pattern with the given numeric
+    /// factors; `y` is the zeroed scatter workspace, left zeroed.
+    fn solve_values(&self, l_vals: &[T], u_vals: &[T], diag: &[T], y: &mut [T], b: &mut [T]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let y = &mut self.work[..self.n];
+        let y = &mut y[..self.n];
         // Row permutation: y = P b.
         for (&p, &bi) in self.pinv.iter().zip(b.iter()) {
             y[p] = bi;
@@ -476,18 +521,18 @@ impl<T: Scalar> SparseLu<T> {
             let yk = y[k];
             if yk.modulus() != 0.0 {
                 let (l0, l1) = (self.l_colptr[k], self.l_colptr[k + 1]);
-                for (&r, &l) in self.l_rows[l0..l1].iter().zip(&self.l_vals[l0..l1]) {
+                for (&r, &l) in self.l_rows[l0..l1].iter().zip(&l_vals[l0..l1]) {
                     y[r] -= l * yk;
                 }
             }
         }
         // Back substitution with U (column-major).
         for k in (0..self.n).rev() {
-            let yk = y[k] / self.diag[k];
+            let yk = y[k] / diag[k];
             y[k] = yk;
             if yk.modulus() != 0.0 {
                 let (u0, u1) = (self.u_colptr[k], self.u_colptr[k + 1]);
-                for (&r, &u) in self.u_rows[u0..u1].iter().zip(&self.u_vals[u0..u1]) {
+                for (&r, &u) in self.u_rows[u0..u1].iter().zip(&u_vals[u0..u1]) {
                     y[r] -= u * yk;
                 }
             }
@@ -546,6 +591,29 @@ mod tests {
         assert_eq!(d[(1, 1)], 5.0);
         assert_eq!(d[(1, 0)], 7.0);
         assert_eq!(d[(0, 1)], 0.0);
+    }
+
+    /// Factors of another matrix on one pattern, stored as values alone,
+    /// solve exactly as that matrix's own factors do.
+    #[test]
+    fn stored_values_solve_like_their_factors() {
+        let (m1, slots) = csc_from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 2.0, 5.0]]);
+        let mut pattern = SparseLu::factor(&m1).unwrap();
+        let mut m2 = m1.clone();
+        for (k, &slot) in slots.iter().enumerate() {
+            m2.values_mut()[slot] *= 1.0 + 0.1 * k as f64;
+        }
+        let mut own = pattern.clone();
+        own.refactor(&m2).unwrap();
+        assert!(pattern.same_pattern(&own));
+        let mut vals = Vec::new();
+        own.push_values(&mut vals);
+        let (mut b1, mut b2) = ([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]);
+        own.solve_in_place(&mut b1);
+        pattern.solve_with(&vals, &mut b2);
+        assert_eq!(b1, b2);
+        let (m3, _) = csc_from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 0.0], &[0.0, 0.0, 1.0]]);
+        assert!(!pattern.same_pattern(&SparseLu::factor(&m3).unwrap()));
     }
 
     #[test]

@@ -194,10 +194,6 @@ pub struct TransistorIrr {
 /// extracts the IF phasor for an input at `f_lo + f_if` (wanted) and at
 /// `f_lo − f_if` (image) from the circuit linearized along that orbit.
 ///
-/// The measurement window is chosen automatically as the smallest LO
-/// period multiple in which the LO, IF, RF and image tones all complete
-/// integer cycle counts, so the Fourier projections are leakage-free.
-///
 /// # Errors
 ///
 /// Propagates PSS/PAC failures —
@@ -213,11 +209,8 @@ pub fn measure_irr_transistor_db(
 
     let period = 1.0 / params.f_lo;
     let pss = PssParams::new(period, 200);
-    let measure = commensurate_periods(params.f_lo, params.f_if);
     let tones = [params.f_lo + params.f_if, params.f_lo - params.f_if];
-    let pac = PacParams::new(&rf_source, &output, tones, params.f_if)
-        .measure_periods(measure)
-        .settle_periods(20);
+    let pac = PacParams::new(&rf_source, &output, tones, params.f_if);
 
     let r = sess.pac(&pss, &pac)?;
     let (gain_rf_db, gain_image_db) = (r.gain_db(0), r.gain_db(1));
@@ -226,33 +219,4 @@ pub fn measure_irr_transistor_db(
         gain_rf_db,
         gain_image_db,
     })
-}
-
-/// Smallest number of LO periods in which the IF (and therefore the RF
-/// at `f_lo + f_if` and the image at `f_lo − f_if`) completes an
-/// integer number of cycles, then doubled once for a longer averaging
-/// window. Falls back to 20 periods when the ratio is irrational
-/// within 1 ppm.
-fn commensurate_periods(f_lo: f64, f_if: f64) -> usize {
-    let ratio = f_if / f_lo;
-    for k in 1..=1000usize {
-        let cycles = ratio * k as f64;
-        if (cycles - cycles.round()).abs() < 1e-6 * cycles.max(1.0) && cycles >= 0.5 {
-            return 2 * k;
-        }
-    }
-    20
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn window_selection_covers_integer_cycles() {
-        // f_if/f_lo = 1/10 -> 10 periods minimum, doubled to 20.
-        assert_eq!(commensurate_periods(10e6, 1e6), 20);
-        // 1/4 -> 4, doubled to 8.
-        assert_eq!(commensurate_periods(10e6, 2.5e6), 8);
-    }
 }

@@ -14,6 +14,7 @@ pub mod control;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod dc;
 pub mod fault;
+mod history;
 pub mod noise;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod op;

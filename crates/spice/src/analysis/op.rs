@@ -160,9 +160,9 @@ fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
     }
 }
 
-/// Runs one Newton solve in the given mode, reusing `ws` for assembly,
-/// factorization, and solution buffers — no heap allocation inside the
-/// iteration loop beyond the returned solution vector.
+/// Runs one Newton solve in the given mode from the start `x` holds,
+/// reusing `ws` for assembly, factorization, and solution buffers — no
+/// heap allocation inside the iteration loop.
 ///
 /// With `opts.linear_replay` on, the linear partition (plus the
 /// `cfg.diag_gmin` diagonal and optional ptran anchor) is stamped once
@@ -172,17 +172,17 @@ fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
 /// injector. Cancellation and the wall-clock deadline are polled at the
 /// top of every iteration and the deadline again before a converged
 /// iterate is returned, so a solve that overran its deadline never
-/// reports success. Returns the solution and iteration count.
+/// reports success. Iterates in `x`, which holds the solution on `Ok`
+/// (and an unspecified iterate on `Err`); returns the iteration count.
 pub(crate) fn newton_solve(
     prep: &Prepared,
     opts: &Options,
     mode: &Mode,
     mem: &mut NonlinMemory,
-    x0: &[f64],
+    x: &mut [f64],
     ws: &mut SolverWorkspace<f64>,
     cfg: &NewtonCfg,
-) -> Result<(Vec<f64>, usize)> {
-    let mut x = x0.to_vec();
+) -> Result<usize> {
     let replay = opts.linear_replay;
     let injector = opts.faults.get();
     let solve_idx = match cfg.claimed {
@@ -197,7 +197,7 @@ pub(crate) fn newton_solve(
     // workspace.
     ws.invalidate_checkpoint();
     if ws.needs_pattern() {
-        let pat = real_pattern(prep, &x, opts, mode, prep.num_voltage_unknowns);
+        let pat = real_pattern(prep, x, opts, mode, prep.num_voltage_unknowns);
         ws.preset_pattern(&pat);
     }
     for iter in 1..=opts.max_newton {
@@ -208,7 +208,7 @@ pub(crate) fn newton_solve(
             if !(replay && ws.restore()) {
                 ws.kernel.reset();
                 ws.rhs.fill(0.0);
-                stamp_linear(prep, &x, opts, mode, &mut ws.kernel, &mut ws.rhs);
+                stamp_linear(prep, x, opts, mode, &mut ws.kernel, &mut ws.rhs);
                 // Stamped even at 0.0 so the stamp sequence is identical
                 // across the OP strategies sharing a workspace.
                 for k in 0..prep.num_voltage_unknowns {
@@ -224,7 +224,7 @@ pub(crate) fn newton_solve(
                     ws.checkpoint();
                 }
             }
-            stamp_nonlinear(prep, &x, opts, mode, mem, &mut ws.kernel, &mut ws.rhs);
+            stamp_nonlinear(prep, x, opts, mode, mem, &mut ws.kernel, &mut ws.rhs);
             if !ws.finish_assembly() {
                 break;
             }
@@ -286,11 +286,11 @@ pub(crate) fn newton_solve(
                 return Err(e);
             }
             x.copy_from_slice(x_new);
-            return Ok((x, iter));
+            return Ok(iter);
         }
         if iter == opts.max_newton {
             // Final iteration failed: rank the offenders for the report.
-            let worst = worst_unknowns(prep, &x, x_new, opts, 3);
+            let worst = worst_unknowns(prep, x, x_new, opts, 3);
             return Err(SpiceError::NoConvergence {
                 analysis: "newton",
                 iterations: opts.max_newton,
@@ -407,8 +407,9 @@ fn op_strategies(
         claimed,
         ..NewtonCfg::plain()
     };
-    match newton_solve(prep, opts, &mode, &mut mem, start, ws, &plain) {
-        Ok((x, it)) => {
+    let mut x = start.to_vec();
+    match newton_solve(prep, opts, &mode, &mut mem, &mut x, ws, &plain) {
+        Ok(it) => {
             stats.newton_iterations += it as u64;
             return Ok(OpResult { x, iterations: it });
         }
@@ -418,8 +419,9 @@ fn op_strategies(
             // try one damped pass before giving up.
             let mut mem = NonlinMemory::new(prep);
             let cfg = NewtonCfg::with_gmin(1e-9);
-            match newton_solve(prep, opts, &mode, &mut mem, start, ws, &cfg) {
-                Ok((x, it)) => {
+            x.copy_from_slice(start);
+            match newton_solve(prep, opts, &mode, &mut mem, &mut x, ws, &cfg) {
+                Ok(it) => {
                     stats.newton_iterations += it as u64;
                     return Ok(OpResult { x, iterations: it });
                 }
@@ -460,8 +462,17 @@ fn op_strategies(
     if opts.ladder.damping {
         stats.rungs_attempted += 1;
         let mut mem = NonlinMemory::new(prep);
-        match newton_solve(prep, opts, &mode, &mut mem, start, ws, &NewtonCfg::damped()) {
-            Ok((x, it)) => {
+        x.copy_from_slice(start);
+        match newton_solve(
+            prep,
+            opts,
+            &mode,
+            &mut mem,
+            &mut x,
+            ws,
+            &NewtonCfg::damped(),
+        ) {
+            Ok(it) => {
                 stats.newton_iterations += it as u64;
                 stats.damped_iterations += it as u64;
                 return Ok(OpResult {
@@ -508,14 +519,13 @@ fn op_strategies(
                 opts,
                 &mode,
                 &mut mem,
-                &x,
+                &mut x,
                 ws,
                 &NewtonCfg::with_gmin(g),
             ) {
-                Ok((xs, it)) => {
+                Ok(it) => {
                     rung_iters += it;
                     stats.newton_iterations += it as u64;
-                    x = xs;
                 }
                 Err(e) => {
                     if e.is_abort() {
@@ -552,6 +562,8 @@ fn op_strategies(
     if opts.ladder.source_stepping {
         stats.rungs_attempted += 1;
         let mut x = vec![0.0; n];
+        // A failed step retries smaller from `x`, so Newton runs on a copy.
+        let mut trial = vec![0.0; n];
         let mut mem = NonlinMemory::new(prep);
         let mut scale = 0.0f64;
         let mut step = 0.1f64;
@@ -566,11 +578,20 @@ fn op_strategies(
             };
             stats.source_steps += 1;
             steps += 1;
-            match newton_solve(prep, opts, &mode, &mut mem, &x, ws, &NewtonCfg::plain()) {
-                Ok((xs, it)) => {
+            trial.copy_from_slice(&x);
+            match newton_solve(
+                prep,
+                opts,
+                &mode,
+                &mut mem,
+                &mut trial,
+                ws,
+                &NewtonCfg::plain(),
+            ) {
+                Ok(it) => {
                     rung_iters += it;
                     stats.newton_iterations += it as u64;
-                    x = xs;
+                    std::mem::swap(&mut x, &mut trial);
                     scale = target;
                     step = (step * 1.5).min(0.25);
                 }
@@ -666,6 +687,7 @@ fn ptran_homotopy(
     const MAX_CONSECUTIVE_FAILURES: usize = 6;
 
     let mut anchor = start.to_vec();
+    let mut x = vec![0.0; start.len()];
     let mut g = G_START;
     let mut rung_iters = 0usize;
     let mut steps = 0usize;
@@ -692,9 +714,10 @@ fn ptran_homotopy(
             adaptive: true,
             claimed: None,
         };
-        let attempt = newton_solve(prep, opts, mode, &mut mem, &anchor, ws, &cfg);
+        x.copy_from_slice(&anchor);
+        let attempt = newton_solve(prep, opts, mode, &mut mem, &mut x, ws, &cfg);
         match attempt {
-            Ok((x, it)) => {
+            Ok(it) => {
                 rung_iters += it;
                 stats.newton_iterations += it as u64;
                 consecutive_failures = 0;
@@ -703,21 +726,15 @@ fn ptran_homotopy(
                     .zip(&x)
                     .map(|(a, b)| (a - b).abs())
                     .fold(0.0f64, f64::max);
-                anchor = x;
+                std::mem::swap(&mut anchor, &mut x);
                 if g <= G_STOP {
                     // Anchor has essentially no strength left: polish
                     // with plain Newton to certify the real circuit.
                     let mut mem = NonlinMemory::new(prep);
-                    match newton_solve(
-                        prep,
-                        opts,
-                        mode,
-                        &mut mem,
-                        &anchor,
-                        ws,
-                        &NewtonCfg::damped(),
-                    ) {
-                        Ok((x, it)) => {
+                    x.copy_from_slice(&anchor);
+                    match newton_solve(prep, opts, mode, &mut mem, &mut x, ws, &NewtonCfg::damped())
+                    {
+                        Ok(it) => {
                             rung_iters += it;
                             stats.newton_iterations += it as u64;
                             return Ok((x, rung_iters));

@@ -6,61 +6,55 @@
 //! because the frequency translation comes from the LO's periodic
 //! modulation of the operating point.
 //!
-//! This analysis runs the linear periodic time-varying (LPTV)
-//! recurrence of the circuit linearized along its periodic steady state
-//! (Telichevesky, Kundert & White, "Efficient AC and noise analysis of
-//! two-tone RF circuits", DAC 1996):
+//! This analysis is the shooting-based periodic AC of Telichevesky,
+//! Kundert & White ("Efficient AC and noise analysis of two-tone RF
+//! circuits", DAC 1996), on the orbit the shooting engine linearizes for
+//! its own updates ([`crate::analysis::pss`]):
 //!
 //! 1. solve the LO-only orbit with the shooting engine (the input
-//!    source is forced to zero during this phase);
-//! 2. at every orbit grid sample `x_k`, one AC assembly at ω = 1 gives
-//!    `G_k + j·C_k` — the split is exact, because `jω·c` at ω = 1 is
-//!    `(0, c)` — and the step matrix `J_k = G_k + a_k·C_k` is factored
-//!    once, with the period integrator's step kinds (`a_k = 1/h` on
-//!    each period's backward-Euler first step, `2/h` after);
-//! 3. per input tone and grid step, one stored-factor solve and one
-//!    sparse `C_k·δx` product advance the small-signal state over the
-//!    tiled settle + measurement periods:
+//!    source is forced to zero during this phase) and linearize the
+//!    converged period step for step, bisected substeps included: the
+//!    factors of `J_k = G_k + a_k·C_k` and the nonzeros of `C_k`;
+//! 2. form the monodromy `M` of the small-signal recurrence from `n`
+//!    unit-start periods, shared by every input tone;
+//! 3. for an input `b·e^{jω_in·t}` (`b` the input source's right-hand-side
+//!    stamp at unit value), the steady state satisfies
+//!    `δx(t + T) = e^{jω_in·T}·δx(t)`. With `p` the one-period response
+//!    from rest, its start solves the boundary-value system
 //!
 //!    ```text
-//!    δx_k = J_k⁻¹·(b·sin(2π·f_in·t_k) + a_k·δq_{k−1} + β_k·δi_{k−1})
-//!    δq_k = C_k·δx_k
-//!    δi_k = a_k·(δq_k − δq_{k−1}) − β_k·δi_{k−1}
+//!    (e^{jω_in·T}·I − M)·δx₀ = p
 //!    ```
 //!
-//!    `b` is the input source's right-hand-side stamp at unit value.
-//!    `δq` carries across period boundaries; `β = 0` on each period's
-//!    first step, matching the integrator's zeroed charge bank, and
-//!    `β = 1` after;
-//! 4. project `δy` onto `e^{−j2πf_out t}` with a trapezoidal Fourier
-//!    integral over the measurement window.
+//! 4. one period from `δx₀` gives the output `δy`, and
+//!    `δy·e^{−jω_out·t}` is `T`-periodic when `f_out = f_in + k·f_LO`, so
+//!    a trapezoidal Fourier integral over that one period projects it
+//!    onto the harmonic that lands on `f_out` without leakage. By
+//!    linearity the run is the sum of the unit-start runs of step 2 and
+//!    the run from rest, so no period is integrated twice.
 //!
-//! The recurrence linearizes the period integrator's discretization
-//! step for step, so the gain is the small-signal limit: no input
-//! amplitude enters it, and no large-signal difference has to resolve a
-//! tone far below the LO. Two exceptions: a grid interval the
-//! integrator had to bisect is linearized as one step, and an inductor
-//! takes a true backward-Euler first step here, where the integrator
-//! applies its trapezoidal companion with `a = 1/h`. One call serves
-//! every input tone from one PSS and one linearization, and keeps one
-//! factorization plus the nonzeros of `C_k` per grid step.
+//! The input is real, `sin(ω_in·t) = Im e^{jω_in·t}`, so its `−f_in`
+//! half reaches `f_out = −f_in + k·f_LO` as the conjugate of the
+//! `+f_in` solve at `−f_out`. An `f_out` that is neither sideband of an
+//! input tone is a typed [`SpiceError::BadAnalysis`]; any other pair of
+//! tones is legal.
 //!
-//! The window is validated to hold an integer number of cycles of every
-//! input tone and of `f_out`, so the projection has no leakage bias.
+//! The recurrence is the derivative of the period integrator's own
+//! discrete map, so the gain is the small-signal limit of the
+//! discretized circuit: no input amplitude enters it, no large-signal
+//! difference has to resolve a tone far below the LO, and nothing is
+//! left to settle. One call serves every input tone from one PSS and one
+//! linearization.
 
-use crate::analysis::ac::assemble_ac;
-use crate::analysis::pss::{pss_impl, PssParams, PssResult, PssStatus};
-use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace};
+use crate::analysis::pss::{shoot, LinearizedOrbit, PssParams, PssResult, PssStatus};
+use crate::analysis::solver::singular_unknown;
 use crate::analysis::stamp::{MnaSink, Mode, NonlinMemory, Options, PatternProbe};
 use crate::circuit::Prepared;
 use crate::devices::RealCtx;
 use crate::error::{Result, SpiceError};
-use crate::wave::{SourceWave, Waveform};
-use ahfic_num::sparse::SparseLu;
-use ahfic_num::Complex;
-use ahfic_trace::SolverStats;
+use crate::wave::SourceWave;
+use ahfic_num::{Complex, LuFactors, Matrix};
 use std::f64::consts::PI;
-use std::time::Instant;
 
 /// Periodic small-signal conversion-gain parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,22 +66,16 @@ pub struct PacParams {
     /// Output signal to measure, by unknown name (e.g. `"v(out)"`).
     pub output: String,
     /// Input tone frequencies (Hz). One call measures every tone from
-    /// one PSS and one linearization.
+    /// one PSS and one linearization; `freq_out` must be a sideband
+    /// `±f_in + k·f_LO` of each.
     pub freqs_in: Vec<f64>,
     /// Output frequency to measure (Hz), e.g. the IF.
     pub freq_out: f64,
-    /// LO periods in the measurement window. Every input tone and
-    /// `freq_out` must complete an integer number of cycles in this
-    /// window.
-    pub measure_periods: usize,
-    /// LO periods run (and discarded) before the window opens, letting
-    /// the small-signal transient settle onto its steady response.
-    pub settle_periods: usize,
 }
 
 impl PacParams {
-    /// Conventional setup; 20 measurement periods after 10 settle
-    /// periods.
+    /// Measures the output component at `freq_out` for each input tone
+    /// in `freqs_in`.
     pub fn new(
         source: impl Into<String>,
         output: impl Into<String>,
@@ -99,21 +87,7 @@ impl PacParams {
             output: output.into(),
             freqs_in: freqs_in.into(),
             freq_out,
-            measure_periods: 20,
-            settle_periods: 10,
         }
-    }
-
-    /// Sets the measurement window length (LO periods).
-    pub fn measure_periods(mut self, n: usize) -> Self {
-        self.measure_periods = n;
-        self
-    }
-
-    /// Sets the settle prefix length (LO periods).
-    pub fn settle_periods(mut self, n: usize) -> Self {
-        self.settle_periods = n;
-        self
     }
 }
 
@@ -150,22 +124,20 @@ impl PacResult {
     }
 }
 
-/// Checks that `freq` completes an integer (≥ 1) number of cycles in
-/// `window` seconds.
-fn check_commensurate(what: &str, freq: f64, window: f64) -> Result<()> {
-    let cycles = freq * window;
-    if cycles < 0.5 || (cycles - cycles.round()).abs() > 1e-6 * cycles.max(1.0) {
-        return Err(SpiceError::BadAnalysis(format!(
-            "pac: {what} ({freq} Hz) does not complete an integer number of \
-             cycles in the {window} s measurement window ({cycles} cycles)"
-        )));
-    }
-    Ok(())
+/// Which sidebands of the input tone `f_in` land on `f_out` with the LO
+/// at `1/period`: `(f_out = f_in + k·f_LO, f_out = −f_in + k·f_LO)` for
+/// some integer `k`.
+fn sidebands(f_in: f64, f_out: f64, period: f64) -> (bool, bool) {
+    let harmonic = |f: f64| {
+        let k = f * period;
+        (k - k.round()).abs() <= 1e-9 * k.abs().max(1.0)
+    };
+    (harmonic(f_out - f_in), harmonic(f_out + f_in))
 }
 
 /// The engine behind [`Session::pac`](crate::analysis::Session::pac):
-/// PSS, linearization along the orbit, LPTV recurrence, Fourier
-/// projection.
+/// PSS, linearization along the orbit, boundary-value solve per tone,
+/// Fourier projection.
 ///
 /// Takes `&mut Prepared` because the input source's waveform is swapped
 /// out and back (values only — the compiled structure is untouched,
@@ -186,16 +158,16 @@ pub(crate) fn pac_impl(
             "pac needs at least one input tone and positive freqs_in and freq_out".into(),
         ));
     }
-    if params.measure_periods == 0 {
-        return Err(SpiceError::BadAnalysis(
-            "pac needs measure_periods >= 1".into(),
-        ));
-    }
-    let window = pss_params.period * params.measure_periods as f64;
     for &f in &params.freqs_in {
-        check_commensurate("freq_in", f, window)?;
+        if sidebands(f, params.freq_out, pss_params.period) == (false, false) {
+            return Err(SpiceError::BadAnalysis(format!(
+                "pac: freq_out ({} Hz) is no sideband ±f_in + k·f_LO of the {f} Hz input \
+                 with the LO at {} Hz",
+                params.freq_out,
+                1.0 / pss_params.period
+            )));
+        }
     }
-    check_commensurate("freq_out", params.freq_out, window)?;
     let out = prep
         .unknown_names
         .iter()
@@ -226,7 +198,10 @@ fn pac_body(
     // LO-only periodic steady state with the input silenced.
     prep.circuit
         .set_source_wave(&params.source, SourceWave::Dc(0.0))?;
-    let pss = pss_impl(prep, opts, pss_params)?;
+    // One linearization's storage serves the shooting updates and then
+    // the converged orbit.
+    let mut linear = LinearizedOrbit::new(prep, opts);
+    let (pss, orbit) = shoot(prep, opts, pss_params, &mut linear)?;
     match pss.status() {
         PssStatus::Converged => {}
         PssStatus::Cancelled { .. } => {
@@ -258,20 +233,14 @@ fn pac_body(
         }
     }
     let b = unit_source_rhs(prep, opts, &params.source)?;
-    let mut stats = SolverStats::default();
-    let mut steps = linearize(prep, opts, pss.wave(), &mut stats)?;
-    let gains = recur(
-        opts,
-        params,
-        pss_params.period,
-        out,
-        &b,
-        &mut steps,
-        &mut stats,
-    )?;
-    stats.emit(tr, "pac");
+    let prep = &*prep;
+    let before = linear.stats();
+    linear.linearize(prep, opts, &orbit)?;
+    drop(orbit);
+    let gains = tone_gains(prep, opts, params, pss_params.period, out, &b, &mut linear);
+    linear.stats().delta(&before).emit(tr, "pac");
     span.end();
-    Ok(PacResult { gains, pss })
+    Ok(PacResult { gains: gains?, pss })
 }
 
 /// The input source's right-hand-side stamp at unit value: `b` of the
@@ -299,205 +268,141 @@ fn unit_source_rhs(prep: &mut Prepared, opts: &Options, source: &str) -> Result<
     Ok(b)
 }
 
-/// One grid step of the linearized orbit.
-struct LinearStep {
-    /// End time of the step within the period (s).
-    t: f64,
-    /// Step length (s).
-    h: f64,
-    /// Companion coefficient `a_k`.
-    a: f64,
-    /// Factors of `J_k = G_k + a_k·C_k`.
-    lu: SparseLu<f64>,
-    /// Nonzeros of `C_k` as `(row, col, value)`.
-    c: Vec<(usize, usize, f64)>,
-}
-
-/// Splits an ω = 1 AC assembly `G + j·C` into the real step matrix
-/// `G + a·C`, written to a solver kernel, and the nonzeros of `C`.
-struct SplitSink<'a> {
-    j: &'a mut Kernel<f64>,
-    a: f64,
-    c: &'a mut Vec<(usize, usize, f64)>,
-}
-
-impl MnaSink<Complex> for SplitSink<'_> {
-    fn reset(&mut self) {
-        self.j.reset();
-        self.c.clear();
-    }
-
-    fn add(&mut self, r: usize, c: usize, v: Complex) {
-        self.j.add(r, c, v.re + self.a * v.im);
-        if v.im != 0.0 {
-            self.c.push((r, c, v.im));
-        }
-    }
-}
-
-/// Linearizes the circuit at every grid sample of the orbit: one
-/// factored step matrix and one `C_k` per grid step.
-fn linearize(
-    prep: &Prepared,
-    opts: &Options,
-    orbit: &Waveform,
-    stats: &mut SolverStats,
-) -> Result<Vec<LinearStep>> {
-    let n = prep.num_unknowns;
-    let grid = orbit.axis();
-    let cols = prep
-        .unknown_names
-        .iter()
-        .map(|name| orbit.signal(name))
-        .collect::<Result<Vec<_>>>()?;
-    let mut ws = SolverWorkspace::new(n);
-    ws.set_timing(opts.trace.tracer().enabled());
-    let mut x = vec![0.0; n];
-    let mut ac_rhs = vec![Complex::ZERO; n];
-    let mut steps = Vec::with_capacity(grid.len().saturating_sub(1));
-    for k in 1..grid.len() {
-        let h = grid[k] - grid[k - 1];
-        // Backward Euler on the period's first step, as the integrator.
-        let a = if k == 1 { 1.0 / h } else { 2.0 / h };
-        for (xj, col) in x.iter_mut().zip(&cols) {
-            *xj = col[k];
-        }
-        let mut c = Vec::new();
-        loop {
-            let mut sink = SplitSink {
-                j: &mut ws.kernel,
-                a,
-                c: &mut c,
-            };
-            assemble_ac(prep, &x, opts, 1.0, &mut sink, &mut ac_rhs);
-            if !ws.finish_assembly() {
-                break;
+/// Runs one period of the recurrence from `δx₀ = dx` under the input
+/// `b·u(t)`, leaving `δx_N` in `dx`, and returns the trapezoidal
+/// `∫ δy·e^{−jω_out·t} dt` over the period of the output unknown `out`.
+fn project_period(
+    lin: &mut LinearizedOrbit,
+    dx: &mut [f64],
+    b: &[f64],
+    u: impl Fn(f64) -> f64,
+    out: usize,
+    omega_out: f64,
+) -> Complex {
+    let mut prev = Complex::from_re(dx[out]);
+    let mut sum = Complex::ZERO;
+    lin.period(
+        dx,
+        |t, r| {
+            let ut = u(t);
+            for (ri, &bi) in r.iter_mut().zip(b) {
+                *ri += bi * ut;
             }
-        }
-        ws.factor().map_err(|e| singular_unknown(prep, e))?;
-        c.shrink_to_fit();
-        steps.push(LinearStep {
-            t: grid[k],
-            h,
-            a,
-            lu: ws.stored_lu(),
-            c,
-        });
-    }
-    stats.merge(&ws.stats);
-    Ok(steps)
+        },
+        |h, t, x| {
+            let f = Complex::from_polar(x[out], -omega_out * t);
+            sum += (prev + f).scale(0.5 * h);
+            prev = f;
+        },
+    );
+    sum
 }
 
-/// Small-signal state of one input tone.
-struct Tone {
-    omega_in: f64,
-    dx: Vec<f64>,
-    dq: Vec<f64>,
-    di: Vec<f64>,
-    /// `δy·e^{−jω_out·t}` at the previous grid sample.
-    f_prev: Complex,
-    /// Trapezoidal `∫ δy·e^{−jω_out·t} dt` over the window so far.
-    acc: Complex,
-}
-
-/// Runs the LPTV recurrence for every input tone over the settle and
-/// measurement periods and returns each tone's conversion gain.
-fn recur(
+/// Every input tone's conversion gain from the linearized orbit: `M`
+/// and the unit-start output projections once, then per tone the run
+/// from rest, the boundary-value solve and the projection.
+fn tone_gains(
+    prep: &Prepared,
     opts: &Options,
     params: &PacParams,
     period: f64,
     out: usize,
     b: &[f64],
-    steps: &mut [LinearStep],
-    stats: &mut SolverStats,
+    lin: &mut LinearizedOrbit,
 ) -> Result<Vec<Complex>> {
-    let n = b.len();
+    let n = lin.dim();
     let omega_out = 2.0 * PI * params.freq_out;
-    let project = |y: f64, t: f64| {
-        let ph = -omega_out * t;
-        Complex::new(y * ph.cos(), y * ph.sin())
+    let steps = lin.step_count() as u64;
+    let mut taken = 0u64;
+    let mut run = |dx: &mut [f64], u: &dyn Fn(f64) -> f64| {
+        period_boundary(opts, taken)?;
+        taken += steps;
+        Ok(project_period(lin, dx, b, u, out, omega_out))
     };
-    let timing = opts.trace.tracer().enabled();
-    let mut tones: Vec<Tone> = params
-        .freqs_in
-        .iter()
-        .map(|&f| Tone {
-            omega_in: 2.0 * PI * f,
-            dx: vec![0.0; n],
-            dq: vec![0.0; n],
-            di: vec![0.0; n],
-            f_prev: Complex::ZERO,
-            acc: Complex::ZERO,
-        })
-        .collect();
-    let mut dq_new = vec![0.0; n];
-    let mut steps_taken = 0u64;
-    for p in 0..params.settle_periods + params.measure_periods {
-        let t0 = p as f64 * period;
-        // Period-boundary control points, mirroring the shooting loop.
-        if opts.cancel.cancelled() {
-            return Err(SpiceError::Cancelled {
-                analysis: "pac",
-                time: Some(t0),
-            });
+    // Column j of M is δx_N from δx₀ = e_j, and proj[j] its output's
+    // projection.
+    let mut minus_m = Matrix::zeros(n, n);
+    let mut proj = Vec::with_capacity(n);
+    let mut dx = vec![0.0; n];
+    for j in 0..n {
+        dx.fill(0.0);
+        dx[j] = 1.0;
+        proj.push(run(&mut dx, &|_| 0.0)?);
+        for (r, &x) in dx.iter().enumerate() {
+            minus_m[(r, j)] = Complex::from_re(-x);
         }
-        if let Some(limit) = opts.budget.steps_exhausted(steps_taken) {
-            return Err(SpiceError::BudgetExhausted {
-                analysis: "pac",
-                resource: "steps",
-                limit,
-                spent: steps_taken,
-            });
+    }
+    let mut gains = Vec::with_capacity(params.freqs_in.len());
+    for &f_in in &params.freqs_in {
+        let omega_in = 2.0 * PI * f_in;
+        // The response from rest to b·e^{jω_in·t}, by its real and
+        // imaginary halves: p = δx_N and its output projection.
+        dx.fill(0.0);
+        let q_re = run(&mut dx, &|t| (omega_in * t).cos())?;
+        let mut p: Vec<Complex> = dx.iter().map(|&x| Complex::from_re(x)).collect();
+        dx.fill(0.0);
+        let q_im = run(&mut dx, &|t| (omega_in * t).sin())?;
+        for (pi, &x) in p.iter_mut().zip(&dx) {
+            pi.im = x;
         }
-        wall_check(opts)?;
-        let measuring = p >= params.settle_periods;
-        for tone in &mut tones {
-            // The integrator restarts its charge bank with zero current:
-            // β = 0 on this period's first step.
-            tone.di.fill(0.0);
-            if p == params.settle_periods {
-                tone.f_prev = project(tone.dx[out], t0);
-            }
+        // (e^{jω_in·T}·I − M)·δx₀ = p.
+        let mut a = minus_m.clone();
+        for r in 0..n {
+            a[(r, r)] += Complex::from_polar(1.0, omega_in * period);
         }
-        for step in steps.iter_mut() {
-            let t = t0 + step.t;
-            for tone in &mut tones {
-                let u = (tone.omega_in * t).sin();
-                for (j, dx) in tone.dx.iter_mut().enumerate() {
-                    *dx = b[j] * u + step.a * tone.dq[j] + tone.di[j];
-                }
-                let started = timing.then(Instant::now);
-                step.lu.solve_in_place(&mut tone.dx);
-                if let Some(s) = started {
-                    stats.solve_seconds += s.elapsed().as_secs_f64();
-                }
-                stats.solves += 1;
-                dq_new.fill(0.0);
-                for &(r, c, v) in &step.c {
-                    dq_new[r] += v * tone.dx[c];
-                }
-                for ((di, &qn), &qo) in tone.di.iter_mut().zip(&dq_new).zip(&tone.dq) {
-                    *di = step.a * (qn - qo) - *di;
-                }
-                std::mem::swap(&mut tone.dq, &mut dq_new);
-                if measuring {
-                    let f = project(tone.dx[out], t);
-                    tone.acc += (tone.f_prev + f).scale(0.5 * step.h);
-                    tone.f_prev = f;
-                }
-            }
-        }
-        steps_taken += steps.len() as u64;
+        let x0 = LuFactors::factor(a)
+            .map_err(|e| singular_unknown(prep, e))?
+            .solve(&p);
+        // The output's Fourier coefficient at +f_out and, conjugating
+        // the real runs' projections, at −f_out; each counts only on its
+        // sideband.
+        let coefficient = |at_minus: bool| {
+            let c = |z: Complex| if at_minus { z.conj() } else { z };
+            let sum = c(q_re) + Complex::J * c(q_im);
+            let sum = x0
+                .iter()
+                .zip(&proj)
+                .fold(sum, |acc, (&x, &pj)| acc + x * c(pj));
+            sum.scale(1.0 / period)
+        };
+        let (upper, lower) = sidebands(f_in, params.freq_out, period);
+        let upper = if upper {
+            coefficient(false)
+        } else {
+            Complex::ZERO
+        };
+        let lower = if lower {
+            coefficient(true)
+        } else {
+            Complex::ZERO
+        };
+        // sin(ω_in·t) = (e^{jω_in·t} − e^{−jω_in·t})/2j, and the phasor
+        // of a real output is twice its positive-frequency coefficient.
+        gains.push((upper - lower.conj()) * Complex::new(0.0, -1.0));
     }
     // A gain finished past the deadline is still a deadline trip.
-    wall_check(opts)?;
-    // X(f_out) = (2/T_win)·∫ δy·e^{−jωt} dt per unit input amplitude.
-    let scale = 2.0 / (params.measure_periods as f64 * period);
-    Ok(tones.iter().map(|tone| tone.acc.scale(scale)).collect())
+    period_boundary(opts, taken)?;
+    Ok(gains)
 }
 
-/// The wall-clock deadline as a typed PAC error.
-fn wall_check(opts: &Options) -> Result<()> {
+/// The recurrence's control point before each period and once at the
+/// end: cancellation, the step budget (`taken` recurrence steps) and the
+/// wall-clock deadline, as typed PAC errors.
+fn period_boundary(opts: &Options, taken: u64) -> Result<()> {
+    if opts.cancel.cancelled() {
+        return Err(SpiceError::Cancelled {
+            analysis: "pac",
+            time: None,
+        });
+    }
+    if let Some(limit) = opts.budget.steps_exhausted(taken) {
+        return Err(SpiceError::BudgetExhausted {
+            analysis: "pac",
+            resource: "steps",
+            limit,
+            spent: taken,
+        });
+    }
     match opts.budget.wall_exhausted() {
         Some((limit, spent)) => Err(SpiceError::BudgetExhausted {
             analysis: "pac",
@@ -512,6 +417,7 @@ fn wall_check(opts: &Options) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::ac::assemble_ac;
     use crate::analysis::op::op_eval;
     use crate::analysis::stamp::{assemble, ChargeBank};
     use crate::circuit::Circuit;
@@ -561,6 +467,7 @@ mod tests {
         let mode = Mode::Tran {
             time: 1e-9,
             a,
+            be: false,
             bank: &bank,
             x_prev: &x,
         };
@@ -604,9 +511,11 @@ mod tests {
         c.resistor("R1", inp, out, 1e3);
         c.capacitor("C1", out, Circuit::gnd(), 1e-9);
         let mut prep = Prepared::compile(&c).unwrap();
-        // 30 periods of 64 steps overrun the budget whatever the PSS
-        // spent of it.
-        let opts = Options::default().budget(Budget::unlimited().max_steps(1000));
+        // The PSS of this unexcited deck spends 192 steps (two warmup
+        // periods and one shooting period of 64 steps); the recurrence's
+        // five periods, one per unknown and two for the tone, overrun
+        // the budget.
+        let opts = Options::default().budget(Budget::unlimited().max_steps(200));
         let pac = PacParams::new("VIN", "v(out)", [1e6], 1e6);
         let e = pac_impl(&mut prep, &opts, &PssParams::new(1e-6, 64), &pac).unwrap_err();
         assert!(
@@ -623,18 +532,24 @@ mod tests {
     }
 
     #[test]
-    fn rejects_leaky_window() {
+    fn rejects_an_output_off_every_sideband() {
         let mut c = Circuit::new();
         let inp = c.node("in");
         c.vsource_wave("VIN", inp, Circuit::gnd(), SourceWave::Dc(0.0));
         c.resistor("R1", inp, Circuit::gnd(), 1e3);
         let mut prep = Prepared::compile(&c).unwrap();
         let opts = Options::default();
-        // 1.37 MHz in a 10 us window: 13.7 cycles — not integer, even
-        // next to a commensurate tone.
-        let pac = PacParams::new("VIN", "v(in)", [1e6, 1.37e6], 1e6).measure_periods(10);
+        // With the LO at 1 MHz, 1 MHz is no sideband ±1.37 MHz + k MHz,
+        // even next to a tone it is a sideband of.
+        let pac = PacParams::new("VIN", "v(in)", [1e6, 1.37e6], 1e6);
         let e = pac_impl(&mut prep, &opts, &PssParams::new(1e-6, 64), &pac).unwrap_err();
         assert!(matches!(e, SpiceError::BadAnalysis(_)), "{e}");
+        // Either sideband is legal: 0.37 MHz = 1.37 − 1 MHz and
+        // 0.63 MHz = −1.37 + 2 MHz.
+        for f_out in [0.37e6, 0.63e6] {
+            let pac = PacParams::new("VIN", "v(in)", [1.37e6], f_out);
+            pac_impl(&mut prep, &opts, &PssParams::new(1e-6, 64), &pac).unwrap();
+        }
     }
 
     #[test]

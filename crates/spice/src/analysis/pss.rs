@@ -1,39 +1,59 @@
-//! Periodic steady state by shooting Newton.
+//! Periodic steady state by shooting Newton on one linearized orbit.
 //!
-//! The shooting formulation reuses the transient machinery wholesale:
-//! one evaluation of the period map `Φ(x₀)` integrates the circuit over
+//! One evaluation of the period map `Φ(x₀)` integrates the circuit over
 //! exactly one period on a *fixed* grid (uniform steps merged with the
-//! device-declared source breakpoints), using the same `newton_solve` /
-//! `ChargeBank` contracts as the transient engine. Periodicity is the
-//! root-finding problem `Φ(x₀) − x₀ = 0`; each shooting update solves
+//! device-declared source breakpoints), with the transient engine's
+//! `newton_solve` / `ChargeBank` contracts: the first step is backward
+//! Euler, the rest trapezoidal, and each Newton solve starts from the
+//! transient's predicted solution, restarted at the period start and at
+//! every source breakpoint. A grid interval whose Newton solve fails is
+//! bisected by a fixed rule, so `Φ` stays a function of `x₀` alone.
+//! Periodicity is the root of `Φ(x₀) − x₀`; each shooting update solves
 //!
 //! ```text
 //! (M − I)·dx = −(Φ(x₀) − x₀),    M = ∂Φ/∂x₀  (the monodromy matrix)
 //! ```
 //!
-//! with matrix-free GMRES: `M·v` is never formed — each Krylov matvec
-//! re-integrates one period from a perturbed start
-//! `(Φ(x₀ + εv) − Φ(x₀))/ε`. For a dissipative circuit the monodromy
-//! spectrum is contractive, so GMRES converges in a handful of matvecs
-//! and the whole solve costs a few dozen period integrations instead of
-//! the hundreds of periods a brute-force transient needs to ring down.
+//! with GMRES on exact products `M·v` (Telichevesky, Kundert & White,
+//! DAC 1995). The integration records every step it commits, bisected
+//! substeps included, and a `LinearizedOrbit` linearizes it step for
+//! step: one ω = 1 AC assembly `G_k + j·C_k` at each step's end state,
+//! the factors of `J_k = G_k + a_k·C_k` and the nonzeros of `C_k`. One
+//! product is then one period of stored-factor solves of the
+//! small-signal recurrence
+//!
+//! ```text
+//! δx_k = J_k⁻¹·(a_k·δq_{k−1} + δi_{k−1})
+//! δq_k = C_k·δx_k
+//! δi_k = a_k·(δq_k − δq_{k−1}) − δi_{k−1}
+//! ```
+//!
+//! from `δq₀ = C₀·δx₀` and `δi₀ = 0` (the integrator restarts its charge
+//! bank with zero current), which is the derivative of the integrator's
+//! own discrete map. The periodic small-signal analysis
+//! ([`crate::analysis::pac`]) runs the same recurrence on the converged
+//! orbit.
 //!
 //! Cancellation and budgets are observed at shooting-iteration
 //! boundaries (and inside every inner Newton solve); a stopped run
 //! returns the best orbit so far with a typed [`PssStatus`], mirroring
 //! the transient contract.
 
+use crate::analysis::ac::assemble_ac;
+use crate::analysis::history::History;
 use crate::analysis::op::{newton_solve, op_eval, NewtonCfg};
-use crate::analysis::solver::SolverWorkspace;
+use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace};
 use crate::analysis::stamp::{
-    update_all_charges, ChargeBank, ChargeState, Mode, NonlinMemory, Options,
+    update_all_charges, ChargeBank, ChargeState, MnaSink, Mode, NonlinMemory, Options,
 };
 use crate::circuit::Prepared;
 use crate::error::{Result, SpiceError};
 use crate::wave::Waveform;
 use ahfic_num::gmres::gmres;
-use ahfic_num::{GmresOptions, LinearOperator};
-use ahfic_trace::TranStats;
+use ahfic_num::sparse::SparseLu;
+use ahfic_num::{Complex, GmresOptions, LinearOperator};
+use ahfic_trace::{SolverStats, TranStats};
+use std::time::Instant;
 
 /// Periodic-steady-state parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,8 +63,8 @@ pub struct PssParams {
     pub period: f64,
     /// Uniform timesteps per period (device breakpoints are merged in
     /// on top). The grid is fixed so the period map is a smooth
-    /// function of the starting state, which the finite-difference
-    /// monodromy products require.
+    /// function of the starting state, whose derivative the shooting
+    /// update takes along exactly these steps.
     pub steps_per_period: usize,
     /// Maximum shooting-Newton iterations.
     pub max_shooting: usize,
@@ -53,9 +73,8 @@ pub struct PssParams {
     pub warmup_periods: usize,
 }
 
-/// The matrix-free GMRES shooting-update solve. Each inner iteration
-/// costs one full period integration, so the budget is much tighter
-/// than [`GmresOptions::default`].
+/// The shooting-update GMRES solve. Each inner iteration costs one
+/// period of stored-factor solves.
 const SHOOTING_GMRES: GmresOptions = GmresOptions {
     restart: 20,
     tol: 1e-8,
@@ -133,8 +152,8 @@ pub struct PssResult {
     pub status: PssStatus,
     /// Shooting-Newton iterations taken.
     pub shooting_iterations: u64,
-    /// Inner GMRES (monodromy matvec) iterations across all shooting
-    /// updates — each one cost a full period integration.
+    /// Inner GMRES (monodromy product) iterations across all shooting
+    /// updates — each one cost a period of stored-factor solves.
     pub gmres_iterations: u64,
     /// Newton iterations spent across every period integration.
     pub newton_iterations: u64,
@@ -179,18 +198,68 @@ impl PssResult {
     }
 }
 
+/// One committed step of a period integration.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Step {
+    /// End time within the period (s).
+    t: f64,
+    /// Length (s).
+    h: f64,
+    /// Backward Euler (the period's first step, or the first piece of
+    /// its bisection) rather than trapezoidal.
+    be: bool,
+}
+
+impl Step {
+    /// The companion coefficient `a`: `1/h` for backward Euler, `2/h`
+    /// for the trapezoidal rule. The integrator steps with it and the
+    /// linearization factors `G + a·C` with it.
+    fn a(&self) -> f64 {
+        if self.be {
+            1.0 / self.h
+        } else {
+            2.0 / self.h
+        }
+    }
+}
+
+/// One period integration as committed: every step, bisected substeps
+/// included, and the state at the start and after each step.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Orbit {
+    steps: Vec<Step>,
+    /// The start state, then one state per step, `n` values each.
+    x: Vec<f64>,
+}
+
+impl Orbit {
+    /// State `k` (0 is the start, `k` the end of step `k`) of an
+    /// `n`-unknown circuit.
+    fn state(&self, k: usize, n: usize) -> &[f64] {
+        &self.x[k * n..(k + 1) * n]
+    }
+}
+
 /// Reusable one-period integrator: the fixed grid plus every buffer a
-/// period integration needs, so the dozens of integrations a shooting
-/// solve performs allocate nothing after the first.
+/// period integration needs, so the integrations a shooting solve
+/// performs allocate nothing after the first.
 struct PeriodIntegrator<'a> {
     prep: &'a Prepared,
     opts: &'a Options,
-    /// Fixed time grid over `[0, period]`, endpoints included.
-    grid: Vec<f64>,
+    /// Fixed time grid over `[0, period]`, endpoints included, each
+    /// point flagged when it is a source breakpoint.
+    grid: Vec<(f64, bool)>,
     ws: SolverWorkspace<f64>,
     mem: NonlinMemory,
     bank: ChargeBank,
     scratch_states: Vec<ChargeState>,
+    history: History,
+    /// The state (the end state once a period is integrated), and the
+    /// Newton iterate an accepted step swaps in.
+    x: Vec<f64>,
+    x_new: Vec<f64>,
+    /// The last period integrated.
+    orbit: Orbit,
     /// Newton iterations across every integration so far.
     newton_iterations: u64,
     /// Timesteps attempted across every integration so far.
@@ -208,17 +277,26 @@ impl<'a> PeriodIntegrator<'a> {
         // integration and Φ stays smooth in x₀.
         let t_stop = params.period;
         let n_steps = params.steps_per_period.max(4);
-        let mut grid: Vec<f64> = (0..=n_steps)
-            .map(|k| t_stop * k as f64 / n_steps as f64)
+        let mut grid: Vec<(f64, bool)> = (0..=n_steps)
+            .map(|k| (t_stop * k as f64 / n_steps as f64, false))
             .collect();
         let mut bps: Vec<f64> = Vec::new();
         for d in prep.devices() {
             d.breakpoints(&prep.circuit, t_stop, &mut bps);
         }
-        grid.extend(bps.into_iter().filter(|&t| t > 0.0 && t < t_stop));
-        grid.sort_by(|a, b| a.total_cmp(b));
-        grid.dedup_by(|a, b| (*a - *b).abs() <= t_stop * 1e-12);
-        let mut ws = SolverWorkspace::new(prep.num_unknowns);
+        grid.extend(
+            bps.into_iter()
+                .filter(|&t| t > 0.0 && t < t_stop)
+                .map(|t| (t, true)),
+        );
+        grid.sort_by(|a, b| a.0.total_cmp(&b.0));
+        grid.dedup_by(|a, b| {
+            let same = (a.0 - b.0).abs() <= t_stop * 1e-12;
+            b.1 |= same && a.1;
+            same
+        });
+        let n = prep.num_unknowns;
+        let mut ws = SolverWorkspace::new(n);
         ws.set_timing(opts.trace.tracer().enabled());
         let bank = ChargeBank::new(prep);
         let scratch_states = bank.states.clone();
@@ -230,89 +308,109 @@ impl<'a> PeriodIntegrator<'a> {
             mem: NonlinMemory::new(prep),
             bank,
             scratch_states,
+            history: History::new(n),
+            x: vec![0.0; n],
+            x_new: vec![0.0; n],
+            orbit: Orbit::default(),
             newton_iterations: 0,
             steps: 0,
         }
     }
 
-    /// Integrates one period from `x0`, returning the end state. When
-    /// `record` is given, every grid sample (including the start) is
-    /// pushed into it.
-    fn integrate(&mut self, x0: &[f64], mut record: Option<&mut Waveform>) -> Result<Vec<f64>> {
-        let mut x = x0.to_vec();
+    /// Integrates one period from `x0`, recording it in `self.orbit` and
+    /// leaving the end state in `self.x`. When `record` is given, every
+    /// grid sample (including the start) is pushed into it.
+    fn integrate(&mut self, x0: &[f64], mut record: Option<&mut Waveform>) -> Result<()> {
+        self.x.copy_from_slice(x0);
+        self.orbit.steps.clear();
+        self.orbit.x.clear();
+        self.orbit.x.extend_from_slice(x0);
+        self.history.restart();
         // Charge bank initialized at the starting solution. The `a = 0`
         // companion reads `i = -i_prev` from the bank, so the bank must
         // be zeroed first to make this the documented pure charge
         // evaluation with zero current — stale states from the previous
         // integration would otherwise leak into the start condition,
-        // making Φ history-dependent and the finite-difference monodromy
-        // products inconsistent with the recorded Φ(x₀).
+        // making Φ history-dependent.
         for s in &mut self.bank.states {
             *s = ChargeState::default();
         }
         {
             let mode = Mode::Tran {
-                time: self.grid[0],
+                time: self.grid[0].0,
                 a: 0.0,
+                be: false,
                 bank: &self.bank,
-                x_prev: &x,
+                x_prev: x0,
             };
-            update_all_charges(self.prep, &x, self.opts, &mode, &mut self.scratch_states);
+            update_all_charges(self.prep, x0, self.opts, &mode, &mut self.scratch_states);
         }
         self.bank.states.copy_from_slice(&self.scratch_states);
         if let Some(w) = record.as_deref_mut() {
-            w.push_sample(self.grid[0], &x);
+            w.push_sample(self.grid[0].0, x0);
         }
         for k in 1..self.grid.len() {
-            let (t0, t1) = (self.grid[k - 1], self.grid[k]);
+            let ((t0, _), (t1, corner)) = (self.grid[k - 1], self.grid[k]);
             // First step of the period is backward Euler: the zeroed
             // init current is exactly the BE companion, so the step is
             // self-starting. A trapezoidal first step would instead
             // treat the (unknown) true dq/dt at the period start as
             // zero — an O(1) inconsistency that biases the whole orbit.
-            self.advance(&mut x, t0, t1, 0, k == 1)?;
+            self.advance(t0, t1, 0, k == 1)?;
+            if corner {
+                // A source corner breaks the smoothness the predicted
+                // Newton start assumes.
+                self.history.restart();
+            }
             if let Some(w) = record.as_deref_mut() {
-                w.push_sample(t1, &x);
+                w.push_sample(t1, &self.x);
             }
         }
-        Ok(x)
+        Ok(())
     }
 
     /// One integration step `t0 → t1` (backward Euler when `be`,
     /// trapezoidal otherwise), bisecting on Newton failure up to
     /// [`MAX_SPLIT`] levels. The bisection rule is deterministic, so
     /// the period map stays a well-defined function of the start state.
-    fn advance(&mut self, x: &mut Vec<f64>, t0: f64, t1: f64, depth: u32, be: bool) -> Result<()> {
-        let h = t1 - t0;
-        let a = if be { 1.0 / h } else { 2.0 / h };
-        let x_prev = x.clone();
+    fn advance(&mut self, t0: f64, t1: f64, depth: u32, be: bool) -> Result<()> {
+        let step = Step {
+            t: t1,
+            h: t1 - t0,
+            be,
+        };
         let mode = Mode::Tran {
             time: t1,
-            a,
+            a: step.a(),
+            be,
             bank: &self.bank,
-            x_prev: &x_prev,
+            x_prev: &self.x,
         };
+        self.history.predict(t0, &self.x, step.h, &mut self.x_new);
         self.steps += 1;
         match newton_solve(
             self.prep,
             self.opts,
             &mode,
             &mut self.mem,
-            &x_prev,
+            &mut self.x_new,
             &mut self.ws,
             &NewtonCfg::plain(),
         ) {
-            Ok((x_new, iters)) => {
+            Ok(iters) => {
                 self.newton_iterations += iters as u64;
                 update_all_charges(
                     self.prep,
-                    &x_new,
+                    &self.x_new,
                     self.opts,
                     &mode,
                     &mut self.scratch_states,
                 );
                 self.bank.states.copy_from_slice(&self.scratch_states);
-                *x = x_new;
+                self.history.push(t0, &self.x);
+                std::mem::swap(&mut self.x, &mut self.x_new);
+                self.orbit.steps.push(step);
+                self.orbit.x.extend_from_slice(&self.x);
                 Ok(())
             }
             Err(e) if e.is_abort() => Err(e),
@@ -325,8 +423,8 @@ impl<'a> PeriodIntegrator<'a> {
                 // the parent's); after its commit the bank is consistent
                 // again, so the second half is always trapezoidal.
                 let tm = 0.5 * (t0 + t1);
-                self.advance(x, t0, tm, depth + 1, be)?;
-                self.advance(x, tm, t1, depth + 1, false)
+                self.advance(t0, tm, depth + 1, be)?;
+                self.advance(tm, t1, depth + 1, false)
             }
         }
     }
@@ -341,59 +439,244 @@ impl<'a> PeriodIntegrator<'a> {
     }
 }
 
-/// The matrix-free shooting operator `v ↦ (M − I)·v`: each application
-/// integrates one period from a perturbed start and differences against
-/// the unperturbed endpoint.
-struct ShootingOp<'a, 'b> {
-    integ: &'b mut PeriodIntegrator<'a>,
-    x0: &'b [f64],
-    phi0: &'b [f64],
-    /// `√ε_mach · (1 + ‖x₀‖)`: divided by `‖v‖` per product to give the
-    /// standard directional-difference step.
-    eps_scale: f64,
-    /// First inner failure, surfaced after GMRES returns (the
-    /// [`LinearOperator`] contract has no error channel). Once set,
-    /// further products degrade to `−v` so the iteration stays finite
-    /// while it winds down.
-    error: Option<SpiceError>,
-    xp: Vec<f64>,
+/// Splits an ω = 1 AC assembly `G + j·C` into the real step matrix
+/// `G + a·C`, written to a solver kernel, and the nonzeros of `C`,
+/// appended to `c` after its first `start` entries.
+struct SplitSink<'a> {
+    j: &'a mut Kernel<f64>,
+    a: f64,
+    c: &'a mut Vec<(usize, usize, f64)>,
+    start: usize,
 }
 
-impl LinearOperator<f64> for ShootingOp<'_, '_> {
+impl MnaSink<Complex> for SplitSink<'_> {
+    fn reset(&mut self) {
+        self.j.reset();
+        self.c.truncate(self.start);
+    }
+
+    fn add(&mut self, r: usize, c: usize, v: Complex) {
+        self.j.add(r, c, v.re + self.a * v.im);
+        if v.im != 0.0 {
+            self.c.push((r, c, v.im));
+        }
+    }
+}
+
+/// `y = C·x` for `C` given by its nonzeros.
+fn mul_into(c: &[(usize, usize, f64)], x: &[f64], y: &mut [f64]) {
+    y.fill(0.0);
+    for &(r, col, v) in c {
+        y[r] += v * x[col];
+    }
+}
+
+/// One step of the linearized orbit.
+struct LinearStep {
+    step: Step,
+    /// Where the factors of `J_k = G_k + a_k·C_k` start in the orbit's
+    /// `values`, or the step's own factors when a pivot collapse gave
+    /// them another pattern than the orbit's `pattern`.
+    factors: std::result::Result<usize, Box<SparseLu<f64>>>,
+    /// Where the nonzeros of `C_k` start in the orbit's `c`; they end
+    /// where the next step's start.
+    c: usize,
+}
+
+/// A recorded period integration linearized step for step: the exact
+/// derivative of the integrator's discrete period map, shared by the
+/// shooting update and the periodic small-signal analysis.
+///
+/// Every `J_k` has one stamp pattern, and the factorizations replay one
+/// pivot order, so the steps share one [`SparseLu`]'s index arrays and
+/// keep only their numeric factors, in one array. Each
+/// [`LinearizedOrbit::linearize`] reuses the previous one's storage, so
+/// a shooting solve and the PAC after it allocate one linearization.
+pub(crate) struct LinearizedOrbit {
+    /// Assembles and factors each `J_k`; its counters also take the
+    /// recurrence's solves.
+    ws: SolverWorkspace<f64>,
+    ac_rhs: Vec<Complex>,
+    /// The first step's factors, whose pattern the others share.
+    pattern: Option<SparseLu<f64>>,
+    /// Numeric factors of every step on `pattern`, one after another.
+    values: Vec<f64>,
+    /// Nonzeros `(row, col, value)` of `C₀` at the start state, which
+    /// sets `δq₀ = C₀·δx₀`, then of each step's `C_k`, one after another.
+    c: Vec<(usize, usize, f64)>,
+    steps: Vec<LinearStep>,
+    /// Recurrence state `δq`, its successor and `δi`.
+    dq: Vec<f64>,
+    dq_new: Vec<f64>,
+    di: Vec<f64>,
+    timing: bool,
+}
+
+/// Assembles `G + a·C` at `x` into `ws`'s kernel and appends the
+/// nonzeros of `C` to `c`.
+fn split_into(
+    prep: &Prepared,
+    opts: &Options,
+    x: &[f64],
+    a: f64,
+    ws: &mut SolverWorkspace<f64>,
+    ac_rhs: &mut [Complex],
+    c: &mut Vec<(usize, usize, f64)>,
+) {
+    let start = c.len();
+    loop {
+        let mut sink = SplitSink {
+            j: &mut ws.kernel,
+            a,
+            c: &mut *c,
+            start,
+        };
+        assemble_ac(prep, x, opts, 1.0, &mut sink, ac_rhs);
+        if !ws.finish_assembly() {
+            break;
+        }
+    }
+}
+
+impl LinearizedOrbit {
+    /// Storage for linearizing orbits of `prep`, empty until
+    /// [`LinearizedOrbit::linearize`].
+    pub(crate) fn new(prep: &Prepared, opts: &Options) -> Self {
+        let n = prep.num_unknowns;
+        let timing = opts.trace.tracer().enabled();
+        let mut ws = SolverWorkspace::new(n);
+        ws.set_timing(timing);
+        LinearizedOrbit {
+            ws,
+            ac_rhs: vec![Complex::ZERO; n],
+            pattern: None,
+            values: Vec::new(),
+            c: Vec::new(),
+            steps: Vec::new(),
+            dq: vec![0.0; n],
+            dq_new: vec![0.0; n],
+            di: vec![0.0; n],
+            timing,
+        }
+    }
+
+    /// Linearizes `orbit`: at every state one AC assembly at ω = 1
+    /// gives `G + j·C` (the split is exact, because `jω·c` at ω = 1 is
+    /// `(0, c)`), and at every step's end state `G + a·C` is factored
+    /// with that step's companion coefficient.
+    pub(crate) fn linearize(
+        &mut self,
+        prep: &Prepared,
+        opts: &Options,
+        orbit: &Orbit,
+    ) -> Result<()> {
+        let n = prep.num_unknowns;
+        let ws = &mut self.ws;
+        self.values.clear();
+        self.c.clear();
+        self.steps.clear();
+        split_into(
+            prep,
+            opts,
+            orbit.state(0, n),
+            0.0,
+            ws,
+            &mut self.ac_rhs,
+            &mut self.c,
+        );
+        for (k, &step) in orbit.steps.iter().enumerate() {
+            let c = self.c.len();
+            let x = orbit.state(k + 1, n);
+            split_into(prep, opts, x, step.a(), ws, &mut self.ac_rhs, &mut self.c);
+            ws.factor().map_err(|e| singular_unknown(prep, e))?;
+            let lu = ws.factors();
+            if k == 0 {
+                self.pattern = Some(lu.clone());
+            }
+            let factors = match &self.pattern {
+                Some(p) if p.same_pattern(lu) => {
+                    let at = self.values.len();
+                    lu.push_values(&mut self.values);
+                    Ok(at)
+                }
+                _ => Err(Box::new(lu.clone())),
+            };
+            self.steps.push(LinearStep { step, factors, c });
+        }
+        Ok(())
+    }
+
+    /// Number of unknowns.
+    pub(crate) fn dim(&self) -> usize {
+        self.dq.len()
+    }
+
+    /// Steps per period, bisected substeps included.
+    pub(crate) fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Factorizations of every linearization so far, and the solves of
+    /// every period run on them.
+    pub(crate) fn stats(&self) -> SolverStats {
+        self.ws.stats
+    }
+
+    /// Runs one period of the small-signal recurrence from `δx₀ = dx`,
+    /// leaving `δx_N` in `dx`. `input(t_k, r)` adds an input's stamp at
+    /// the step's end time to its right-hand side `r`, and
+    /// `visit(h_k, t_k, δx_k)` sees the state after each step.
+    pub(crate) fn period(
+        &mut self,
+        dx: &mut [f64],
+        mut input: impl FnMut(f64, &mut [f64]),
+        mut visit: impl FnMut(f64, f64, &[f64]),
+    ) {
+        // The nonzeros of C_k end where those of C_{k+1} start.
+        let c_end = |steps: &[LinearStep], k: usize| steps.get(k).map_or(self.c.len(), |s| s.c);
+        mul_into(&self.c[..c_end(&self.steps, 0)], dx, &mut self.dq);
+        self.di.fill(0.0);
+        for k in 0..self.steps.len() {
+            let LinearStep { step, c, .. } = self.steps[k];
+            let a = step.a();
+            for ((x, &q), &i) in dx.iter_mut().zip(&self.dq).zip(&self.di) {
+                *x = a * q + i;
+            }
+            input(step.t, dx);
+            let started = self.timing.then(Instant::now);
+            match (&mut self.steps[k].factors, &mut self.pattern) {
+                (Ok(at), Some(p)) => p.solve_with(&self.values[*at..], dx),
+                (Err(own), _) => own.solve_in_place(dx),
+                (Ok(_), None) => unreachable!("steps on the shared pattern imply one"),
+            }
+            if let Some(s) = started {
+                self.ws.stats.solve_seconds += s.elapsed().as_secs_f64();
+            }
+            mul_into(&self.c[c..c_end(&self.steps, k + 1)], dx, &mut self.dq_new);
+            for ((i, &qn), &qo) in self.di.iter_mut().zip(&self.dq_new).zip(&self.dq) {
+                *i = a * (qn - qo) - *i;
+            }
+            std::mem::swap(&mut self.dq, &mut self.dq_new);
+            visit(step.h, step.t, dx);
+        }
+        self.ws.stats.solves += self.steps.len() as u64;
+    }
+}
+
+/// The shooting operator `v ↦ (M − I)·v`, one period of the linearized
+/// recurrence per product.
+struct ShootingUpdate<'a>(&'a mut LinearizedOrbit);
+
+impl LinearOperator<f64> for ShootingUpdate<'_> {
     fn dim(&self) -> usize {
-        self.x0.len()
+        self.0.dim()
     }
 
     fn apply(&mut self, v: &[f64], y: &mut [f64]) {
-        let vnorm = v.iter().map(|a| a * a).sum::<f64>().sqrt();
-        if vnorm == 0.0 {
-            y.fill(0.0);
-            return;
-        }
-        if self.error.is_none() {
-            let eps = self.eps_scale / vnorm;
-            self.xp.clear();
-            self.xp
-                .extend(self.x0.iter().zip(v).map(|(&x, &vi)| x + eps * vi));
-            let xp = std::mem::take(&mut self.xp);
-            match self.integ.integrate(&xp, None) {
-                Ok(phi) => {
-                    for ((yi, &pi), (&p0, &vi)) in
-                        y.iter_mut().zip(&phi).zip(self.phi0.iter().zip(v))
-                    {
-                        *yi = (pi - p0) / eps - vi;
-                    }
-                    self.xp = xp;
-                    return;
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    self.xp = xp;
-                }
-            }
-        }
+        y.copy_from_slice(v);
+        self.0.period(y, |_, _| {}, |_, _, _| {});
         for (yi, &vi) in y.iter_mut().zip(v) {
-            *yi = -vi;
+            *yi -= vi;
         }
     }
 }
@@ -418,6 +701,20 @@ fn shooting_metric(prep: &Prepared, opts: &Options, x0: &[f64], phi0: &[f64]) ->
 /// The shooting-Newton engine behind
 /// [`Session::pss`](crate::analysis::Session::pss).
 pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> Result<PssResult> {
+    let mut linear = LinearizedOrbit::new(prep, opts);
+    shoot(prep, opts, params, &mut linear).map(|(result, _)| result)
+}
+
+/// Shooting Newton, linearizing each candidate orbit in `linear`: the
+/// result, and the last period integrated as committed (the converged
+/// orbit when the run converged), for the periodic small-signal
+/// analysis to linearize in the same storage.
+pub(crate) fn shoot(
+    prep: &Prepared,
+    opts: &Options,
+    params: &PssParams,
+    linear: &mut LinearizedOrbit,
+) -> Result<(PssResult, Orbit)> {
     if params.period <= 0.0 || params.steps_per_period == 0 {
         return Err(SpiceError::BadAnalysis(
             "pss needs a positive period and steps_per_period".into(),
@@ -436,6 +733,8 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
             .saturating_sub(params.steps_per_period.max(4) as u64 + 1),
         ..TranStats::default()
     };
+    // The linearizations' factorizations and the products' solves.
+    let linear_before = linear.stats();
 
     // Start from the DC operating point, then ride plain transient for
     // the warmup periods — each one is simply Φ applied again.
@@ -444,7 +743,8 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
         if opts.cancel.cancelled() {
             break;
         }
-        x0 = integ.integrate(&x0, None)?;
+        integ.integrate(&x0, None)?;
+        x0.copy_from_slice(&integ.x);
     }
 
     let n = prep.num_unknowns;
@@ -454,6 +754,7 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
     let mut best_wave = integ.fresh_wave();
     let mut status: Option<PssStatus> = None;
     let mut dx = vec![0.0; n];
+    let mut rhs = vec![0.0; n];
 
     while shooting_iters < params.max_shooting as u64 {
         // Shooting-iteration boundary: the designated cancellation and
@@ -493,8 +794,8 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
 
         // Φ(x₀), recording the candidate orbit.
         let mut wave = integ.fresh_wave();
-        let phi0 = match integ.integrate(&x0, Some(&mut wave)) {
-            Ok(p) => p,
+        match integ.integrate(&x0, Some(&mut wave)) {
+            Ok(()) => {}
             Err(e) if e.is_abort() => {
                 status = Some(match e {
                     SpiceError::BudgetExhausted {
@@ -511,9 +812,9 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
                 break;
             }
             Err(e) => return Err(e),
-        };
+        }
         best_wave = wave;
-        residual = shooting_metric(prep, opts, &x0, &phi0);
+        residual = shooting_metric(prep, opts, &x0, &integ.x);
         tr.counter("pss.residual", residual);
         if residual <= 1.0 {
             // An orbit found past the deadline is still a deadline trip.
@@ -528,38 +829,14 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
             break;
         }
 
-        // Shooting update: (M − I)·dx = −(Φ(x₀) − x₀), matrix-free.
-        let rhs: Vec<f64> = x0.iter().zip(&phi0).map(|(&x, &p)| x - p).collect();
-        let xnorm = x0.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let mut op = ShootingOp {
-            integ: &mut integ,
-            x0: &x0,
-            phi0: &phi0,
-            eps_scale: f64::EPSILON.sqrt() * (1.0 + xnorm),
-            error: None,
-            xp: Vec::with_capacity(n),
-        };
-        dx.fill(0.0);
-        let out = gmres(&mut op, &rhs, &mut dx, &SHOOTING_GMRES);
-        gmres_total += out.iterations as u64;
-        if let Some(e) = op.error.take() {
-            if e.is_abort() {
-                status = Some(match e {
-                    SpiceError::BudgetExhausted {
-                        resource, limit, ..
-                    } => PssStatus::BudgetExhausted {
-                        resource,
-                        limit,
-                        iterations: shooting_iters,
-                    },
-                    _ => PssStatus::Cancelled {
-                        iterations: shooting_iters,
-                    },
-                });
-                break;
-            }
-            return Err(e);
+        // Shooting update: (M − I)·dx = −(Φ(x₀) − x₀) on exact products.
+        for ((r, &x), &p) in rhs.iter_mut().zip(&x0).zip(&integ.x) {
+            *r = x - p;
         }
+        linear.linearize(prep, opts, &integ.orbit)?;
+        dx.fill(0.0);
+        let out = gmres(&mut ShootingUpdate(linear), &rhs, &mut dx, &SHOOTING_GMRES);
+        gmres_total += out.iterations as u64;
         if dx.iter().any(|v| !v.is_finite()) {
             return Err(SpiceError::NonFinite {
                 analysis: "pss",
@@ -576,19 +853,24 @@ pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> R
     tr.counter("pss.shooting_iterations", shooting_iters as f64);
     tr.counter("pss.gmres_iterations", gmres_total as f64);
     stats.emit(tr, "pss");
-    integ.ws.stats.emit(tr, "pss");
+    let mut solver = linear.stats().delta(&linear_before);
+    solver.merge(&integ.ws.stats);
+    solver.emit(tr, "pss");
     span.end();
 
     match status {
-        Some(status) => Ok(PssResult {
-            wave: best_wave,
-            status,
-            shooting_iterations: shooting_iters,
-            gmres_iterations: gmres_total,
-            newton_iterations: integ.newton_iterations,
-            residual,
-            period: params.period,
-        }),
+        Some(status) => Ok((
+            PssResult {
+                wave: best_wave,
+                status,
+                shooting_iterations: shooting_iters,
+                gmres_iterations: gmres_total,
+                newton_iterations: integ.newton_iterations,
+                residual,
+                period: params.period,
+            },
+            integ.orbit,
+        )),
         None => Err(SpiceError::NoConvergence {
             analysis: "pss",
             iterations: shooting_iters as usize,
@@ -653,10 +935,9 @@ mod tests {
         assert!((v[0] - v[v.len() - 1]).abs() < 1e-4);
     }
 
-    #[test]
-    fn pss_agrees_with_ringdown_transient() {
-        // Nonlinear deck: diode rectifier. PSS must land on the same
-        // orbit a long transient rings down to.
+    /// Half-wave diode rectifier into an RC load, driven at 1 MHz; `rs`
+    /// is the diode's series resistance.
+    fn rectifier(rs: f64) -> Circuit {
         let mut c = Circuit::new();
         let a = c.node("a");
         let out = c.node("out");
@@ -673,11 +954,21 @@ mod tests {
                 phase_deg: 0.0,
             },
         );
-        let dm = c.add_diode_model(crate::model::DiodeModel::default());
+        let dm = c.add_diode_model(crate::model::DiodeModel {
+            rs,
+            ..Default::default()
+        });
         c.diode("D1", a, out, dm, 1.0);
         c.capacitor("C1", out, Circuit::gnd(), 2e-9);
         c.resistor("RL", out, Circuit::gnd(), 1e3);
-        let prep = Prepared::compile(&c).unwrap();
+        c
+    }
+
+    #[test]
+    fn pss_agrees_with_ringdown_transient() {
+        // Nonlinear deck: diode rectifier. PSS must land on the same
+        // orbit a long transient rings down to.
+        let prep = Prepared::compile(&rectifier(0.0)).unwrap();
         let opts = Options::default();
         let r = pss_impl(&prep, &opts, &PssParams::new(1e-6, 256)).unwrap();
         assert!(r.is_converged(), "residual {}", r.residual);
@@ -736,6 +1027,174 @@ mod tests {
             },
             Err(e) => assert!(e.is_abort(), "{e}"),
         }
+    }
+
+    /// Newton tolerances far below the perturbation of a central
+    /// difference, so the period map is smooth to rounding.
+    fn tight() -> Options {
+        Options::default().reltol(1e-12).vntol(1e-15).abstol(1e-18)
+    }
+
+    /// Premise of the shooting update and of PAC: the linearized orbit's
+    /// `M·v` is the derivative of the period map the integrator
+    /// computes. Integrates one period of `c` from the start of its
+    /// converged orbit under `opts`, and returns the worst
+    /// `‖M·v − (Φ(x₀ + εv) − Φ(x₀ − εv))/2ε‖∞ / ‖M·v‖∞` over three dense
+    /// directions `v` with entries in `[−1, 1]`, and whether the
+    /// integrator bisected a grid interval.
+    fn product_mismatch(c: &Circuit, params: &PssParams, opts: &Options) -> (f64, bool) {
+        let prep = Prepared::compile(c).unwrap();
+        let x0 = pss_impl(&prep, &Options::default(), params).unwrap().x0();
+        let mut integ = PeriodIntegrator::new(&prep, opts, params);
+        integ.integrate(&x0, None).unwrap();
+        // A failed attempt and its two halves count three steps.
+        let bisected = integ.steps as usize + 1 > integ.grid.len();
+        let mut orbit = LinearizedOrbit::new(&prep, opts);
+        orbit.linearize(&prep, opts, &integ.orbit).unwrap();
+        let eps = 1e-5;
+        let mut worst = 0.0f64;
+        for seed in 1..=3 {
+            let v: Vec<f64> = (0..x0.len())
+                .map(|k| (0.7 * seed as f64 * (k + 1) as f64).sin())
+                .collect();
+            let mut mv = v.clone();
+            orbit.period(&mut mv, |_, _| {}, |_, _, _| {});
+            let mut phi = |sign: f64| {
+                let xs: Vec<f64> = x0
+                    .iter()
+                    .zip(&v)
+                    .map(|(x, vi)| x + sign * eps * vi)
+                    .collect();
+                integ.integrate(&xs, None).unwrap();
+                integ.x.clone()
+            };
+            let (plus, minus) = (phi(1.0), phi(-1.0));
+            let scale = mv.iter().fold(0.0f64, |m, y| m.max(y.abs()));
+            for ((y, p), m) in mv.iter().zip(&plus).zip(&minus) {
+                worst = worst.max((y - (p - m) / (2.0 * eps)).abs() / scale);
+            }
+        }
+        (worst, bisected)
+    }
+
+    /// The Hartley image-reject mixer of the transistor-level Fig. 5
+    /// bench at its default parameters: two emitter-pumped BJT arms on
+    /// quadrature 10 MHz LOs, ±45° IF networks at 1 MHz, and a VCCS
+    /// summer into 100 kΩ.
+    fn hartley_mixer() -> Circuit {
+        let mut c = Circuit::new();
+        let vcc = c.node("vcc");
+        c.vsource("VCC", vcc, Circuit::gnd(), 5.0);
+        let rf = c.node("rf");
+        c.vsource_wave("VRF", rf, Circuit::gnd(), SourceWave::Dc(0.0));
+        let model = c.add_bjt_model(crate::model::BjtModel::default());
+        let c_if = 1.0 / (2.0 * std::f64::consts::PI * 1e6 * 1e3);
+        let out = c.node("ifout");
+        for (arm, phase) in [("i", 0.0), ("q", 90.0)] {
+            let base = c.node(&format!("b{arm}"));
+            let emit = c.node(&format!("e{arm}"));
+            let coll = c.node(&format!("c{arm}"));
+            let filt = c.node(&format!("f{arm}"));
+            c.resistor(&format!("RC{arm}"), rf, base, 10e3);
+            c.resistor(&format!("RB1{arm}"), vcc, base, 7e3);
+            c.resistor(&format!("RB2{arm}"), base, Circuit::gnd(), 3e3);
+            c.vsource_wave(
+                &format!("VLO{arm}"),
+                emit,
+                Circuit::gnd(),
+                SourceWave::Sin {
+                    offset: 0.85,
+                    ampl: 0.15,
+                    freq: 10e6,
+                    delay: 0.0,
+                    damping: 0.0,
+                    phase_deg: phase,
+                },
+            );
+            c.bjt(&format!("Q{arm}"), coll, base, emit, model, 1.0);
+            c.resistor(&format!("RL{arm}"), vcc, coll, 1e3);
+            if arm == "i" {
+                c.resistor(&format!("RF{arm}"), coll, filt, 1e3);
+                c.capacitor(&format!("CF{arm}"), filt, Circuit::gnd(), c_if);
+            } else {
+                c.capacitor(&format!("CF{arm}"), coll, filt, c_if);
+                c.resistor(&format!("RF{arm}"), filt, Circuit::gnd(), 1e3);
+            }
+            c.vccs(
+                &format!("GS{arm}"),
+                Circuit::gnd(),
+                out,
+                filt,
+                Circuit::gnd(),
+                1e-5,
+            );
+        }
+        c.resistor("RLOAD", out, Circuit::gnd(), 100e3);
+        c
+    }
+
+    /// Two 1 MHz tanks coupled through a `K` card, driven through a
+    /// source resistor.
+    fn magnetically_coupled_tanks() -> Circuit {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let t1 = c.node("t1");
+        let t2 = c.node("t2");
+        c.vsource_wave(
+            "VIN",
+            vin,
+            Circuit::gnd(),
+            SourceWave::Sin {
+                offset: 0.0,
+                ampl: 1.0,
+                freq: 1e6,
+                delay: 0.0,
+                damping: 0.0,
+                phase_deg: 0.0,
+            },
+        );
+        c.resistor("RS", vin, t1, 10e3);
+        for (k, t) in [(1, t1), (2, t2)] {
+            c.inductor(&format!("L{k}"), t, Circuit::gnd(), 25.33e-6);
+            c.capacitor(&format!("C{k}"), t, Circuit::gnd(), 1e-9);
+            c.resistor(&format!("RP{k}"), t, Circuit::gnd(), 3.2e3);
+        }
+        c.mutual("K1", "L1", "L2", 0.05);
+        c
+    }
+
+    #[test]
+    fn orbit_products_are_the_period_map_derivative() {
+        // The transistor-level Fig. 5 mixer.
+        let (err, _) = product_mismatch(&hartley_mixer(), &PssParams::new(1e-7, 200), &tight());
+        assert!(
+            err < 1e-6,
+            "mixer: M·v off the central difference by {err:.2e}"
+        );
+        // Inductors and a K coupling: the first step is backward Euler
+        // for the branch rows too.
+        let (err, _) = product_mismatch(
+            &magnetically_coupled_tanks(),
+            &PssParams::new(1e-6, 128),
+            &tight(),
+        );
+        assert!(
+            err < 1e-6,
+            "tanks: M·v off the central difference by {err:.2e}"
+        );
+        // A rectifier whose diode charges the load through 1 kΩ, on a
+        // coarse grid with a Newton cap the diode's turn-on steps exceed:
+        // the bisected substeps are steps of the linearized orbit too.
+        let (err, bisected) = product_mismatch(
+            &rectifier(1e3),
+            &PssParams::new(1e-6, 16),
+            &tight().max_newton(5),
+        );
+        assert!(bisected, "the rectifier deck must bisect a grid interval");
+        assert!(
+            err < 1e-6,
+            "rectifier: M·v off the central difference by {err:.2e}"
+        );
     }
 
     #[test]

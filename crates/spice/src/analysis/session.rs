@@ -341,10 +341,10 @@ impl Session {
     /// # Errors
     ///
     /// Same failure modes as [`Session::pss`], plus
-    /// [`crate::error::SpiceError::BadAnalysis`] when the measurement
-    /// window does not hold an integer number of input/output cycles,
-    /// and the typed cancellation and budget errors when the recurrence
-    /// is stopped at a period boundary.
+    /// [`crate::error::SpiceError::BadAnalysis`] when `freq_out` is no
+    /// sideband `±f_in + k·f_LO` of an input tone, and the typed
+    /// cancellation and budget errors when the recurrence is stopped at
+    /// a period boundary.
     pub fn pac(&mut self, pss_params: &PssParams, params: &PacParams) -> Result<PacResult> {
         pac_impl(
             Arc::make_mut(&mut self.prepared),

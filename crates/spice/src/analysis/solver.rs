@@ -364,19 +364,18 @@ impl<T: Scalar> SolverWorkspace<T> {
         &self.x
     }
 
-    /// A copy of the current factors, still solvable after the workspace
-    /// has moved on to another matrix.
+    /// The current factors, to copy out before the workspace moves on
+    /// to another matrix.
     ///
     /// # Panics
     ///
     /// Panics if [`SolverWorkspace::factor`] has not succeeded since the
     /// last pattern change.
-    pub(crate) fn stored_lu(&self) -> SparseLu<T> {
+    pub(crate) fn factors(&self) -> &SparseLu<T> {
         self.repivoted
             .as_ref()
             .or(self.lu.as_ref())
             .expect("factored")
-            .clone()
     }
 }
 
@@ -714,6 +713,7 @@ mod tests {
         let init = Mode::Tran {
             time: 0.0,
             a: 0.0,
+            be: false,
             bank: &bank,
             x_prev: &x0,
         };
@@ -740,6 +740,7 @@ mod tests {
         let tran = Mode::Tran {
             time: 1e-9,
             a: 2e11,
+            be: false,
             bank: &bank,
             x_prev: &x0,
         };

@@ -482,6 +482,12 @@ pub enum Mode<'a> {
         time: f64,
         /// Companion coefficient (1/s).
         a: f64,
+        /// Backward Euler rather than trapezoidal. A charge device needs
+        /// no flag, since a bank with zero stored currents turns its
+        /// trapezoidal companion at `a = 1/h` into backward Euler; an
+        /// inductor reads its history voltage from `x_prev` instead, and
+        /// drops it on a backward-Euler step.
+        be: bool,
         /// Charge states at the previous accepted timepoint.
         bank: &'a ChargeBank,
         /// Solution at the previous accepted timepoint.

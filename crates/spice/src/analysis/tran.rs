@@ -1,16 +1,18 @@
 //! Transient analysis: trapezoidal integration with Newton at every step,
 //! source breakpoints, and iteration-count step control.
 //!
-//! Each step's Newton solve starts from a predicted solution: the
-//! variable-step quadratic through the last three accepted points
-//! (second order, like the trapezoidal rule), extrapolated to the step's
-//! end time; the linear one while only two points exist; and the last
-//! point itself at the first step and on the step after each source
-//! breakpoint, whose corner breaks the smoothness the extrapolation
-//! assumes. The convergence test, pnjlim veto and step control are those
-//! of a start from the last point, so a linear circuit, which Newton
-//! solves exactly from any start, keeps its bits, while a nonlinear one
-//! mostly converges in one iteration, closer to the exact step solution.
+//! Each step's Newton solve starts from a predicted solution (the
+//! `history` module): the variable-step quadratic through the last
+//! three accepted points, extrapolated to the step's end time; the
+//! linear one while only two points exist; and the last point itself at
+//! the first step and on the step after each source breakpoint, whose
+//! corner breaks the smoothness the extrapolation assumes. The
+//! convergence test, pnjlim veto and step control are those of a start
+//! from the last point, so a linear circuit, which Newton solves exactly
+//! from any start, keeps its bits, while a nonlinear one mostly
+//! converges in one iteration, closer to the exact step solution. The
+//! state and the Newton iterate live in two buffers reused for the whole
+//! run.
 //!
 //! The engine returns a typed [`TranResult`]: a cancelled or
 //! budget-exhausted run yields the waveform integrated so far plus a
@@ -20,6 +22,7 @@
 //! accepted-step cadence, so a `JsonLinesSink` client watches a long
 //! run live.
 
+use crate::analysis::history::History;
 use crate::analysis::op::{newton_solve, op_eval, NewtonCfg};
 use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::{update_all_charges, ChargeBank, Mode, NonlinMemory, Options};
@@ -169,67 +172,6 @@ fn emit_progress(tr: Tracer<'_>, prep: &Prepared, t: f64, t_stop: f64, accepted:
     }
 }
 
-/// The accepted points before the last one, from which each step's
-/// Newton start is extrapolated. Both buffers are reused for the whole
-/// run.
-struct History {
-    /// `x_{n-1}` and `x_{n-2}`.
-    x: [Vec<f64>; 2],
-    /// `t_{n-1}` and `t_{n-2}`.
-    t: [f64; 2],
-    /// How many of them follow the last restart (0, 1 or 2).
-    len: usize,
-}
-
-impl History {
-    fn new(n: usize) -> Self {
-        History {
-            x: [vec![0.0; n], vec![0.0; n]],
-            t: [0.0; 2],
-            len: 0,
-        }
-    }
-
-    /// Forgets every earlier point: the next step starts from `x_n`.
-    fn restart(&mut self) {
-        self.len = 0;
-    }
-
-    /// Records the accepted `(t_n, x_n)` as the newest earlier point,
-    /// before the step that replaces it is committed.
-    fn push(&mut self, t: f64, x: &[f64]) {
-        self.x.swap(0, 1);
-        self.x[0].copy_from_slice(x);
-        self.t = [t, self.t[0]];
-        self.len = (self.len + 1).min(2);
-    }
-
-    /// Writes into `out` the polynomial through the earlier points and
-    /// `(t, x)`, evaluated at `t + h`, in Newton's divided-difference
-    /// form so a constant unknown is predicted exactly. Returns `false`,
-    /// leaving `out` untouched, when there is no earlier point.
-    fn predict(&self, t: f64, x: &[f64], h: f64, out: &mut [f64]) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let h1 = t - self.t[0];
-        if self.len == 1 {
-            for ((o, &xn), &x1) in out.iter_mut().zip(x).zip(&self.x[0]) {
-                *o = xn + h * (xn - x1) / h1;
-            }
-        } else {
-            let h2 = self.t[0] - self.t[1];
-            let iter = out.iter_mut().zip(x).zip(&self.x[0]).zip(&self.x[1]);
-            for (((o, &xn), &x1), &x2) in iter {
-                let d1 = (xn - x1) / h1;
-                let d2 = (d1 - (x1 - x2) / h2) / (h1 + h2);
-                *o = xn + h * (d1 + (h + h1) * d2);
-            }
-        }
-        true
-    }
-}
-
 /// The transient engine behind [`Session::tran`](crate::analysis::Session::tran):
 /// trapezoidal integration with Newton at every step, returning a typed
 /// [`TranResult`].
@@ -277,6 +219,7 @@ pub(crate) fn tran_impl(
         let mode = Mode::Tran {
             time: 0.0,
             a: 0.0,
+            be: false,
             bank: &bank,
             x_prev: &x,
         };
@@ -318,7 +261,8 @@ pub(crate) fn tran_impl(
     let mut singular_streak = 0usize;
     let mut new_states = bank.states.clone();
     let mut history = History::new(n);
-    let mut x_start = vec![0.0; n];
+    // Newton iterates here; an accepted step swaps it with `x`.
+    let mut x_new = vec![0.0; n];
     let mut status = TranStatus::Complete;
     let stream_every = opts.stream.every();
     while t < params.t_stop - 1e-15 * params.t_stop {
@@ -381,31 +325,27 @@ pub(crate) fn tran_impl(
 
         let t_new = t + h_eff;
         let a = 2.0 / h_eff; // trapezoidal
-        let x_prev = x.clone();
         let mode = Mode::Tran {
             time: t_new,
             a,
+            be: false,
             bank: &bank,
-            x_prev: &x_prev,
+            x_prev: &x,
         };
-        let start = if history.predict(t, &x, h_eff, &mut x_start) {
-            &x_start
-        } else {
-            &x_prev
-        };
+        history.predict(t, &x, h_eff, &mut x_new);
         match newton_solve(
             prep,
             opts,
             &mode,
             &mut mem,
-            start,
+            &mut x_new,
             &mut ws,
             &NewtonCfg::plain(),
         ) {
             // The accept point: `newton_solve` re-checks the wall-clock
             // deadline before returning a converged step, so a step that
             // overran it arrives as the abort below, never here.
-            Ok((x_new, iters)) => {
+            Ok(iters) => {
                 stats.accepted_steps += 1;
                 stats.newton_iterations += iters as u64;
                 singular_streak = 0;
@@ -414,7 +354,7 @@ pub(crate) fn tran_impl(
                 update_all_charges(prep, &x_new, opts, &mode, &mut new_states);
                 bank.states.copy_from_slice(&new_states);
                 history.push(t, &x);
-                x = x_new;
+                std::mem::swap(&mut x, &mut x_new);
                 t = t_new;
                 wave.push_sample(t, &x);
                 if let Some(every) = stream_every {
@@ -750,31 +690,6 @@ mod tests {
             .records()
             .iter()
             .all(|r| !r.name.starts_with("progress.")));
-    }
-
-    #[test]
-    fn predicted_start_is_exact_on_quadratics_and_constants() {
-        let q = |t: f64| 3.0 - 2.0 * t + 5.0 * t * t;
-        let mut hist = History::new(2);
-        let mut out = [0.0; 2];
-        // No earlier point: the caller starts from x_n.
-        assert!(!hist.predict(0.0, &[q(0.0), 7.0], 0.1, &mut out));
-        hist.push(0.0, &[q(0.0), 7.0]);
-        // Two points: the line through them.
-        assert!(hist.predict(0.3, &[q(0.3), 7.0], 0.2, &mut out));
-        let line = q(0.3) + 0.2 * (q(0.3) - q(0.0)) / 0.3;
-        assert!((out[0] - line).abs() < 1e-12, "{} vs {line}", out[0]);
-        assert_eq!(out[1], 7.0);
-        hist.push(0.3, &[q(0.3), 7.0]);
-        // Three unevenly spaced points: the quadratic, at any step, and
-        // a constant unknown to the bit.
-        for h in [0.05, 0.4, 1.0] {
-            assert!(hist.predict(0.45, &[q(0.45), 7.0], h, &mut out));
-            assert!((out[0] - q(0.45 + h)).abs() < 1e-12, "h = {h}");
-            assert_eq!(out[1], 7.0);
-        }
-        hist.restart();
-        assert!(!hist.predict(0.45, &[q(0.45), 7.0], 0.1, &mut out));
     }
 
     #[test]

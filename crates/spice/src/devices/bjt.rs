@@ -880,6 +880,7 @@ mod tests {
             let mode = Mode::Tran {
                 time: 1e-9,
                 a,
+                be: false,
                 bank: &bank,
                 x_prev: &x,
             };

@@ -174,12 +174,16 @@ impl Device for Inductor {
                 // when an inductor shorts two voltage sources.
                 s.add(self.k, self.k, -1e-9);
             }
-            Mode::Tran { a, x_prev, .. } => {
+            Mode::Tran { a, be, x_prev, .. } => {
+                // `v = L·di/dt`: trapezoidal `v + v_prev = L·a·(i − i_prev)`,
+                // backward Euler `v = L·a·(i − i_prev)`.
                 let i_prev = x_prev[self.k];
                 let v_prev = read_slot(x_prev, self.p) - read_slot(x_prev, self.n);
                 s.add(self.k, self.k, -l * a);
                 let rhs = if *a == 0.0 {
                     0.0
+                } else if *be {
+                    -(l * a * i_prev)
                 } else {
                     -(l * a * i_prev + v_prev)
                 };

@@ -4,13 +4,16 @@
 //! The PSS engine finds the periodic orbit directly; the ring-down
 //! reference is the same circuit integrated long enough for every
 //! natural time constant to die out. The two must land on the same
-//! waveform — sample-for-sample for the stiff rectifier (1 mV),
-//! fundamental amplitude for the weakly-damped coupled tank (0.1 dB).
-//! The PSS-against-physics check (a driven RC vs its phasor solution)
-//! lives in `tests/analytic.rs`.
+//! waveform — sample-for-sample for the stiff rectifier (1 mV) and for
+//! the weakly-damped coupled tank on the transient's own grid, and in
+//! fundamental amplitude for the tank (0.1 dB). The PSS-against-physics
+//! check (a driven RC vs its phasor solution) lives in
+//! `tests/analytic.rs`. The last test pins the shooting engine's cost on
+//! the transistor-level Fig. 5 mixer.
 
 mod common;
 
+use ahfic_rf::mixer_tl::{build_hartley_mixer, HartleyMixerParams};
 use ahfic_spice::analysis::{PssParams, Session, TranParams};
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::wave::SourceWave;
@@ -144,4 +147,81 @@ fn coupled_tank_pss_amplitude_matches_ringdown_within_tenth_db() {
             "{node}: PSS {a_pss:.6} V vs ring-down {a_ring:.6} V ({delta_db:+.4} dB)"
         );
     }
+}
+
+/// The coupled tanks' PSS orbit on 512 steps per period against a
+/// transient on the same uniform grid, rung down for 80 periods (12.5
+/// tank time constants): both take trapezoidal steps, except the
+/// period's backward-Euler first step, so every node voltage and
+/// inductor current meets the transient's last period to 1e-3 of its
+/// amplitude (measured 5.9e-4). An inductor whose first step applied its
+/// trapezoidal companion at `a = 1/h`, a trapezoidal step of length
+/// `2h`, would double the first current increment of every period and
+/// miss by 0.9–2.3 %.
+#[test]
+fn coupled_tank_pss_orbit_matches_a_same_grid_transient() {
+    let period = 1e-6;
+    let steps = 512;
+    let sess = Session::compile(&coupled_tank()).expect("tank compiles");
+    let pss = sess
+        .pss(&PssParams::new(period, steps).warmup_periods(0))
+        .expect("tank pss");
+    assert!(pss.is_converged(), "{:?}", pss.status());
+    let h = period / steps as f64;
+    let mut params = TranParams::new(80.0 * period, h);
+    params.dt_init = Some(h);
+    let tran = sess.tran(&params).expect("tank transient");
+    let ts = tran.wave().axis();
+    assert_eq!(
+        ts.len(),
+        80 * steps + 1,
+        "the transient keeps the uniform grid"
+    );
+    let last = ts.len() - 1 - steps;
+    for name in ["v(t1)", "v(t2)", "i(L1)", "i(L2)"] {
+        let orbit = pss.wave().signal(name).expect("pss signal");
+        let ring = &tran.wave().signal(name).expect("transient signal")[last..];
+        let amplitude = ring.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let worst = orbit
+            .iter()
+            .zip(ring)
+            .fold(0.0f64, |m, (p, t)| m.max((p - t).abs()));
+        assert!(
+            worst < 1e-3 * amplitude,
+            "{name}: PSS vs transient worst {worst:.3e} of amplitude {amplitude:.3e}"
+        );
+    }
+}
+
+/// Cost of the transistor-level Fig. 5 mixer's PSS. Each period's Newton
+/// solves start from the transient's predicted solution: 1.515 Newton
+/// iterations per grid step over the two warmup periods and the
+/// integration of each shooting iteration (bound 1.6). The shooting
+/// update takes exact products on the linearized orbit: 2 GMRES
+/// iterations per update, and no other period integration. Started from
+/// the last point, with finite-difference products, the same call took
+/// 3 GMRES iterations and 5.68 Newton iterations per grid step of those
+/// periods (3.25 per step of the seven periods it integrated).
+#[test]
+fn hartley_mixer_pss_takes_few_newton_and_gmres_iterations() {
+    let params = HartleyMixerParams::default();
+    let (mixer, _, _) = build_hartley_mixer(&params);
+    let sess = Session::compile(&mixer).expect("mixer compiles");
+    let pss_params = PssParams::new(1.0 / params.f_lo, 200);
+    let pss = sess.pss(&pss_params).expect("mixer pss");
+    assert!(pss.is_converged(), "{:?}", pss.status());
+    let periods = pss_params.warmup_periods as u64 + pss.shooting_iterations;
+    let grid_steps = (pss.wave().len() - 1) as u64;
+    let per_step = pss.newton_iterations as f64 / (periods * grid_steps) as f64;
+    assert!(
+        per_step <= 1.6,
+        "{per_step:.3} Newton iterations per grid step over {periods} periods"
+    );
+    let updates = pss.shooting_iterations - 1;
+    assert!(updates >= 1, "converged without a shooting update");
+    assert!(
+        pss.gmres_iterations <= 2 * updates,
+        "{} GMRES iterations over {updates} shooting updates",
+        pss.gmres_iterations
+    );
 }
