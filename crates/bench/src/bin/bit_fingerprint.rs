@@ -22,8 +22,12 @@
 //! The `bjt` lines hash every BJT's operating record except
 //! `qbx`/`cbx`, which the `bjt.qbx_cbx` lines hash on their own. The
 //! `mixer fig5_tl` line hashes the four transistor-level Fig. 5 IRRs,
-//! and the `tank pss` line the PSS of two coupled LC tanks, the one
-//! fingerprinted orbit through inductors.
+//! the `tank pss` line the PSS of two coupled LC tanks, the one
+//! fingerprinted orbit through inductors, and `tank tran` their
+//! transient from initial conditions. The `rect pss` line is a diode
+//! rectifier whose period integrator bisects grid intervals under a
+//! Newton cap, and `pulse pss` an RC driven by a PULSE square wave,
+//! whose corners are merged into the PSS grid.
 //! The analyses run at one thread; AC and noise give the same bits at
 //! any thread count.
 //!
@@ -59,6 +63,7 @@ use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
 use ahfic_spice::parse::parse_netlist;
 use ahfic_spice::wave::{SourceWave, Waveform};
+use ahfic_spice::DiodeModel;
 
 /// FNV-1a (64-bit) over the bit patterns of the values pushed.
 struct Fingerprint {
@@ -217,6 +222,60 @@ fn coupled_tank() -> Circuit {
     c.inductor("L2", t2, Circuit::gnd(), 25.33e-6);
     c.capacitor("C2", t2, Circuit::gnd(), 1e-9);
     c.resistor("RP2", t2, Circuit::gnd(), 3.2e3);
+    c
+}
+
+/// Half-wave diode rectifier into an RC load, driven at 1 MHz through
+/// the diode's 1 kΩ series resistance.
+fn rectifier() -> Circuit {
+    let mut c = Circuit::new();
+    let a = c.node("a");
+    let out = c.node("out");
+    c.vsource_wave(
+        "V1",
+        a,
+        Circuit::gnd(),
+        SourceWave::Sin {
+            offset: 0.0,
+            ampl: 2.0,
+            freq: 1e6,
+            delay: 0.0,
+            damping: 0.0,
+            phase_deg: 0.0,
+        },
+    );
+    let dm = c.add_diode_model(DiodeModel {
+        rs: 1e3,
+        ..Default::default()
+    });
+    c.diode("D1", a, out, dm, 1.0);
+    c.capacitor("C1", out, Circuit::gnd(), 2e-9);
+    c.resistor("RL", out, Circuit::gnd(), 1e3);
+    c
+}
+
+/// An RC low-pass (τ = 1 µs) driven by a 0/1 V square wave of period
+/// 2 µs and 50 % duty, with 1 ps edges.
+fn pulse_rc() -> Circuit {
+    let mut c = Circuit::new();
+    let vin = c.node("vin");
+    let out = c.node("out");
+    c.vsource_wave(
+        "VIN",
+        vin,
+        Circuit::gnd(),
+        SourceWave::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay: 0.0,
+            rise: 1e-12,
+            fall: 1e-12,
+            width: 1e-6 - 1e-12,
+            period: 2e-6,
+        },
+    );
+    c.resistor("R1", vin, out, 1e3);
+    c.capacitor("C1", out, Circuit::gnd(), 1e-9);
     c
 }
 
@@ -419,6 +478,24 @@ fn main() -> Result<()> {
     report("tank pss", |fp| {
         let sess = Session::compile(&coupled_tank())?.with_options(Options::new().threads(1));
         fp.pss(&sess, &PssParams::new(1e-6, 512).warmup_periods(0))
+    });
+    report("tank tran", |fp| {
+        let sess = Session::compile(&coupled_tank())?.with_options(Options::new().threads(1));
+        let r = sess.tran(&TranParams::new(5e-6, 1e-6 / 200.0).with_uic())?;
+        fp.wave(r.wave())?;
+        fp.bits(r.accepted_steps());
+        fp.bits(r.rejected_steps());
+        fp.bits(r.newton_iterations());
+        Ok(())
+    });
+    report("rect pss", |fp| {
+        let opts = Options::new().threads(1).max_newton(5);
+        let sess = Session::compile(&rectifier())?.with_options(opts);
+        fp.pss(&sess, &PssParams::new(1e-6, 16))
+    });
+    report("pulse pss", |fp| {
+        let sess = Session::compile(&pulse_rc())?.with_options(Options::new().threads(1));
+        fp.pss(&sess, &PssParams::new(2e-6, 200).warmup_periods(0))
     });
     fingerprint_behavioral();
     Ok(())

@@ -1,9 +1,9 @@
 //! Cooperative cancellation and per-job resource budgets.
 //!
 //! The serving layer hands every analysis a [`CancelToken`] and a
-//! [`Budget`] through [`Options`](crate::analysis::Options): the token is
-//! polled at Newton-iteration and transient-timestep boundaries (never
-//! inside a factorization), so a cancelled job stops within one solver
+//! [`Budget`] through [`Options`]: the token is polled at
+//! Newton-iteration and transient-timestep boundaries (never inside a
+//! factorization), so a cancelled job stops within one solver
 //! step; the budget bounds how much work one job may burn before it is
 //! degraded to a typed report instead of starving its worker thread.
 //!
@@ -11,6 +11,8 @@
 //! [`Budget::unlimited`] make every poll site a single not-taken branch,
 //! mirroring the `TraceHandle`/`FaultHandle` pattern.
 
+use crate::analysis::stamp::Options;
+use crate::error::SpiceError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +63,7 @@ impl CancelToken {
 }
 
 /// Shared handle to an optional [`CancelToken`], stored inside
-/// [`Options`](crate::analysis::Options).
+/// [`Options`].
 ///
 /// Equality compares only whether cancellation is wired up (mirroring
 /// `TraceHandle`/`FaultHandle`), so `Options` keeps a useful
@@ -172,8 +174,7 @@ impl Deadline {
 /// Per-analysis resource budget, enforced at solver boundaries.
 ///
 /// Limits degrade a runaway job to a typed
-/// [`SpiceError::BudgetExhausted`](crate::error::SpiceError::BudgetExhausted)
-/// (or, for transients, a partial
+/// [`SpiceError::BudgetExhausted`] (or, for transients, a partial
 /// [`TranResult`](crate::analysis::TranResult)) instead of letting it
 /// monopolize a serving worker. The struct is `#[non_exhaustive]`:
 /// construct it with [`Budget::unlimited`] and tighten through the
@@ -316,6 +317,71 @@ impl Budget {
     }
 }
 
+/// Why a stepping engine stopped early, at one of its control points
+/// or in an aborted Newton solve.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Stop {
+    /// The cancel token fired.
+    Cancelled,
+    /// A budget limit fired: the resource (`"steps"`,
+    /// `"newton_iterations"`, `"wall_clock_ms"`), its limit and the work
+    /// spent.
+    Exhausted(&'static str, u64, u64),
+}
+
+impl Stop {
+    /// The stop of an aborted Newton solve: a budget trip keeps its
+    /// resource, limit and spend; any other abort is a cancellation.
+    pub(crate) fn of_abort(e: &SpiceError) -> Stop {
+        match *e {
+            SpiceError::BudgetExhausted {
+                resource,
+                limit,
+                spent,
+                ..
+            } => Stop::Exhausted(resource, limit, spent),
+            _ => Stop::Cancelled,
+        }
+    }
+
+    /// This stop as the typed error of `analysis`.
+    pub(crate) fn error(self, analysis: &'static str) -> SpiceError {
+        match self {
+            Stop::Cancelled => SpiceError::Cancelled {
+                analysis,
+                time: None,
+            },
+            Stop::Exhausted(resource, limit, spent) => SpiceError::BudgetExhausted {
+                analysis,
+                resource,
+                limit,
+                spent,
+            },
+        }
+    }
+}
+
+/// The control point of the stepping engines, in this order:
+/// cancellation, the step budget against `steps` attempted, the Newton
+/// budget against `newton` iterations spent (for an engine that counts
+/// them), the wall-clock deadline.
+pub(crate) fn stop_check(opts: &Options, steps: u64, newton: Option<u64>) -> Option<Stop> {
+    if opts.cancel.cancelled() {
+        return Some(Stop::Cancelled);
+    }
+    let budget = &opts.budget;
+    if let Some(limit) = budget.steps_exhausted(steps) {
+        return Some(Stop::Exhausted("steps", limit, steps));
+    }
+    if let Some(spent) = newton {
+        if let Some(limit) = budget.newton_exhausted(spent) {
+            return Some(Stop::Exhausted("newton_iterations", limit, spent));
+        }
+    }
+    let (limit, spent) = budget.wall_exhausted()?;
+    Some(Stop::Exhausted("wall_clock_ms", limit, spent))
+}
+
 /// Incremental-progress streaming policy for long transients
 /// ([`Options::stream`](crate::analysis::Options::stream)).
 ///
@@ -431,6 +497,131 @@ mod tests {
         let h = CancelHandle::new(&t);
         h.cancel();
         assert!(t.is_cancelled(), "handle cancel reaches the shared token");
+    }
+
+    /// Every stop of the three stepping engines under each limit: a
+    /// pre-cancelled token, a step budget, a Newton budget and an
+    /// expired deadline, with each engine's step and Newton limits set
+    /// to trip mid-run. The transient starts from initial conditions, so
+    /// each limit stops it at its own control point. The PSS and the
+    /// PAC start from an operating point, which sees the cancelled token
+    /// and the expired deadline first; the PAC's Newton limit stops the
+    /// PSS it runs.
+    #[test]
+    fn stop_check_outcomes_per_engine() {
+        use crate::analysis::pac::{pac_impl, PacParams};
+        use crate::analysis::pss::{pss_impl, PssParams, PssStatus};
+        use crate::analysis::tran::{tran_impl, TranParams, TranStatus};
+        use crate::circuit::{Circuit, Prepared};
+        use crate::wave::SourceWave;
+
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let out = c.node("out");
+        let sine = SourceWave::Sin {
+            offset: 0.0,
+            ampl: 1.0,
+            freq: 1e6,
+            delay: 0.0,
+            damping: 0.0,
+            phase_deg: 0.0,
+        };
+        c.vsource_wave("V1", a, Circuit::gnd(), sine);
+        c.resistor("R1", a, out, 1e3);
+        c.capacitor("C1", out, Circuit::gnd(), 1e-9);
+        let mut prep = Prepared::compile(&c).unwrap();
+
+        // A typed error as `<analysis> <stop>`.
+        let error = |e: SpiceError| match e {
+            SpiceError::Cancelled { analysis, .. } => format!("{analysis} cancelled"),
+            SpiceError::BudgetExhausted {
+                analysis,
+                resource,
+                limit,
+                ..
+            } => format!("{analysis} {resource} {limit}"),
+            other => panic!("not a stop: {other}"),
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        // Per limit: the limit each engine runs under, and its outcome —
+        // a partial result's status (with the PSS's shooting iterations)
+        // or a typed error.
+        let table: [(&str, [u64; 3], [&str; 3]); 4] = [
+            (
+                "cancel",
+                [0; 3],
+                [
+                    "status cancelled",
+                    "error newton cancelled",
+                    "error newton cancelled",
+                ],
+            ),
+            (
+                "steps",
+                [10, 100, 200],
+                [
+                    "status steps 10",
+                    "status steps 100 0",
+                    "error pac steps 200",
+                ],
+            ),
+            (
+                "newton",
+                [20, 100, 100],
+                [
+                    "status newton_iterations 20",
+                    "status newton_iterations 100 0",
+                    "error pac newton_iterations 100",
+                ],
+            ),
+            (
+                "wall",
+                [0; 3],
+                [
+                    "status wall_clock_ms 0",
+                    "error newton wall_clock_ms 0",
+                    "error newton wall_clock_ms 0",
+                ],
+            ),
+        ];
+        let pss_params = PssParams::new(1e-6, 64);
+        let pac_params = PacParams::new("V1", "v(out)", [1e6], 1e6);
+        for (stop, limits, want) in table {
+            let opts = |limit: u64| {
+                let o = Options::default();
+                match stop {
+                    "cancel" => o.cancel_token(&token),
+                    "steps" => o.budget(Budget::unlimited().max_steps(limit)),
+                    "newton" => o.budget(Budget::unlimited().max_newton(limit)),
+                    _ => o.budget(Budget::unlimited().max_wall(Duration::ZERO)),
+                }
+            };
+            let tran = TranParams::new(5e-6, 5e-9).with_uic();
+            let tran = match tran_impl(&prep, &opts(limits[0]), &tran).map(|r| r.status) {
+                Ok(TranStatus::Cancelled { .. }) => "status cancelled".into(),
+                Ok(TranStatus::BudgetExhausted {
+                    resource, limit, ..
+                }) => format!("status {resource} {limit}"),
+                Ok(other) => panic!("tran ran on: {other:?}"),
+                Err(e) => format!("error {}", error(e)),
+            };
+            let pss = match pss_impl(&prep, &opts(limits[1]), &pss_params).map(|r| r.status) {
+                Ok(PssStatus::Cancelled { iterations }) => format!("status cancelled {iterations}"),
+                Ok(PssStatus::BudgetExhausted {
+                    resource,
+                    limit,
+                    iterations,
+                }) => format!("status {resource} {limit} {iterations}"),
+                Ok(other) => panic!("pss ran on: {other:?}"),
+                Err(e) => format!("error {}", error(e)),
+            };
+            let pac = match pac_impl(&mut prep, &opts(limits[2]), &pss_params, &pac_params) {
+                Ok(_) => panic!("pac ran on under the {stop} limit"),
+                Err(e) => format!("error {}", error(e)),
+            };
+            assert_eq!([tran.as_str(), &pss, &pac], want, "{stop}");
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod control;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod dc;
 pub mod fault;
-mod history;
 pub mod noise;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod op;
@@ -30,6 +29,8 @@ pub mod session;
 pub mod solver;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod stamp;
+#[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+mod stepper;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod tran;
 

@@ -5,8 +5,8 @@
 use crate::analysis::fault::{ClaimedSolve, FaultKind};
 use crate::analysis::solver::{singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::{
-    real_pattern, stamp_linear, stamp_nonlinear, worst_unknowns, MnaSink, Mode, NonlinMemory,
-    Options,
+    real_pattern, stamp_linear, stamp_nonlinear, update_norm, worst_unknowns, MnaSink, Mode,
+    NonlinMemory, Options,
 };
 use crate::circuit::Prepared;
 use crate::devices::{BjtOperating, OpCtx};
@@ -271,16 +271,7 @@ pub(crate) fn newton_solve(
         }
         // Scaled size of the full (undamped) update: <= 1 means every
         // unknown moved within tolerance.
-        let mut metric = 0.0f64;
-        for k in 0..prep.num_unknowns {
-            let tol_abs = if k < prep.num_voltage_unknowns {
-                opts.vntol
-            } else {
-                opts.abstol
-            };
-            let tol = opts.reltol * x_new[k].abs().max(x[k].abs()) + tol_abs;
-            metric = metric.max((x_new[k] - x[k]).abs() / tol);
-        }
+        let metric = update_norm(prep, opts, x, x_new);
         if metric <= 1.0 && mem.limited == 0 {
             if let Some(e) = wall_error(opts, "newton") {
                 return Err(e);

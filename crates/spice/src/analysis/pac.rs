@@ -46,6 +46,7 @@
 //! left to settle. One call serves every input tone from one PSS and one
 //! linearization.
 
+use crate::analysis::control::{stop_check, Stop};
 use crate::analysis::pss::{shoot, LinearizedOrbit, PssParams, PssResult, PssStatus};
 use crate::analysis::solver::singular_unknown;
 use crate::analysis::stamp::{MnaSink, Mode, NonlinMemory, Options, PatternProbe};
@@ -202,24 +203,13 @@ fn pac_body(
     // the converged orbit.
     let mut linear = LinearizedOrbit::new(prep, opts);
     let (pss, orbit) = shoot(prep, opts, pss_params, &mut linear)?;
-    match pss.status() {
-        PssStatus::Converged => {}
-        PssStatus::Cancelled { .. } => {
-            return Err(SpiceError::Cancelled {
-                analysis: "pac",
-                time: None,
-            })
-        }
+    let stop = match *pss.status() {
+        PssStatus::Converged => None,
+        PssStatus::Cancelled { .. } => Some(Stop::Cancelled),
+        // A PSS status carries no spend: the limit stands for it.
         PssStatus::BudgetExhausted {
             resource, limit, ..
-        } => {
-            return Err(SpiceError::BudgetExhausted {
-                analysis: "pac",
-                resource,
-                limit: *limit,
-                spent: *limit,
-            })
-        }
+        } => Some(Stop::Exhausted(resource, limit, limit)),
         // `PssStatus` is non_exhaustive; future variants must not
         // silently pass as converged.
         #[allow(unreachable_patterns)]
@@ -231,6 +221,9 @@ fn pac_body(
                 report: None,
             })
         }
+    };
+    if let Some(stop) = stop {
+        return Err(stop.error("pac"));
     }
     let b = unit_source_rhs(prep, opts, &params.source)?;
     let prep = &*prep;
@@ -389,29 +382,7 @@ fn tone_gains(
 /// end: cancellation, the step budget (`taken` recurrence steps) and the
 /// wall-clock deadline, as typed PAC errors.
 fn period_boundary(opts: &Options, taken: u64) -> Result<()> {
-    if opts.cancel.cancelled() {
-        return Err(SpiceError::Cancelled {
-            analysis: "pac",
-            time: None,
-        });
-    }
-    if let Some(limit) = opts.budget.steps_exhausted(taken) {
-        return Err(SpiceError::BudgetExhausted {
-            analysis: "pac",
-            resource: "steps",
-            limit,
-            spent: taken,
-        });
-    }
-    match opts.budget.wall_exhausted() {
-        Some((limit, spent)) => Err(SpiceError::BudgetExhausted {
-            analysis: "pac",
-            resource: "wall_clock_ms",
-            limit,
-            spent,
-        }),
-        None => Ok(()),
-    }
+    stop_check(opts, taken, None).map_or(Ok(()), |stop| Err(stop.error("pac")))
 }
 
 #[cfg(test)]

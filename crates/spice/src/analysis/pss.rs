@@ -2,12 +2,14 @@
 //!
 //! One evaluation of the period map `Φ(x₀)` integrates the circuit over
 //! exactly one period on a *fixed* grid (uniform steps merged with the
-//! device-declared source breakpoints), with the transient engine's
-//! `newton_solve` / `ChargeBank` contracts: the first step is backward
-//! Euler, the rest trapezoidal, and each Newton solve starts from the
-//! transient's predicted solution, restarted at the period start and at
-//! every source breakpoint. A grid interval whose Newton solve fails is
-//! bisected by a fixed rule, so `Φ` stays a function of `x₀` alone.
+//! device-declared source breakpoints) with the transient's
+//! time-stepping core (`analysis::stepper`): the first step is backward
+//! Euler, the rest trapezoidal, and each Newton solve starts from a
+//! predicted solution, restarted at the period start and at every
+//! source breakpoint. A grid interval whose Newton solve fails is
+//! bisected by a fixed rule, so `Φ` stays a function of `x₀` alone. The
+//! trace counts committed steps as accepted and failed attempts as
+//! rejected; the step budget counts both.
 //! Periodicity is the root of `Φ(x₀) − x₀`; each shooting update solves
 //!
 //! ```text
@@ -40,12 +42,11 @@
 //! the transient contract.
 
 use crate::analysis::ac::assemble_ac;
-use crate::analysis::history::History;
-use crate::analysis::op::{newton_solve, op_eval, NewtonCfg};
+use crate::analysis::control::{stop_check, Stop};
+use crate::analysis::op::op_eval;
 use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace};
-use crate::analysis::stamp::{
-    update_all_charges, ChargeBank, ChargeState, MnaSink, Mode, NonlinMemory, Options,
-};
+use crate::analysis::stamp::{update_norm, MnaSink, Options};
+use crate::analysis::stepper::{Step, Stepper};
 use crate::circuit::Prepared;
 use crate::error::{Result, SpiceError};
 use crate::wave::Waveform;
@@ -135,6 +136,21 @@ pub enum PssStatus {
     },
 }
 
+impl PssStatus {
+    /// The status of a run stopped after `iterations` shooting
+    /// iterations.
+    fn stopped(stop: Stop, iterations: u64) -> Self {
+        match stop {
+            Stop::Cancelled => PssStatus::Cancelled { iterations },
+            Stop::Exhausted(resource, limit, _) => PssStatus::BudgetExhausted {
+                resource,
+                limit,
+                iterations,
+            },
+        }
+    }
+}
+
 /// Typed result of a periodic-steady-state run: one period of the
 /// orbit plus why and where the shooting iteration stopped.
 ///
@@ -198,31 +214,6 @@ impl PssResult {
     }
 }
 
-/// One committed step of a period integration.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Step {
-    /// End time within the period (s).
-    t: f64,
-    /// Length (s).
-    h: f64,
-    /// Backward Euler (the period's first step, or the first piece of
-    /// its bisection) rather than trapezoidal.
-    be: bool,
-}
-
-impl Step {
-    /// The companion coefficient `a`: `1/h` for backward Euler, `2/h`
-    /// for the trapezoidal rule. The integrator steps with it and the
-    /// linearization factors `G + a·C` with it.
-    fn a(&self) -> f64 {
-        if self.be {
-            1.0 / self.h
-        } else {
-            2.0 / self.h
-        }
-    }
-}
-
 /// One period integration as committed: every step, bisected substeps
 /// included, and the state at the start and after each step.
 #[derive(Clone, Debug, Default)]
@@ -240,30 +231,21 @@ impl Orbit {
     }
 }
 
-/// Reusable one-period integrator: the fixed grid plus every buffer a
-/// period integration needs, so the integrations a shooting solve
-/// performs allocate nothing after the first.
+/// Reusable one-period integrator: the fixed grid, the stepper whose
+/// buffers every period integration reuses, and the last period as
+/// committed, so the integrations a shooting solve performs allocate
+/// nothing after the first.
 struct PeriodIntegrator<'a> {
-    prep: &'a Prepared,
-    opts: &'a Options,
     /// Fixed time grid over `[0, period]`, endpoints included, each
     /// point flagged when it is a source breakpoint.
     grid: Vec<(f64, bool)>,
-    ws: SolverWorkspace<f64>,
-    mem: NonlinMemory,
-    bank: ChargeBank,
-    scratch_states: Vec<ChargeState>,
-    history: History,
-    /// The state (the end state once a period is integrated), and the
-    /// Newton iterate an accepted step swaps in.
-    x: Vec<f64>,
-    x_new: Vec<f64>,
+    stepper: Stepper<'a>,
     /// The last period integrated.
     orbit: Orbit,
-    /// Newton iterations across every integration so far.
-    newton_iterations: u64,
-    /// Timesteps attempted across every integration so far.
-    steps: u64,
+    /// Across every integration so far: steps committed (accepted),
+    /// attempts that failed and were bisected (rejected), and their
+    /// Newton iterations.
+    stats: TranStats,
 }
 
 /// Bisection depth per grid interval when an inner Newton solve fails:
@@ -295,57 +277,26 @@ impl<'a> PeriodIntegrator<'a> {
             b.1 |= same && a.1;
             same
         });
-        let n = prep.num_unknowns;
-        let mut ws = SolverWorkspace::new(n);
-        ws.set_timing(opts.trace.tracer().enabled());
-        let bank = ChargeBank::new(prep);
-        let scratch_states = bank.states.clone();
+        let stats = TranStats {
+            breakpoints: (grid.len() as u64).saturating_sub(n_steps as u64 + 1),
+            ..TranStats::default()
+        };
         PeriodIntegrator {
-            prep,
-            opts,
             grid,
-            ws,
-            mem: NonlinMemory::new(prep),
-            bank,
-            scratch_states,
-            history: History::new(n),
-            x: vec![0.0; n],
-            x_new: vec![0.0; n],
+            stepper: Stepper::new(prep, opts),
             orbit: Orbit::default(),
-            newton_iterations: 0,
-            steps: 0,
+            stats,
         }
     }
 
     /// Integrates one period from `x0`, recording it in `self.orbit` and
-    /// leaving the end state in `self.x`. When `record` is given, every
-    /// grid sample (including the start) is pushed into it.
+    /// leaving the end state in the stepper. When `record` is given,
+    /// every grid sample (including the start) is pushed into it.
     fn integrate(&mut self, x0: &[f64], mut record: Option<&mut Waveform>) -> Result<()> {
-        self.x.copy_from_slice(x0);
+        self.stepper.start(self.grid[0].0, x0);
         self.orbit.steps.clear();
         self.orbit.x.clear();
         self.orbit.x.extend_from_slice(x0);
-        self.history.restart();
-        // Charge bank initialized at the starting solution. The `a = 0`
-        // companion reads `i = -i_prev` from the bank, so the bank must
-        // be zeroed first to make this the documented pure charge
-        // evaluation with zero current — stale states from the previous
-        // integration would otherwise leak into the start condition,
-        // making Φ history-dependent.
-        for s in &mut self.bank.states {
-            *s = ChargeState::default();
-        }
-        {
-            let mode = Mode::Tran {
-                time: self.grid[0].0,
-                a: 0.0,
-                be: false,
-                bank: &self.bank,
-                x_prev: x0,
-            };
-            update_all_charges(self.prep, x0, self.opts, &mode, &mut self.scratch_states);
-        }
-        self.bank.states.copy_from_slice(&self.scratch_states);
         if let Some(w) = record.as_deref_mut() {
             w.push_sample(self.grid[0].0, x0);
         }
@@ -360,10 +311,10 @@ impl<'a> PeriodIntegrator<'a> {
             if corner {
                 // A source corner breaks the smoothness the predicted
                 // Newton start assumes.
-                self.history.restart();
+                self.stepper.restart_history();
             }
             if let Some(w) = record.as_deref_mut() {
-                w.push_sample(t1, &self.x);
+                w.push_sample(t1, self.stepper.x());
             }
         }
         Ok(())
@@ -379,43 +330,18 @@ impl<'a> PeriodIntegrator<'a> {
             h: t1 - t0,
             be,
         };
-        let mode = Mode::Tran {
-            time: t1,
-            a: step.a(),
-            be,
-            bank: &self.bank,
-            x_prev: &self.x,
-        };
-        self.history.predict(t0, &self.x, step.h, &mut self.x_new);
-        self.steps += 1;
-        match newton_solve(
-            self.prep,
-            self.opts,
-            &mode,
-            &mut self.mem,
-            &mut self.x_new,
-            &mut self.ws,
-            &NewtonCfg::plain(),
-        ) {
+        match self.stepper.step(t0, &step) {
             Ok(iters) => {
-                self.newton_iterations += iters as u64;
-                update_all_charges(
-                    self.prep,
-                    &self.x_new,
-                    self.opts,
-                    &mode,
-                    &mut self.scratch_states,
-                );
-                self.bank.states.copy_from_slice(&self.scratch_states);
-                self.history.push(t0, &self.x);
-                std::mem::swap(&mut self.x, &mut self.x_new);
+                self.stats.newton_iterations += iters as u64;
+                self.stats.accepted_steps += 1;
                 self.orbit.steps.push(step);
-                self.orbit.x.extend_from_slice(&self.x);
+                self.orbit.x.extend_from_slice(self.stepper.x());
                 Ok(())
             }
             Err(e) if e.is_abort() => Err(e),
             Err(e) => {
-                self.newton_iterations += self.opts.max_newton as u64;
+                self.stats.newton_iterations += self.stepper.opts.max_newton as u64;
+                self.stats.rejected_steps += 1;
                 if depth >= MAX_SPLIT {
                     return Err(e);
                 }
@@ -427,15 +353,6 @@ impl<'a> PeriodIntegrator<'a> {
                 self.advance(tm, t1, depth + 1, false)
             }
         }
-    }
-
-    /// A fresh empty waveform shaped for this circuit's unknowns.
-    fn fresh_wave(&self) -> Waveform {
-        let mut w = Waveform::new("time");
-        for name in &self.prep.unknown_names {
-            w.push_signal(name);
-        }
-        w
     }
 }
 
@@ -681,23 +598,6 @@ impl LinearOperator<f64> for ShootingUpdate<'_> {
     }
 }
 
-/// Scaled shooting residual: the Newton-style weighted max norm of
-/// `Φ(x₀) − x₀` (`≤ 1` means every unknown returns to its start within
-/// `reltol`/`vntol`/`abstol`).
-fn shooting_metric(prep: &Prepared, opts: &Options, x0: &[f64], phi0: &[f64]) -> f64 {
-    let mut metric = 0.0f64;
-    for k in 0..prep.num_unknowns {
-        let tol_abs = if k < prep.num_voltage_unknowns {
-            opts.vntol
-        } else {
-            opts.abstol
-        };
-        let tol = opts.reltol * phi0[k].abs().max(x0[k].abs()) + tol_abs;
-        metric = metric.max((phi0[k] - x0[k]).abs() / tol);
-    }
-    metric
-}
-
 /// The shooting-Newton engine behind
 /// [`Session::pss`](crate::analysis::Session::pss).
 pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> Result<PssResult> {
@@ -728,11 +628,6 @@ pub(crate) fn shoot(
     let tr = opts.trace.tracer();
     let span = tr.span("pss");
     let mut integ = PeriodIntegrator::new(prep, opts, params);
-    let mut stats = TranStats {
-        breakpoints: (integ.grid.len() as u64)
-            .saturating_sub(params.steps_per_period.max(4) as u64 + 1),
-        ..TranStats::default()
-    };
     // The linearizations' factorizations and the products' solves.
     let linear_before = linear.stats();
 
@@ -744,14 +639,14 @@ pub(crate) fn shoot(
             break;
         }
         integ.integrate(&x0, None)?;
-        x0.copy_from_slice(&integ.x);
+        x0.copy_from_slice(integ.stepper.x());
     }
 
     let n = prep.num_unknowns;
     let mut gmres_total = 0u64;
     let mut shooting_iters = 0u64;
     let mut residual = f64::INFINITY;
-    let mut best_wave = integ.fresh_wave();
+    let mut best_wave = integ.stepper.wave();
     let mut status: Option<PssStatus> = None;
     let mut dx = vec![0.0; n];
     let mut rhs = vec![0.0; n];
@@ -759,78 +654,45 @@ pub(crate) fn shoot(
     while shooting_iters < params.max_shooting as u64 {
         // Shooting-iteration boundary: the designated cancellation and
         // budget control points, so a stopped run always carries a
-        // complete best-so-far orbit.
-        if opts.cancel.cancelled() {
-            status = Some(PssStatus::Cancelled {
-                iterations: shooting_iters,
-            });
-            break;
-        }
-        if let Some(limit) = opts.budget.steps_exhausted(integ.steps) {
-            status = Some(PssStatus::BudgetExhausted {
-                resource: "steps",
-                limit,
-                iterations: shooting_iters,
-            });
-            break;
-        }
-        if let Some(limit) = opts.budget.newton_exhausted(integ.newton_iterations) {
-            status = Some(PssStatus::BudgetExhausted {
-                resource: "newton_iterations",
-                limit,
-                iterations: shooting_iters,
-            });
-            break;
-        }
-        if let Some((limit, _spent)) = opts.budget.wall_exhausted() {
-            status = Some(PssStatus::BudgetExhausted {
-                resource: "wall_clock_ms",
-                limit,
-                iterations: shooting_iters,
-            });
+        // complete best-so-far orbit. The step budget counts attempts.
+        let done = &integ.stats;
+        let attempts = done.accepted_steps + done.rejected_steps;
+        if let Some(stop) = stop_check(opts, attempts, Some(done.newton_iterations)) {
+            status = Some(PssStatus::stopped(stop, shooting_iters));
             break;
         }
         shooting_iters += 1;
 
         // Φ(x₀), recording the candidate orbit.
-        let mut wave = integ.fresh_wave();
+        let mut wave = integ.stepper.wave();
         match integ.integrate(&x0, Some(&mut wave)) {
             Ok(()) => {}
             Err(e) if e.is_abort() => {
-                status = Some(match e {
-                    SpiceError::BudgetExhausted {
-                        resource, limit, ..
-                    } => PssStatus::BudgetExhausted {
-                        resource,
-                        limit,
-                        iterations: shooting_iters - 1,
-                    },
-                    _ => PssStatus::Cancelled {
-                        iterations: shooting_iters - 1,
-                    },
-                });
+                status = Some(PssStatus::stopped(Stop::of_abort(&e), shooting_iters - 1));
                 break;
             }
             Err(e) => return Err(e),
         }
         best_wave = wave;
-        residual = shooting_metric(prep, opts, &x0, &integ.x);
+        let phi0 = integ.stepper.x();
+        // Scaled shooting residual: `≤ 1` means every unknown returns to
+        // its start within `reltol`/`vntol`/`abstol`.
+        residual = update_norm(prep, opts, &x0, phi0);
         tr.counter("pss.residual", residual);
         if residual <= 1.0 {
             // An orbit found past the deadline is still a deadline trip.
             status = Some(match opts.budget.wall_exhausted() {
-                Some((limit, _spent)) => PssStatus::BudgetExhausted {
-                    resource: "wall_clock_ms",
-                    limit,
-                    iterations: shooting_iters,
-                },
+                Some((limit, spent)) => {
+                    let late = Stop::Exhausted("wall_clock_ms", limit, spent);
+                    PssStatus::stopped(late, shooting_iters)
+                }
                 None => PssStatus::Converged,
             });
             break;
         }
 
         // Shooting update: (M − I)·dx = −(Φ(x₀) − x₀) on exact products.
-        for ((r, &x), &p) in rhs.iter_mut().zip(&x0).zip(&integ.x) {
+        for ((r, &x), &p) in rhs.iter_mut().zip(&x0).zip(phi0) {
             *r = x - p;
         }
         linear.linearize(prep, opts, &integ.orbit)?;
@@ -848,13 +710,11 @@ pub(crate) fn shoot(
         }
     }
 
-    stats.accepted_steps = integ.steps;
-    stats.newton_iterations = integ.newton_iterations;
     tr.counter("pss.shooting_iterations", shooting_iters as f64);
     tr.counter("pss.gmres_iterations", gmres_total as f64);
-    stats.emit(tr, "pss");
+    integ.stats.emit(tr, "pss");
     let mut solver = linear.stats().delta(&linear_before);
-    solver.merge(&integ.ws.stats);
+    solver.merge(integ.stepper.stats());
     solver.emit(tr, "pss");
     span.end();
 
@@ -865,7 +725,7 @@ pub(crate) fn shoot(
                 status,
                 shooting_iterations: shooting_iters,
                 gmres_iterations: gmres_total,
-                newton_iterations: integ.newton_iterations,
+                newton_iterations: integ.stats.newton_iterations,
                 residual,
                 period: params.period,
             },
@@ -1047,8 +907,7 @@ mod tests {
         let x0 = pss_impl(&prep, &Options::default(), params).unwrap().x0();
         let mut integ = PeriodIntegrator::new(&prep, opts, params);
         integ.integrate(&x0, None).unwrap();
-        // A failed attempt and its two halves count three steps.
-        let bisected = integ.steps as usize + 1 > integ.grid.len();
+        let bisected = integ.stats.rejected_steps > 0;
         let mut orbit = LinearizedOrbit::new(&prep, opts);
         orbit.linearize(&prep, opts, &integ.orbit).unwrap();
         let eps = 1e-5;
@@ -1066,7 +925,7 @@ mod tests {
                     .map(|(x, vi)| x + sign * eps * vi)
                     .collect();
                 integ.integrate(&xs, None).unwrap();
-                integ.x.clone()
+                integ.stepper.x().to_vec()
             };
             let (plus, minus) = (phi(1.0), phi(-1.0));
             let scale = mv.iter().fold(0.0f64, |m, y| m.max(y.abs()));
@@ -1195,6 +1054,42 @@ mod tests {
             err < 1e-6,
             "rectifier: M·v off the central difference by {err:.2e}"
         );
+    }
+
+    #[test]
+    fn step_counters_split_commits_from_failed_attempts() {
+        use crate::analysis::fault::{FaultInjector, FaultKind};
+        use ahfic_trace::InMemorySink;
+        use std::sync::Arc;
+        // The bisecting rectifier of the product test. An injector that
+        // never fires counts the Newton solves: one per attempted step,
+        // after those of the operating point.
+        let prep = Prepared::compile(&rectifier(1e3)).unwrap();
+        let params = PssParams::new(1e-6, 16);
+        let counting = || FaultInjector::once(FaultKind::NoConvergence, 0, 1).with_max_fires(0);
+        let opts = Options::default().max_newton(5);
+        let op_solves = counting();
+        op_eval(&prep, &opts.clone().fault_injector(&op_solves)).unwrap();
+        let solves = counting();
+        let sink = Arc::new(InMemorySink::new());
+        let traced = opts.clone().trace(&sink).fault_injector(&solves);
+        let r = pss_impl(&prep, &traced, &params).unwrap();
+        assert!(r.is_converged(), "{:?}", r.status());
+        let counter = |name: &str| {
+            let recs = sink.records();
+            let rec = recs.iter().find(|rec| rec.name == name);
+            rec.unwrap_or_else(|| panic!("no {name}")).value as u64
+        };
+        let accepted = counter("pss.accepted_steps");
+        let rejected = counter("pss.rejected_steps");
+        assert!(rejected > 0, "the rectifier must bisect a grid interval");
+        let attempts = solves.solves_seen() - op_solves.solves_seen();
+        assert_eq!(accepted + rejected, attempts);
+        // A failed attempt is replaced by its two halves, so a period
+        // commits one step per grid interval plus one per failure.
+        let intervals = PeriodIntegrator::new(&prep, &opts, &params).grid.len() as u64 - 1;
+        let periods = params.warmup_periods as u64 + r.shooting_iterations;
+        assert_eq!(accepted - rejected, periods * intervals);
     }
 
     #[test]

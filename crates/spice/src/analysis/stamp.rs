@@ -625,20 +625,31 @@ pub fn update_all_charges(
     }
 }
 
-/// Convergence check between successive Newton iterates.
-pub fn converged(prep: &Prepared, x_old: &[f64], x_new: &[f64], opts: &Options) -> bool {
+/// The tolerance of unknown `k` between two of its values `a` and `b`:
+/// `reltol` of the larger magnitude plus `vntol` for a node voltage or
+/// `abstol` for a branch current.
+#[inline]
+fn unknown_tol(prep: &Prepared, opts: &Options, k: usize, a: f64, b: f64) -> f64 {
+    let tol_abs = if k < prep.num_voltage_unknowns {
+        opts.vntol
+    } else {
+        opts.abstol
+    };
+    opts.reltol * a.abs().max(b.abs()) + tol_abs
+}
+
+/// The scaled size of the update `x_old → x_new`: the weighted max norm
+/// `max_k |x_new[k] − x_old[k]| / tol_k`, so `≤ 1` means every unknown
+/// moved within its tolerance. Newton's convergence test and the
+/// shooting residual.
+#[inline]
+pub(crate) fn update_norm(prep: &Prepared, opts: &Options, x_old: &[f64], x_new: &[f64]) -> f64 {
+    let mut metric = 0.0f64;
     for k in 0..prep.num_unknowns {
-        let (tol_abs, _is_v) = if k < prep.num_voltage_unknowns {
-            (opts.vntol, true)
-        } else {
-            (opts.abstol, false)
-        };
-        let tol = opts.reltol * x_new[k].abs().max(x_old[k].abs()) + tol_abs;
-        if (x_new[k] - x_old[k]).abs() > tol {
-            return false;
-        }
+        let tol = unknown_tol(prep, opts, k, x_new[k], x_old[k]);
+        metric = metric.max((x_new[k] - x_old[k]).abs() / tol);
     }
-    true
+    metric
 }
 
 /// Ranks the unknowns whose last Newton update exceeded tolerance the
@@ -653,12 +664,7 @@ pub(crate) fn worst_unknowns(
 ) -> Vec<crate::error::WorstUnknown> {
     let mut ranked: Vec<(f64, usize, f64, f64)> = (0..prep.num_unknowns)
         .map(|k| {
-            let tol_abs = if k < prep.num_voltage_unknowns {
-                opts.vntol
-            } else {
-                opts.abstol
-            };
-            let tol = opts.reltol * x_new[k].abs().max(x_old[k].abs()) + tol_abs;
+            let tol = unknown_tol(prep, opts, k, x_new[k], x_old[k]);
             let delta = (x_new[k] - x_old[k]).abs();
             // Non-finite iterates rank worst of all.
             let score = if delta.is_finite() {
@@ -829,14 +835,14 @@ mod tests {
     }
 
     #[test]
-    fn converged_checks_tolerances() {
+    fn update_norm_checks_tolerances() {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.resistor("R1", a, Circuit::gnd(), 1.0);
         let prep = Prepared::compile(&c).unwrap();
         let opts = Options::default();
-        assert!(converged(&prep, &[1.0], &[1.0 + 1e-7], &opts));
-        assert!(!converged(&prep, &[1.0], &[1.01], &opts));
+        assert!(update_norm(&prep, &opts, &[1.0], &[1.0 + 1e-7]) <= 1.0);
+        assert!(update_norm(&prep, &opts, &[1.0], &[1.01]) > 1.0);
     }
 
     #[test]

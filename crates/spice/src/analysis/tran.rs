@@ -1,18 +1,17 @@
 //! Transient analysis: trapezoidal integration with Newton at every step,
 //! source breakpoints, and iteration-count step control.
 //!
-//! Each step's Newton solve starts from a predicted solution (the
-//! `history` module): the variable-step quadratic through the last
-//! three accepted points, extrapolated to the step's end time; the
-//! linear one while only two points exist; and the last point itself at
-//! the first step and on the step after each source breakpoint, whose
-//! corner breaks the smoothness the extrapolation assumes. The
-//! convergence test, pnjlim veto and step control are those of a start
-//! from the last point, so a linear circuit, which Newton solves exactly
-//! from any start, keeps its bits, while a nonlinear one mostly
-//! converges in one iteration, closer to the exact step solution. The
-//! state and the Newton iterate live in two buffers reused for the whole
-//! run.
+//! The steps themselves are the time-stepping core's
+//! (`analysis::stepper`), shared with the PSS period integrator: each
+//! step's Newton solve starts from a predicted solution, and this engine
+//! restarts the prediction after each source breakpoint, whose corner
+//! breaks the smoothness the extrapolation assumes. The convergence
+//! test, pnjlim veto and step control are those of a start from the
+//! last point, so a linear circuit, which Newton solves exactly from any
+//! start, keeps its bits, while a nonlinear one mostly converges in one
+//! iteration, closer to the exact step solution. This engine owns the
+//! step control, the breakpoints, the budgets, the streaming and the
+//! waveform.
 //!
 //! The engine returns a typed [`TranResult`]: a cancelled or
 //! budget-exhausted run yields the waveform integrated so far plus a
@@ -22,10 +21,10 @@
 //! accepted-step cadence, so a `JsonLinesSink` client watches a long
 //! run live.
 
-use crate::analysis::history::History;
-use crate::analysis::op::{newton_solve, op_eval, NewtonCfg};
-use crate::analysis::solver::SolverWorkspace;
-use crate::analysis::stamp::{update_all_charges, ChargeBank, Mode, NonlinMemory, Options};
+use crate::analysis::control::{stop_check, Stop};
+use crate::analysis::op::op_eval;
+use crate::analysis::stamp::Options;
+use crate::analysis::stepper::{Step, Stepper};
 use crate::circuit::Prepared;
 use crate::error::{Result, SpiceError};
 use crate::wave::Waveform;
@@ -92,6 +91,18 @@ pub enum TranStatus {
         /// Simulation time of the last accepted step.
         t: f64,
     },
+}
+
+impl TranStatus {
+    /// The status of a run stopped at `t`.
+    fn stopped(stop: Stop, t: f64) -> Self {
+        match stop {
+            Stop::Cancelled => TranStatus::Cancelled { t },
+            Stop::Exhausted(resource, limit, _) => {
+                TranStatus::BudgetExhausted { resource, limit, t }
+            }
+        }
+    }
 }
 
 /// Typed result of a transient run: the integrated waveform plus why
@@ -188,11 +199,10 @@ pub(crate) fn tran_impl(
     let tr = opts.trace.tracer();
     let span = tr.span("tran");
     let mut stats = TranStats::default();
-    let n = prep.num_unknowns;
 
     // Initial state.
-    let mut x = if params.uic {
-        let mut x0 = vec![0.0; n];
+    let x0 = if params.uic {
+        let mut x0 = vec![0.0; prep.num_unknowns];
         for &(node, v) in prep.circuit.ics() {
             let slot = prep.slot_of(node);
             if slot != crate::circuit::GROUND_SLOT {
@@ -203,29 +213,8 @@ pub(crate) fn tran_impl(
     } else {
         op_eval(prep, opts)?.x
     };
-
-    // One workspace for the whole transient: the Tran-mode stamp sequence
-    // is fixed, so every Newton iteration after the first assembly
-    // replays precomputed slots and refactors in place.
-    let mut ws = SolverWorkspace::new(n);
-    ws.set_timing(tr.enabled());
-
-    // Charge bank initialized at the starting solution (a = 0 turns the
-    // companion into a pure charge evaluation with zero current).
-    let mut bank = ChargeBank::new(prep);
-    let mut mem = NonlinMemory::new(prep);
-    {
-        let mut fresh = bank.states.clone();
-        let mode = Mode::Tran {
-            time: 0.0,
-            a: 0.0,
-            be: false,
-            bank: &bank,
-            x_prev: &x,
-        };
-        update_all_charges(prep, &x, opts, &mode, &mut fresh);
-        bank.states = fresh;
-    }
+    let mut stepper = Stepper::new(prep, opts);
+    stepper.start(0.0, &x0);
 
     // Breakpoints declared by the devices themselves (independent
     // sources report their waveform corners).
@@ -250,51 +239,20 @@ pub(crate) fn tran_impl(
     let h_min = (params.t_stop * 1e-12).max(1e-21);
     let mut h = h_init;
 
-    let mut wave = Waveform::new("time");
-    for name in &prep.unknown_names {
-        wave.push_signal(name);
-    }
-    wave.push_sample(0.0, &x);
+    let mut wave = stepper.wave();
+    wave.push_sample(0.0, &x0);
 
     let mut t = 0.0f64;
     let mut steps = 0usize;
     let mut singular_streak = 0usize;
-    let mut new_states = bank.states.clone();
-    let mut history = History::new(n);
-    // Newton iterates here; an accepted step swaps it with `x`.
-    let mut x_new = vec![0.0; n];
     let mut status = TranStatus::Complete;
     let stream_every = opts.stream.every();
     while t < params.t_stop - 1e-15 * params.t_stop {
         // Timestep-boundary control points: cancellation and budgets are
         // only ever observed here and inside the Newton loop, so a
         // stopped run always ends on a consistent accepted state.
-        if opts.cancel.cancelled() {
-            status = TranStatus::Cancelled { t };
-            break;
-        }
-        if let Some(limit) = opts.budget.steps_exhausted(steps as u64) {
-            status = TranStatus::BudgetExhausted {
-                resource: "steps",
-                limit,
-                t,
-            };
-            break;
-        }
-        if let Some(limit) = opts.budget.newton_exhausted(stats.newton_iterations) {
-            status = TranStatus::BudgetExhausted {
-                resource: "newton_iterations",
-                limit,
-                t,
-            };
-            break;
-        }
-        if let Some((limit, _spent)) = opts.budget.wall_exhausted() {
-            status = TranStatus::BudgetExhausted {
-                resource: "wall_clock_ms",
-                limit,
-                t,
-            };
+        if let Some(stop) = stop_check(opts, steps as u64, Some(stats.newton_iterations)) {
+            status = TranStatus::stopped(stop, t);
             break;
         }
         steps += 1;
@@ -319,29 +277,16 @@ pub(crate) fn tran_impl(
         if h_eff <= 0.0 {
             // Breakpoint coincides with current time.
             next_bp += 1;
-            history.restart();
+            stepper.restart_history();
             continue;
         }
 
-        let t_new = t + h_eff;
-        let a = 2.0 / h_eff; // trapezoidal
-        let mode = Mode::Tran {
-            time: t_new,
-            a,
+        let step = Step {
+            t: t + h_eff,
+            h: h_eff,
             be: false,
-            bank: &bank,
-            x_prev: &x,
         };
-        history.predict(t, &x, h_eff, &mut x_new);
-        match newton_solve(
-            prep,
-            opts,
-            &mode,
-            &mut mem,
-            &mut x_new,
-            &mut ws,
-            &NewtonCfg::plain(),
-        ) {
+        match stepper.step(t, &step) {
             // The accept point: `newton_solve` re-checks the wall-clock
             // deadline before returning a converged step, so a step that
             // overran it arrives as the abort below, never here.
@@ -349,22 +294,23 @@ pub(crate) fn tran_impl(
                 stats.accepted_steps += 1;
                 stats.newton_iterations += iters as u64;
                 singular_streak = 0;
-                // Commit charges at the accepted solution; a pure charge
-                // evaluation per storage device, no matrix assembly.
-                update_all_charges(prep, &x_new, opts, &mode, &mut new_states);
-                bank.states.copy_from_slice(&new_states);
-                history.push(t, &x);
-                std::mem::swap(&mut x, &mut x_new);
-                t = t_new;
-                wave.push_sample(t, &x);
+                t = step.t;
+                wave.push_sample(t, stepper.x());
                 if let Some(every) = stream_every {
                     if stats.accepted_steps % every as u64 == 0 {
-                        emit_progress(tr, prep, t, params.t_stop, stats.accepted_steps, &x);
+                        emit_progress(
+                            tr,
+                            prep,
+                            t,
+                            params.t_stop,
+                            stats.accepted_steps,
+                            stepper.x(),
+                        );
                     }
                 }
                 if hit_bp {
                     next_bp += 1;
-                    history.restart();
+                    stepper.restart_history();
                     h = h_init.min(params.dt_max);
                 } else if iters <= 3 {
                     h = (h * 1.5).min(params.dt_max);
@@ -389,12 +335,7 @@ pub(crate) fn tran_impl(
                 // Cancellation observed inside the Newton loop: the
                 // in-flight step is discarded, the waveform keeps every
                 // step accepted before it.
-                status = match e {
-                    SpiceError::BudgetExhausted {
-                        resource, limit, ..
-                    } => TranStatus::BudgetExhausted { resource, limit, t },
-                    _ => TranStatus::Cancelled { t },
-                };
+                status = TranStatus::stopped(Stop::of_abort(&e), t);
                 break;
             }
             Err(_) => {
@@ -417,7 +358,7 @@ pub(crate) fn tran_impl(
         tr.event("progress.tran.done");
     }
     stats.emit(tr, "tran");
-    ws.stats.emit(tr, "tran");
+    stepper.stats().emit(tr, "tran");
     span.end();
     Ok(TranResult {
         wave,
