@@ -31,6 +31,11 @@
 //! The analyses run at one thread; AC and noise give the same bits at
 //! any thread count.
 //!
+//! The `yield lanes=8` and `yield lanes=1` lines run one Monte-Carlo
+//! yield study (1,000 samples, 5 % open-R1 defects, one thread) through
+//! the lane engine at 8 lanes and at 1: every sample's IRR, the
+//! statistics, and each failed sample's index and error.
+//!
 //! Behavioral systems: every net of the single-channel image-rejection
 //! tuner (wanted and image tone, two impairment sets), of the
 //! conventional tuner, of the PLL and of a netlist with a compiled AHDL
@@ -45,6 +50,7 @@
 //! diff before.txt after.txt
 //! ```
 
+use ahfic::yield_mc::YieldStudy;
 use ahfic_ahdl::netlist::load_system;
 use ahfic_ahdl::probe::Trace;
 use ahfic_ahdl::system::System;
@@ -58,7 +64,7 @@ use ahfic_rf::tuner::{
     build_conventional_tuner, build_image_rejection_tuner, drive_rf, ImageRejectionErrors,
     TunerConfig,
 };
-use ahfic_spice::analysis::{bjt_operating, Options, PssParams, Session, TranParams};
+use ahfic_spice::analysis::{bjt_operating, BatchMode, Options, PssParams, Session, TranParams};
 use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
 use ahfic_spice::parse::parse_netlist;
@@ -408,6 +414,31 @@ const MODULE_NETLIST: &str = "
         G : gain(k=0.5) (m) -> (out);
     }";
 
+/// The `yield` lines (see the module docs).
+fn fingerprint_lanes() {
+    let study = YieldStudy {
+        samples: 1000,
+        open_defect_prob: 0.05,
+        ..YieldStudy::paper_example(0.02)
+    };
+    for lanes in [8, 1] {
+        report(&format!("yield lanes={lanes}"), |fp| {
+            let opts = Options::new().batch(BatchMode::Lanes(lanes)).threads(1);
+            let r = study.run_with_options(opts)?;
+            fp.all(&r.irr_db);
+            fp.all(&[r.yield_frac, r.mean_db, r.p5_db]);
+            fp.bits(r.non_finite as u64);
+            for f in &r.failures {
+                fp.bits(f.index as u64);
+                for byte in f.error.to_string().bytes() {
+                    fp.bits(u64::from(byte));
+                }
+            }
+            Ok(())
+        });
+    }
+}
+
 /// The behavioral simulator's lines (see the module docs).
 fn fingerprint_behavioral() {
     let plan = FrequencyPlan::catv(500e6);
@@ -497,6 +528,7 @@ fn main() -> Result<()> {
         let sess = Session::compile(&pulse_rc())?.with_options(Options::new().threads(1));
         fp.pss(&sess, &PssParams::new(2e-6, 200).warmup_periods(0))
     });
+    fingerprint_lanes();
     fingerprint_behavioral();
     Ok(())
 }

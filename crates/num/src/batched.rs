@@ -37,43 +37,8 @@ use crate::scalar::Scalar;
 use crate::simd::LaneKernels;
 use crate::sparse::{CscMatrix, SparseLu, PIVOT_EPS, REFACTOR_PIVOT_REL};
 
-/// Batched LU backend: refactor and solve N variants of one pattern.
-///
-/// This is the trait named by ROADMAP item 1; [`CpuBatchedLu`] is the
-/// CPU implementation. The shape is deliberately backend-agnostic (flat
-/// SoA buffers in, per-lane status out) so a GPU backend can implement
-/// it later without changing the calling analyses.
-pub trait BatchedLuSolver<T: Scalar> {
-    /// Matrix dimension.
-    fn dim(&self) -> usize;
-
-    /// Number of variant lanes carried per operation.
-    fn lanes(&self) -> usize;
-
-    /// Numeric refactorization of every lane from slot-major SoA
-    /// values (`vals[slot * lanes + lane]`) over `pattern`.
-    ///
-    /// Lanes whose replayed pivots collapse get `ok[lane] = false` (a
-    /// finite substitute pivot keeps the remaining lanes' arithmetic
-    /// clean); `ok` entries are never set back to `true`. `skip`
-    /// preserves one lane's current factor values untouched — used to
-    /// keep a freshly seeded reference factorization bit-exact.
-    fn refactor(
-        &mut self,
-        pattern: &CscMatrix<T>,
-        vals: &[T],
-        ok: &mut [bool],
-        skip: Option<usize>,
-    );
-
-    /// Solves all lanes in place over a row-major SoA right-hand side
-    /// (`rhs[row * lanes + lane]`). Degraded lanes produce garbage in
-    /// their own lane only.
-    fn solve_in_place(&mut self, rhs: &mut [T]);
-}
-
-/// CPU implementation of [`BatchedLuSolver`] over the [`SparseLu`]
-/// symbolic analysis, with lane loops dispatched through
+/// Batched LU: refactors and solves N variants of one pattern over the
+/// [`SparseLu`] symbolic analysis, with lane loops dispatched through
 /// [`LaneKernels`] (AVX2 or scalar, bit-identical either way).
 #[derive(Clone, Debug)]
 pub struct CpuBatchedLu<T> {
@@ -165,13 +130,20 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
         }
     }
 
-    fn refactor_impl(
-        &mut self,
-        a: &CscMatrix<T>,
-        vals: &[T],
-        ok: &mut [bool],
-        skip: Option<usize>,
-    ) {
+    /// Numeric refactorization of every lane from slot-major SoA
+    /// values (`vals[slot * lanes + lane]`) over the pattern `a`.
+    ///
+    /// Lanes whose replayed pivots collapse get `ok[lane] = false` (a
+    /// finite substitute pivot keeps the remaining lanes' arithmetic
+    /// clean); `ok` entries are never set back to `true`. `skip`
+    /// preserves one lane's current factor values untouched — used to
+    /// keep a freshly seeded reference factorization bit-exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a`, `vals` or `ok` do not match the dimension and lane
+    /// count.
+    pub fn refactor(&mut self, a: &CscMatrix<T>, vals: &[T], ok: &mut [bool], skip: Option<usize>) {
         let b = self.lanes;
         let n = self.seq.n;
         assert_eq!(a.n, n, "refactor dimension mismatch");
@@ -253,7 +225,14 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
         }
     }
 
-    fn solve_impl(&mut self, rhs: &mut [T]) {
+    /// Solves all lanes in place over a row-major SoA right-hand side
+    /// (`rhs[row * lanes + lane]`). Degraded lanes produce garbage in
+    /// their own lane only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` does not hold `n * lanes` values.
+    pub fn solve_in_place(&mut self, rhs: &mut [T]) {
         let b = self.lanes;
         let n = self.seq.n;
         assert_eq!(rhs.len(), n * b, "SoA rhs length mismatch");
@@ -328,30 +307,6 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
             rhs[q * b..(q + 1) * b].copy_from_slice(&self.work[k * b..(k + 1) * b]);
             self.work[k * b..(k + 1) * b].fill(T::ZERO);
         }
-    }
-}
-
-impl<T: Scalar + LaneKernels> BatchedLuSolver<T> for CpuBatchedLu<T> {
-    fn dim(&self) -> usize {
-        self.seq.dim()
-    }
-
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn refactor(
-        &mut self,
-        pattern: &CscMatrix<T>,
-        vals: &[T],
-        ok: &mut [bool],
-        skip: Option<usize>,
-    ) {
-        self.refactor_impl(pattern, vals, ok, skip);
-    }
-
-    fn solve_in_place(&mut self, rhs: &mut [T]) {
-        self.solve_impl(rhs);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Numeric substrate for the AHFIC analog design kit.
 //!
-//! This crate provides the dense numerical kernels every other crate in the
+//! This crate provides the numerical kernels every other crate in the
 //! workspace builds on:
 //!
 //! - [`Complex`] — a minimal, `f64`-based complex number with the full set
@@ -11,6 +11,10 @@
 //!   scalars: the reference for the sparse kernel;
 //! - [`sparse`] — compressed-sparse-column matrices and the LU with
 //!   symbolic-pattern reuse that every MNA solve in `ahfic-spice` runs on;
+//! - [`batched`] and [`simd`] — that LU's pivot order replayed over many
+//!   variants at once in structure-of-arrays lanes, on AVX2 or
+//!   bit-identical scalar kernels;
+//! - [`gmres`] — restarted GMRES on a matrix-free operator;
 //! - [`fft`] — an in-place radix-2 FFT and helpers for spectra of real
 //!   signals;
 //! - [`goertzel`] — single-bin DFT evaluation, the workhorse behind tone
@@ -55,7 +59,7 @@ pub mod sparse;
 pub mod stats;
 pub mod window;
 
-pub use batched::{BatchedLuSolver, CpuBatchedLu};
+pub use batched::CpuBatchedLu;
 pub use complex::Complex;
 pub use gmres::{GmresOptions, GmresOutcome, LinearOperator};
 pub use lu::LuFactors;

@@ -15,14 +15,13 @@
 //! # Determinism contract
 //!
 //! Every kernel is **bit-identical** between the scalar and AVX2 paths.
-//! That is only possible because the kernels stick to operations the
-//! vector unit implements with the same IEEE-754 semantics as scalar
-//! code: add, subtract, multiply, divide, abs (sign-bit mask) and
-//! compare-select. In particular there is **no FMA**: `dst -= a * b` is
-//! compiled as an explicit multiply followed by a subtract in both
-//! paths. The scalar fallback mirrors `vmaxpd` semantics
-//! (`if new > acc { acc = new }`, second operand wins on NaN) so even
-//! degenerate inputs reduce identically.
+//! That is only possible because the kernels stick to elementwise
+//! operations the vector unit implements with the same IEEE-754
+//! semantics as scalar code: subtract, multiply and divide. In
+//! particular there is **no FMA**: `dst -= a * b` is compiled as an
+//! explicit multiply followed by a subtract in both paths. No kernel
+//! reduces across lanes, so no summation or max order can differ
+//! between the paths either.
 
 use crate::scalar::Scalar;
 use crate::Complex;
@@ -100,37 +99,6 @@ pub fn div(dst: &mut [f64], num: &[f64], den: &[f64]) {
     div_scalar(dst, num, den);
 }
 
-/// Newton convergence-metric reduction over a contiguous block:
-/// `max_i |x_new[i] - x_old[i]| / (reltol * max(|x_new[i]|, |x_old[i]|) + tol_abs)`.
-///
-/// Returns 0.0 for empty input. The reduction uses `vmaxpd` semantics,
-/// so a NaN ratio propagates into the result (callers guard finiteness
-/// upstream, as the sequential Newton loop does).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn conv_metric(x_new: &[f64], x_old: &[f64], reltol: f64, tol_abs: f64) -> f64 {
-    assert_eq!(x_new.len(), x_old.len(), "lane length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: AVX2 support was verified by `simd_level`.
-        return unsafe { conv_metric_avx2(x_new, x_old, reltol, tol_abs) };
-    }
-    conv_metric_scalar(x_new, x_old, reltol, tol_abs)
-}
-
-/// `vmaxpd(acc, v)`: keep `acc` only when it compares greater; the
-/// second operand wins ties and NaNs, exactly like the AVX2 instruction.
-#[inline]
-fn maxpd(acc: f64, v: f64) -> f64 {
-    if acc > v {
-        acc
-    } else {
-        v
-    }
-}
-
 pub(crate) fn sub_mul_scalar(dst: &mut [f64], a: &[f64], b: &[f64]) {
     for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
         *d -= x * y;
@@ -143,28 +111,10 @@ pub(crate) fn div_scalar(dst: &mut [f64], num: &[f64], den: &[f64]) {
     }
 }
 
-pub(crate) fn conv_metric_scalar(x_new: &[f64], x_old: &[f64], reltol: f64, tol_abs: f64) -> f64 {
-    let mut m = 0.0f64;
-    for (&xn, &xo) in x_new.iter().zip(x_old) {
-        let diff = (xn - xo).abs();
-        let tol = reltol * maxpd(xn.abs(), xo.abs()) + tol_abs;
-        m = maxpd(m, diff / tol);
-    }
-    m
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::maxpd;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
-
-    /// Clears the sign bit of each lane (IEEE abs, exact).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn abs_pd(v: __m256d) -> __m256d {
-        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
-    }
 
     /// # Safety
     ///
@@ -207,52 +157,10 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and both slices share a length.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn conv_metric_avx2(
-        x_new: &[f64],
-        x_old: &[f64],
-        reltol: f64,
-        tol_abs: f64,
-    ) -> f64 {
-        let n = x_new.len();
-        let rt = _mm256_set1_pd(reltol);
-        let ta = _mm256_set1_pd(tol_abs);
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xn = _mm256_loadu_pd(x_new.as_ptr().add(i));
-            let xo = _mm256_loadu_pd(x_old.as_ptr().add(i));
-            let diff = abs_pd(_mm256_sub_pd(xn, xo));
-            let mag = _mm256_max_pd(abs_pd(xn), abs_pd(xo));
-            let tol = _mm256_add_pd(_mm256_mul_pd(rt, mag), ta);
-            acc = _mm256_max_pd(acc, _mm256_div_pd(diff, tol));
-            i += 4;
-        }
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-        // Reduce in lane order with the same maxpd rule the vector loop
-        // used, so the scalar tail and the horizontal fold agree with
-        // the pure-scalar path bit for bit.
-        let mut m = 0.0f64;
-        for &l in &lanes {
-            m = maxpd(m, l);
-        }
-        while i < n {
-            let diff = (x_new[i] - x_old[i]).abs();
-            let tol = reltol * maxpd(x_new[i].abs(), x_old[i].abs()) + tol_abs;
-            m = maxpd(m, diff / tol);
-            i += 1;
-        }
-        m
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{conv_metric_avx2, div_avx2, sub_mul_avx2};
+use avx2::{div_avx2, sub_mul_avx2};
 
 /// Elementwise lane operations a scalar type must provide so the
 /// batched LU sweeps can run over it.
@@ -355,17 +263,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_and_dispatched_conv_metric_agree_bitwise() {
-        for n in [0usize, 1, 4, 6, 33] {
-            let xn = wiggle(n, 6);
-            let xo = wiggle(n, 7);
-            let m1 = conv_metric_scalar(&xn, &xo, 1e-3, 1e-9);
-            let m2 = conv_metric(&xn, &xo, 1e-3, 1e-9);
-            assert_eq!(m1.to_bits(), m2.to_bits(), "n={n}");
-        }
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_paths_are_bit_identical_to_scalar() {
@@ -399,11 +296,6 @@ mod tests {
             // SAFETY: AVX2 presence checked above.
             unsafe { div_avx2(&mut q2, &a, &den) };
             assert_eq!(q1, q2);
-
-            let m1 = conv_metric_scalar(&a, &b, 1e-3, 1e-12);
-            // SAFETY: AVX2 presence checked above.
-            let m2 = unsafe { conv_metric_avx2(&a, &b, 1e-3, 1e-12) };
-            assert_eq!(m1.to_bits(), m2.to_bits());
         }
     }
 

@@ -16,23 +16,24 @@
 //! value, an injected fault, a residual that will not shrink, or plain
 //! non-convergence — is transparently re-run through the ordinary
 //! sequential solver, so batch results degrade to sequential results,
-//! never to wrong answers. Cancellation, wall-clock deadlines and
-//! injected faults act on a lane exactly as on a per-sample solve. With
-//! a single lane the batched arithmetic replays the sequential path
-//! bit for bit.
+//! never to wrong answers. The stop rule, the convergence test
+//! (`update_norm`) and injected faults act on a lane exactly as on the
+//! plain-Newton rung of a per-sample solve. With a single lane the
+//! batched arithmetic replays the sequential path bit for bit.
 
 use crate::analysis::ac::{assemble_ac, factor_ac};
+use crate::analysis::control::stop_check;
 use crate::analysis::fault::{ClaimedSolve, FaultKind};
-use crate::analysis::op::{newton_abort, op_from_ws, wall_error, OpResult};
+use crate::analysis::op::{op_from_ws, OpResult};
 use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::{
-    real_pattern, stamp_linear, stamp_nonlinear, MnaSink, Mode, NonlinMemory, Options, PatternProbe,
+    real_pattern, stamp_linear, stamp_nonlinear, update_norm, MnaSink, Mode, NonlinMemory, Options,
+    PatternProbe,
 };
 use crate::circuit::Prepared;
 use crate::error::{Result, SpiceError};
-use ahfic_num::simd;
 use ahfic_num::sparse::{CscMatrix, TripletBuilder};
-use ahfic_num::{BatchedLuSolver, Complex, CpuBatchedLu, LaneKernels, Scalar};
+use ahfic_num::{Complex, CpuBatchedLu, LaneKernels, Scalar};
 
 /// Relative residual threshold of the batched fast path: a lane whose
 /// post-solve residual `||A x - b||_inf` exceeds this fraction of the
@@ -264,8 +265,8 @@ enum LaneState {
     /// Converged in the batch at the recorded iteration.
     Done(OpResult),
     /// Terminal error that no solver retry can fix: the tune closure
-    /// itself failed (e.g. a lint-rejected defect deck), or the solve
-    /// was cancelled or ran past its deadline.
+    /// itself failed (e.g. a lint-rejected defect deck), or the stop
+    /// rule stopped the solve.
     Failed(SpiceError),
     /// Left the batched fast path; re-run sequentially afterwards.
     Fallback,
@@ -354,7 +355,8 @@ impl BatchedOpEngine {
                         fallbacks += 1;
                         tune(prep, sample).and_then(|()| {
                             let mut ws = SolverWorkspace::new(prep.num_unknowns);
-                            op_from_ws(prep, opts, None, &mut ws, claim)
+                            op_from_ws(prep, opts, None, &mut ws, claim, 0)
+                                .map_err(|h| h.error("op"))
                         })
                     }
                 });
@@ -452,7 +454,6 @@ impl BatchedOpEngine {
             return (states, claims);
         };
         let n = ws.n;
-        let nv = prep.num_voltage_unknowns;
         ops.base_vals.clear();
         ops.base_vals.extend_from_slice(&ws.vals);
         ops.base_rhs.clear();
@@ -471,8 +472,11 @@ impl BatchedOpEngine {
                 if !matches!(state, LaneState::Active) {
                     continue;
                 }
-                if let Some(e) = newton_abort(opts) {
-                    *state = LaneState::Failed(e);
+                // A lane is the plain rung of a per-sample operating
+                // point, which starts with no Newton iteration spent: the
+                // stop rule before each iteration, as on that solve.
+                if let Some(stop) = stop_check(opts, None, Some(0)) {
+                    *state = LaneState::Failed(stop.error("op"));
                     continue;
                 }
                 if let Err(e) = tune(prep, start + lane) {
@@ -561,12 +565,9 @@ impl BatchedOpEngine {
                 }
                 let xs = &ops.x[lane * n..(lane + 1) * n];
                 let xn = ws.sol_lane(lane);
-                let mv = simd::conv_metric(&xn[..nv], &xs[..nv], opts.reltol, opts.vntol);
-                let mi = simd::conv_metric(&xn[nv..], &xs[nv..], opts.reltol, opts.abstol);
-                let metric = if mv > mi { mv } else { mi };
-                if metric <= 1.0 && mems[lane].limited == 0 {
-                    *state = match wall_error(opts, "newton") {
-                        Some(e) => LaneState::Failed(e),
+                if update_norm(prep, opts, xs, xn) <= 1.0 && mems[lane].limited == 0 {
+                    *state = match stop_check(opts, None, None) {
+                        Some(stop) => LaneState::Failed(stop.error("op")),
                         None => LaneState::Done(OpResult {
                             x: xn.to_vec(),
                             iterations: iter,

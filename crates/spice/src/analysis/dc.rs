@@ -5,6 +5,11 @@
 //! point's solution in one shared workspace — so it always runs
 //! sequentially: batching its points into lanes lost at every size
 //! measured (see `EXPERIMENTS.md`).
+//!
+//! A Newton budget covers the whole sweep: each point's operating point
+//! starts from the iterations the points before it spent, so the stop
+//! rule of its ladder ends the sweep within one Newton solve of the
+//! limit, as a typed `dc` error.
 
 use crate::analysis::op::op_from_ws;
 use crate::analysis::solver::SolverWorkspace;
@@ -48,15 +53,17 @@ pub(crate) fn dc_sweep_impl(
     // every point after the first replays slots and refactors in place.
     let mut ws = SolverWorkspace::new(prep.num_unknowns);
     let mut prev: Option<Vec<f64>> = None;
+    let mut spent = 0u64;
     for &v in values {
         prep.circuit.set_source_wave(source, SourceWave::Dc(v))?;
-        match op_from_ws(prep, opts, prev.as_deref(), &mut ws, None) {
+        match op_from_ws(prep, opts, prev.as_deref(), &mut ws, None, spent) {
             Ok(r) => {
+                spent += r.iterations as u64;
                 out.push_sample(v, &r.x);
                 prev = Some(r.x);
             }
-            Err(e) => {
-                result = Err(e);
+            Err(h) => {
+                result = Err(h.error("dc"));
                 break;
             }
         }

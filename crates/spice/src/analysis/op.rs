@@ -1,7 +1,14 @@
 //! DC operating-point analysis: Newton–Raphson backed by a
 //! convergence-recovery ladder — adaptive damping, gmin stepping,
 //! source stepping, and a pseudo-transient homotopy as last resort.
+//!
+//! Every Newton solve of the ladder goes through one bookkeeping step,
+//! `Ladder::solve`: the stop rule first, against the Newton iterations
+//! of the whole analysis call, then the solve's iterations and any
+//! non-finite recovery booked. A stop ends the ladder at once and is
+//! named after the analysis the caller ran.
 
+use crate::analysis::control::{stop_check, Halt, Stop};
 use crate::analysis::fault::{ClaimedSolve, FaultKind};
 use crate::analysis::solver::{singular_unknown, SolverWorkspace};
 use crate::analysis::stamp::{
@@ -98,68 +105,6 @@ impl NewtonCfg<'static> {
 /// Floor for the adaptive damping factor.
 const ALPHA_MIN: f64 = 1.0 / 64.0;
 
-/// Iterations spent before a [`SpiceError`] was produced (0 when the
-/// error does not carry a count).
-fn error_iterations(e: &SpiceError) -> usize {
-    match e {
-        SpiceError::NoConvergence { iterations, .. } => *iterations,
-        _ => 0,
-    }
-}
-
-/// Worst-unknown diagnostics attached to a Newton failure (empty when
-/// the error carries none).
-fn error_worst(e: &SpiceError) -> Vec<WorstUnknown> {
-    e.convergence_report()
-        .map(|r| r.worst.clone())
-        .unwrap_or_default()
-}
-
-/// The typed [`SpiceError::BudgetExhausted`] of a wall-clock deadline
-/// that has passed, or `None` while time remains (or none is armed).
-pub(crate) fn wall_error(opts: &Options, analysis: &'static str) -> Option<SpiceError> {
-    opts.budget
-        .wall_exhausted()
-        .map(|(limit, spent)| SpiceError::BudgetExhausted {
-            analysis,
-            resource: "wall_clock_ms",
-            limit,
-            spent,
-        })
-}
-
-/// The Newton-iteration poll: a cancelled token or a passed wall-clock
-/// deadline as a typed error. One not-taken branch each when unset;
-/// polled between iterations, never inside a factorization.
-pub(crate) fn newton_abort(opts: &Options) -> Option<SpiceError> {
-    if opts.cancel.cancelled() {
-        return Some(SpiceError::Cancelled {
-            analysis: "newton",
-            time: None,
-        });
-    }
-    wall_error(opts, "newton")
-}
-
-/// Errors out with a typed [`SpiceError::BudgetExhausted`] once `spent`
-/// cumulative Newton iterations cross the per-call budget, so a hard
-/// deck degrades to a report between continuation stages instead of
-/// burning the whole ladder.
-fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
-    if let Some(e) = wall_error(opts, "op") {
-        return Err(e);
-    }
-    match opts.budget.newton_exhausted(spent as u64) {
-        None => Ok(()),
-        Some(limit) => Err(SpiceError::BudgetExhausted {
-            analysis: "op",
-            resource: "newton_iterations",
-            limit,
-            spent: spent as u64,
-        }),
-    }
-}
-
 /// Runs one Newton solve in the given mode from the start `x` holds,
 /// reusing `ws` for assembly, factorization, and solution buffers — no
 /// heap allocation inside the iteration loop.
@@ -169,11 +114,12 @@ fn budget_gate(opts: &Options, spent: usize) -> Result<()> {
 /// and replayed by `memcpy` on every subsequent iteration; only the
 /// nonlinear partition is re-stamped. Every iteration passes a NaN/Inf
 /// guard over the assembled system and, when installed, polls the fault
-/// injector. Cancellation and the wall-clock deadline are polled at the
-/// top of every iteration and the deadline again before a converged
-/// iterate is returned, so a solve that overran its deadline never
-/// reports success. Iterates in `x`, which holds the solution on `Ok`
-/// (and an unspecified iterate on `Err`); returns the iteration count.
+/// injector. The stop rule runs before every iteration and again before
+/// a converged iterate is returned, so a solve that overran its deadline
+/// never reports success; a stop is left for the caller to name.
+/// Iterates in `x`, which holds the solution on `Ok` (and an unspecified
+/// iterate on `Err`); returns the iteration count. Convergence is
+/// [`update_norm`] of the full (undamped) update within 1.
 pub(crate) fn newton_solve(
     prep: &Prepared,
     opts: &Options,
@@ -182,7 +128,7 @@ pub(crate) fn newton_solve(
     x: &mut [f64],
     ws: &mut SolverWorkspace<f64>,
     cfg: &NewtonCfg,
-) -> Result<usize> {
+) -> std::result::Result<usize, Halt> {
     let replay = opts.linear_replay;
     let injector = opts.faults.get();
     let solve_idx = match cfg.claimed {
@@ -201,8 +147,8 @@ pub(crate) fn newton_solve(
         ws.preset_pattern(&pat);
     }
     for iter in 1..=opts.max_newton {
-        if let Some(e) = newton_abort(opts) {
-            return Err(e);
+        if let Some(stop) = stop_check(opts, None, None) {
+            return Err(stop.into());
         }
         loop {
             if !(replay && ws.restore()) {
@@ -245,7 +191,8 @@ pub(crate) fn newton_solve(
                     iterations: iter,
                     time: None,
                     report: None,
-                });
+                }
+                .into());
             }
             Some(FaultKind::Panic) => {
                 panic!("injected fault: device model panic at iteration {iter}");
@@ -259,7 +206,8 @@ pub(crate) fn newton_solve(
             return Err(SpiceError::NonFinite {
                 analysis: "newton",
                 context: format!("poisoned stamp in assembled system at iteration {iter}"),
-            });
+            }
+            .into());
         }
         ws.factor().map_err(|e| singular_unknown(prep, e))?;
         let x_new = ws.solve();
@@ -267,14 +215,15 @@ pub(crate) fn newton_solve(
             return Err(SpiceError::NonFinite {
                 analysis: "newton",
                 context: format!("non-finite solution at iteration {iter}"),
-            });
+            }
+            .into());
         }
         // Scaled size of the full (undamped) update: <= 1 means every
         // unknown moved within tolerance.
         let metric = update_norm(prep, opts, x, x_new);
         if metric <= 1.0 && mem.limited == 0 {
-            if let Some(e) = wall_error(opts, "newton") {
-                return Err(e);
+            if let Some(stop) = stop_check(opts, None, None) {
+                return Err(stop.into());
             }
             x.copy_from_slice(x_new);
             return Ok(iter);
@@ -290,7 +239,8 @@ pub(crate) fn newton_solve(
                     rungs: Vec::new(),
                     worst,
                 })),
-            });
+            }
+            .into());
         }
         if cfg.adaptive {
             // Shrink the step fraction while the iteration is getting
@@ -313,47 +263,124 @@ pub(crate) fn newton_solve(
     unreachable!("loop returns on its final iteration");
 }
 
-/// Crate-internal canonical operating-point entry (what
-/// [`Session::op`](crate::analysis::Session::op) calls).
+/// The operating point from zero, in a fresh workspace.
+#[cfg(test)]
 pub(crate) fn op_eval(prep: &Prepared, opts: &Options) -> Result<OpResult> {
-    op_from_eval(prep, opts, None)
+    op_from_eval(prep, opts, None, "op")
 }
 
-/// Crate-internal warm-started operating point.
+/// The operating point from `x0` (zero when `None`) in a fresh
+/// workspace, for the `analysis` the caller ran: a stop is named after
+/// it.
 pub(crate) fn op_from_eval(
     prep: &Prepared,
     opts: &Options,
     x0: Option<&[f64]>,
+    analysis: &'static str,
 ) -> Result<OpResult> {
     let mut ws = SolverWorkspace::new(prep.num_unknowns);
-    op_from_ws(prep, opts, x0, &mut ws, None)
+    op_from_ws(prep, opts, x0, &mut ws, None, 0).map_err(|h| h.error(analysis))
 }
 
-/// [`op_from_eval`] against a caller-provided workspace, so sweeps reuse one
-/// assembled pattern and factor storage across all their points.
-/// `claimed` runs the plain-Newton rung under a batched lane's claimed
-/// solve (see [`ClaimedSolve`]).
+/// The operating point of an analysis call that has already spent
+/// `spent` Newton iterations, against a caller-provided workspace, so
+/// sweeps reuse one assembled pattern and factor storage across all
+/// their points. `claimed` runs the plain-Newton rung under a batched
+/// lane's claimed solve (see [`ClaimedSolve`]). A stop is left for the
+/// caller to name after its analysis.
 pub(crate) fn op_from_ws(
     prep: &Prepared,
     opts: &Options,
     x0: Option<&[f64]>,
     ws: &mut SolverWorkspace<f64>,
     claimed: Option<ClaimedSolve>,
-) -> Result<OpResult> {
+    spent: u64,
+) -> std::result::Result<OpResult, Halt> {
     let t = opts.trace.tracer();
     if !t.enabled() {
         let mut stats = ContinuationStats::default();
-        return op_strategies(prep, opts, x0, ws, claimed, &mut stats);
+        return op_strategies(prep, opts, x0, ws, claimed, &mut stats, spent);
     }
     let span = t.span("op");
     ws.set_timing(true);
     let solver_before = ws.stats;
     let mut stats = ContinuationStats::default();
-    let result = op_strategies(prep, opts, x0, ws, claimed, &mut stats);
+    let result = op_strategies(prep, opts, x0, ws, claimed, &mut stats, spent);
     stats.emit(t, "op");
     ws.stats.delta(&solver_before).emit(t, "op");
     span.end();
     result
+}
+
+/// The ladder's state across its rungs: every Newton solve goes through
+/// [`Ladder::solve`] and every failed rung through [`Ladder::fail`].
+struct Ladder<'a> {
+    prep: &'a Prepared,
+    opts: &'a Options,
+    ws: &'a mut SolverWorkspace<f64>,
+    stats: &'a mut ContinuationStats,
+    /// Newton iterations the analysis call had spent when this operating
+    /// point started, and has spent now.
+    base: u64,
+    spent: u64,
+    rungs: Vec<RungReport>,
+    /// The most recent worst-unknown ranking of a failed rung.
+    worst: Vec<WorstUnknown>,
+}
+
+impl Ladder<'_> {
+    /// One Newton solve from `x`, after the stop rule: `Err` is a stop,
+    /// which ends the ladder; `Ok` holds the solve's own outcome, whose
+    /// iterations (a failure's too) and non-finite recovery are booked.
+    fn solve(
+        &mut self,
+        mode: &Mode,
+        mem: &mut NonlinMemory,
+        x: &mut [f64],
+        cfg: &NewtonCfg,
+    ) -> std::result::Result<Result<usize>, Stop> {
+        if let Some(stop) = stop_check(self.opts, None, Some(self.spent)) {
+            return Err(stop);
+        }
+        let outcome = match newton_solve(self.prep, self.opts, mode, mem, x, self.ws, cfg) {
+            Ok(it) => Ok(it),
+            Err(Halt::Stop(stop)) => return Err(stop),
+            Err(Halt::Fail(e)) => Err(e),
+        };
+        let it = match &outcome {
+            Ok(it) | Err(SpiceError::NoConvergence { iterations: it, .. }) => *it as u64,
+            Err(_) => 0,
+        };
+        self.spent += it;
+        self.stats.newton_iterations += it;
+        if matches!(outcome, Err(SpiceError::NonFinite { .. })) {
+            self.stats.nonfinite_recoveries += 1;
+        }
+        Ok(outcome)
+    }
+
+    /// Records a failed rung, keeping the most recent worst-unknown
+    /// ranking for the final report.
+    fn fail(&mut self, rung: RungReport, e: &SpiceError) {
+        if let Some(r) = e.convergence_report().filter(|r| !r.worst.is_empty()) {
+            self.worst = r.worst.clone();
+        }
+        self.rungs.push(rung);
+    }
+
+    /// Newton iterations this operating point has spent.
+    fn iterations(&self) -> usize {
+        (self.spent - self.base) as usize
+    }
+
+    /// The converged operating point `x`, with every iteration this
+    /// operating point spent.
+    fn done(&self, x: Vec<f64>) -> OpResult {
+        OpResult {
+            x,
+            iterations: self.iterations(),
+        }
+    }
 }
 
 /// The continuation ladder behind every operating point: plain Newton,
@@ -370,54 +397,43 @@ fn op_strategies(
     ws: &mut SolverWorkspace<f64>,
     claimed: Option<ClaimedSolve>,
     stats: &mut ContinuationStats,
-) -> Result<OpResult> {
+    spent: u64,
+) -> std::result::Result<OpResult, Halt> {
     let n = prep.num_unknowns;
     let zero = vec![0.0; n];
     let start = x0.unwrap_or(&zero);
     let mode = Mode::Dc { source_scale: 1.0 };
-    let mut rungs: Vec<RungReport> = Vec::new();
-    let mut worst: Vec<WorstUnknown> = Vec::new();
-    let mut total_iters = 0usize;
-    // Records a failed rung and keeps the most recent worst-unknown
-    // ranking for the final report.
-    let fail = |rungs: &mut Vec<RungReport>,
-                worst: &mut Vec<WorstUnknown>,
-                r: RungReport,
-                e: &SpiceError| {
-        let w = error_worst(e);
-        if !w.is_empty() {
-            *worst = w;
-        }
-        rungs.push(r);
+    let mut l = Ladder {
+        prep,
+        opts,
+        ws,
+        stats,
+        base: spent,
+        spent,
+        rungs: Vec::new(),
+        worst: Vec::new(),
     };
 
     // 1. Plain Newton.
-    stats.rungs_attempted += 1;
+    l.stats.rungs_attempted += 1;
     let mut mem = NonlinMemory::new(prep);
     let plain = NewtonCfg {
         claimed,
         ..NewtonCfg::plain()
     };
     let mut x = start.to_vec();
-    match newton_solve(prep, opts, &mode, &mut mem, &mut x, ws, &plain) {
-        Ok(it) => {
-            stats.newton_iterations += it as u64;
-            return Ok(OpResult { x, iterations: it });
-        }
+    match l.solve(&mode, &mut mem, &mut x, &plain)? {
+        Ok(_) => return Ok(l.done(x)),
         Err(SpiceError::Singular { unknown }) => {
             // A structurally singular matrix will not be cured by source
             // stepping; gmin on the diagonal may cure floating nodes, so
             // try one damped pass before giving up.
             let mut mem = NonlinMemory::new(prep);
-            let cfg = NewtonCfg::with_gmin(1e-9);
             x.copy_from_slice(start);
-            match newton_solve(prep, opts, &mode, &mut mem, &mut x, ws, &cfg) {
-                Ok(it) => {
-                    stats.newton_iterations += it as u64;
-                    return Ok(OpResult { x, iterations: it });
-                }
-                Err(e) if e.is_abort() => return Err(e),
-                Err(_) => {}
+            if l.solve(&mode, &mut mem, &mut x, &NewtonCfg::with_gmin(1e-9))?
+                .is_ok()
+            {
+                return Ok(l.done(x));
             }
             // Post-mortem: when the circuit was compiled with lint off
             // (or the defect is value-induced), re-run the static
@@ -425,133 +441,60 @@ fn op_strategies(
             // just the pivot column.
             let report = crate::lint::lint_prepared(prep);
             if report.has_errors() {
-                return Err(SpiceError::LintFailed(Box::new(report)));
+                return Err(SpiceError::LintFailed(Box::new(report)).into());
             }
-            return Err(SpiceError::Singular { unknown });
+            return Err(SpiceError::Singular { unknown }.into());
         }
-        Err(e) => {
-            if e.is_abort() {
-                return Err(e);
-            }
-            let it = error_iterations(&e);
-            total_iters += it;
-            stats.newton_iterations += it as u64;
-            if matches!(e, SpiceError::NonFinite { .. }) {
-                stats.nonfinite_recoveries += 1;
-            }
-            fail(
-                &mut rungs,
-                &mut worst,
-                RungReport::failed("newton", it, 1),
-                &e,
-            );
-        }
+        Err(e) => l.fail(RungReport::failed("newton", l.iterations(), 1), &e),
     }
-    budget_gate(opts, total_iters)?;
 
     // 2. Adaptive damped Newton: full Jacobian, fractional updates.
     if opts.ladder.damping {
-        stats.rungs_attempted += 1;
+        l.stats.rungs_attempted += 1;
         let mut mem = NonlinMemory::new(prep);
         x.copy_from_slice(start);
-        match newton_solve(
-            prep,
-            opts,
-            &mode,
-            &mut mem,
-            &mut x,
-            ws,
-            &NewtonCfg::damped(),
-        ) {
-            Ok(it) => {
-                stats.newton_iterations += it as u64;
-                stats.damped_iterations += it as u64;
-                return Ok(OpResult {
-                    x,
-                    iterations: total_iters + it,
-                });
-            }
+        let before = l.spent;
+        let outcome = l.solve(&mode, &mut mem, &mut x, &NewtonCfg::damped())?;
+        l.stats.damped_iterations += l.spent - before;
+        match outcome {
+            Ok(_) => return Ok(l.done(x)),
             Err(e) => {
-                if e.is_abort() {
-                    return Err(e);
-                }
-                let it = error_iterations(&e);
-                total_iters += it;
-                stats.newton_iterations += it as u64;
-                stats.damped_iterations += it as u64;
-                if matches!(e, SpiceError::NonFinite { .. }) {
-                    stats.nonfinite_recoveries += 1;
-                }
-                fail(
-                    &mut rungs,
-                    &mut worst,
-                    RungReport::failed("damped", it, 1),
-                    &e,
-                );
+                let it = (l.spent - before) as usize;
+                l.fail(RungReport::failed("damped", it, 1), &e);
             }
         }
-        budget_gate(opts, total_iters)?;
     }
 
     // 3. Gmin stepping.
     if opts.ladder.gmin_stepping {
-        stats.rungs_attempted += 1;
+        l.stats.rungs_attempted += 1;
         let mut x = start.to_vec();
         let mut mem = NonlinMemory::new(prep);
         let gmin_ladder = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 0.0];
-        let mut rung_iters = 0usize;
+        let before = l.spent;
         let mut stages = 0usize;
         let mut stalled: Option<SpiceError> = None;
         for &g in &gmin_ladder {
-            stats.gmin_stages += 1;
+            l.stats.gmin_stages += 1;
             stages += 1;
-            match newton_solve(
-                prep,
-                opts,
-                &mode,
-                &mut mem,
-                &mut x,
-                ws,
-                &NewtonCfg::with_gmin(g),
-            ) {
-                Ok(it) => {
-                    rung_iters += it;
-                    stats.newton_iterations += it as u64;
-                }
-                Err(e) => {
-                    if e.is_abort() {
-                        return Err(e);
-                    }
-                    rung_iters += error_iterations(&e);
-                    stats.newton_iterations += error_iterations(&e) as u64;
-                    if matches!(e, SpiceError::NonFinite { .. }) {
-                        stats.nonfinite_recoveries += 1;
-                    }
-                    stalled = Some(e);
-                    break;
-                }
+            if let Err(e) = l.solve(&mode, &mut mem, &mut x, &NewtonCfg::with_gmin(g))? {
+                stalled = Some(e);
+                break;
             }
-            budget_gate(opts, total_iters + rung_iters)?;
         }
-        total_iters += rung_iters;
         match stalled {
-            None => {
-                return Ok(OpResult {
-                    x,
-                    iterations: total_iters,
-                })
-            }
+            None => return Ok(l.done(x)),
             Some(e) => {
-                let mut r = RungReport::failed("gmin", rung_iters, stages);
+                let mut r = RungReport::failed("gmin", (l.spent - before) as usize, stages);
                 r.detail = format!("stalled at stage {stages} of {}", gmin_ladder.len());
-                fail(&mut rungs, &mut worst, r, &e);
+                l.fail(r, &e);
             }
         }
     }
 
     // 4. Source stepping.
     if opts.ladder.source_stepping {
-        stats.rungs_attempted += 1;
+        l.stats.rungs_attempted += 1;
         let mut x = vec![0.0; n];
         // A failed step retries smaller from `x`, so Newton runs on a copy.
         let mut trial = vec![0.0; n];
@@ -559,7 +502,7 @@ fn op_strategies(
         let mut scale = 0.0f64;
         let mut step = 0.1f64;
         let mut failures = 0usize;
-        let mut rung_iters = 0usize;
+        let before = l.spent;
         let mut steps = 0usize;
         let mut gave_up: Option<SpiceError> = None;
         while scale < 1.0 {
@@ -567,34 +510,16 @@ fn op_strategies(
             let mode = Mode::Dc {
                 source_scale: target,
             };
-            stats.source_steps += 1;
+            l.stats.source_steps += 1;
             steps += 1;
             trial.copy_from_slice(&x);
-            match newton_solve(
-                prep,
-                opts,
-                &mode,
-                &mut mem,
-                &mut trial,
-                ws,
-                &NewtonCfg::plain(),
-            ) {
-                Ok(it) => {
-                    rung_iters += it;
-                    stats.newton_iterations += it as u64;
+            match l.solve(&mode, &mut mem, &mut trial, &NewtonCfg::plain())? {
+                Ok(_) => {
                     std::mem::swap(&mut x, &mut trial);
                     scale = target;
                     step = (step * 1.5).min(0.25);
                 }
                 Err(e) => {
-                    if e.is_abort() {
-                        return Err(e);
-                    }
-                    rung_iters += error_iterations(&e);
-                    stats.newton_iterations += error_iterations(&e) as u64;
-                    if matches!(e, SpiceError::NonFinite { .. }) {
-                        stats.nonfinite_recoveries += 1;
-                    }
                     failures += 1;
                     step *= 0.25;
                     if failures > 12 || step < 1e-5 {
@@ -603,20 +528,13 @@ fn op_strategies(
                     }
                 }
             }
-            budget_gate(opts, total_iters + rung_iters)?;
         }
-        total_iters += rung_iters;
         match gave_up {
-            None => {
-                return Ok(OpResult {
-                    x,
-                    iterations: total_iters,
-                })
-            }
+            None => return Ok(l.done(x)),
             Some(e) => {
-                let mut r = RungReport::failed("source", rung_iters, steps);
+                let mut r = RungReport::failed("source", (l.spent - before) as usize, steps);
                 r.detail = format!("stalled at scale {scale:.3}");
-                fail(&mut rungs, &mut worst, r, &e);
+                l.fail(r, &e);
             }
         }
     }
@@ -624,31 +542,22 @@ fn op_strategies(
     // 5. Pseudo-transient homotopy: artificial capacitors from every
     // node to an anchor, relaxed toward zero.
     if opts.ladder.ptran {
-        stats.rungs_attempted += 1;
-        match ptran_homotopy(prep, opts, &mode, start, ws, stats, total_iters) {
-            Ok((x, it)) => {
-                total_iters += it;
-                return Ok(OpResult {
-                    x,
-                    iterations: total_iters,
-                });
-            }
-            Err((r, e, it)) => {
-                total_iters += it;
-                if e.is_abort() {
-                    return Err(e);
-                }
-                fail(&mut rungs, &mut worst, r, &e);
-            }
+        l.stats.rungs_attempted += 1;
+        if let Some(x) = ptran_homotopy(&mut l, &mode, start)? {
+            return Ok(l.done(x));
         }
     }
 
     Err(SpiceError::NoConvergence {
         analysis: "op",
-        iterations: total_iters,
+        iterations: l.iterations(),
         time: None,
-        report: Some(Box::new(ConvergenceReport { rungs, worst })),
-    })
+        report: Some(Box::new(ConvergenceReport {
+            rungs: l.rungs,
+            worst: l.worst,
+        })),
+    }
+    .into())
 }
 
 /// Pseudo-transient homotopy: each step solves the circuit with an
@@ -658,19 +567,12 @@ fn op_strategies(
 /// easily, backing off when they fail — until the anchor no longer
 /// binds and a plain-Newton polish confirms the true solution.
 ///
-/// Returns `(solution, iterations)` or `(rung report, last error,
-/// iterations)` so the caller can fold the failure into its ladder
-/// report.
-#[allow(clippy::type_complexity, clippy::result_large_err)]
+/// Returns the solution, or `None` with the failed rung recorded.
 fn ptran_homotopy(
-    prep: &Prepared,
-    opts: &Options,
+    l: &mut Ladder,
     mode: &Mode,
     start: &[f64],
-    ws: &mut SolverWorkspace<f64>,
-    stats: &mut ContinuationStats,
-    base_iters: usize,
-) -> std::result::Result<(Vec<f64>, usize), (RungReport, SpiceError, usize)> {
+) -> std::result::Result<Option<Vec<f64>>, Stop> {
     const G_START: f64 = 1.0;
     const G_STOP: f64 = 1e-12;
     const G_MAX: f64 = 1e6;
@@ -680,10 +582,10 @@ fn ptran_homotopy(
     let mut anchor = start.to_vec();
     let mut x = vec![0.0; start.len()];
     let mut g = G_START;
-    let mut rung_iters = 0usize;
+    let before = l.spent;
     let mut steps = 0usize;
     let mut consecutive_failures = 0usize;
-    let mut mem = NonlinMemory::new(prep);
+    let mut mem = NonlinMemory::new(l.prep);
     let mut last_err = SpiceError::NoConvergence {
         analysis: "ptran",
         iterations: 0,
@@ -692,12 +594,8 @@ fn ptran_homotopy(
     };
 
     while steps < MAX_STEPS {
-        if let Err(e) = budget_gate(opts, base_iters + rung_iters) {
-            last_err = e;
-            break;
-        }
         steps += 1;
-        stats.ptran_steps += 1;
+        l.stats.ptran_steps += 1;
         let cfg = NewtonCfg {
             diag_gmin: g,
             anchor: Some(&anchor),
@@ -706,11 +604,8 @@ fn ptran_homotopy(
             claimed: None,
         };
         x.copy_from_slice(&anchor);
-        let attempt = newton_solve(prep, opts, mode, &mut mem, &mut x, ws, &cfg);
-        match attempt {
+        match l.solve(mode, &mut mem, &mut x, &cfg)? {
             Ok(it) => {
-                rung_iters += it;
-                stats.newton_iterations += it as u64;
                 consecutive_failures = 0;
                 let moved = anchor
                     .iter()
@@ -721,21 +616,11 @@ fn ptran_homotopy(
                 if g <= G_STOP {
                     // Anchor has essentially no strength left: polish
                     // with plain Newton to certify the real circuit.
-                    let mut mem = NonlinMemory::new(prep);
+                    let mut mem = NonlinMemory::new(l.prep);
                     x.copy_from_slice(&anchor);
-                    match newton_solve(prep, opts, mode, &mut mem, &mut x, ws, &NewtonCfg::damped())
-                    {
-                        Ok(it) => {
-                            rung_iters += it;
-                            stats.newton_iterations += it as u64;
-                            return Ok((x, rung_iters));
-                        }
+                    match l.solve(mode, &mut mem, &mut x, &NewtonCfg::damped())? {
+                        Ok(_) => return Ok(Some(x)),
                         Err(e) => {
-                            rung_iters += error_iterations(&e);
-                            stats.newton_iterations += error_iterations(&e) as u64;
-                            if matches!(e, SpiceError::NonFinite { .. }) {
-                                stats.nonfinite_recoveries += 1;
-                            }
                             last_err = e;
                             break;
                         }
@@ -746,15 +631,6 @@ fn ptran_homotopy(
                 g *= if fast { 0.2 } else { 0.5 };
             }
             Err(e) => {
-                if e.is_abort() {
-                    last_err = e;
-                    break;
-                }
-                rung_iters += error_iterations(&e);
-                stats.newton_iterations += error_iterations(&e) as u64;
-                if matches!(e, SpiceError::NonFinite { .. }) {
-                    stats.nonfinite_recoveries += 1;
-                }
                 consecutive_failures += 1;
                 g *= 10.0;
                 last_err = e;
@@ -765,9 +641,10 @@ fn ptran_homotopy(
         }
     }
 
-    let mut r = RungReport::failed("ptran", rung_iters, steps);
+    let mut r = RungReport::failed("ptran", (l.spent - before) as usize, steps);
     r.detail = format!("stopped at g = {g:.1e}");
-    Err((r, last_err, rung_iters))
+    l.fail(r, &last_err);
+    Ok(None)
 }
 
 /// Re-evaluates the Gummel–Poon state of a named BJT at a converged
@@ -807,7 +684,7 @@ mod tests {
     }
 
     fn op_from(prep: &Prepared, o: &Options, x0: Option<&[f64]>) -> Result<OpResult> {
-        op_from_eval(prep, o, x0)
+        op_from_eval(prep, o, x0, "op")
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! left to settle. One call serves every input tone from one PSS and one
 //! linearization.
 
-use crate::analysis::control::{stop_check, Stop};
-use crate::analysis::pss::{shoot, LinearizedOrbit, PssParams, PssResult, PssStatus};
+use crate::analysis::control::stop_check;
+use crate::analysis::pss::{shoot, LinearizedOrbit, PssParams, PssResult};
 use crate::analysis::solver::singular_unknown;
 use crate::analysis::stamp::{MnaSink, Mode, NonlinMemory, Options, PatternProbe};
 use crate::circuit::Prepared;
@@ -202,26 +202,7 @@ fn pac_body(
     // One linearization's storage serves the shooting updates and then
     // the converged orbit.
     let mut linear = LinearizedOrbit::new(prep, opts);
-    let (pss, orbit) = shoot(prep, opts, pss_params, &mut linear)?;
-    let stop = match *pss.status() {
-        PssStatus::Converged => None,
-        PssStatus::Cancelled { .. } => Some(Stop::Cancelled),
-        // A PSS status carries no spend: the limit stands for it.
-        PssStatus::BudgetExhausted {
-            resource, limit, ..
-        } => Some(Stop::Exhausted(resource, limit, limit)),
-        // `PssStatus` is non_exhaustive; future variants must not
-        // silently pass as converged.
-        #[allow(unreachable_patterns)]
-        _ => {
-            return Err(SpiceError::NoConvergence {
-                analysis: "pac",
-                iterations: pss.shooting_iterations as usize,
-                time: None,
-                report: None,
-            })
-        }
-    };
+    let (pss, orbit, stop) = shoot(prep, opts, pss_params, &mut linear, "pac")?;
     if let Some(stop) = stop {
         return Err(stop.error("pac"));
     }
@@ -307,8 +288,11 @@ fn tone_gains(
     let omega_out = 2.0 * PI * params.freq_out;
     let steps = lin.step_count() as u64;
     let mut taken = 0u64;
+    // The stop rule before each period, with the recurrence steps taken.
     let mut run = |dx: &mut [f64], u: &dyn Fn(f64) -> f64| {
-        period_boundary(opts, taken)?;
+        if let Some(stop) = stop_check(opts, Some(taken), None) {
+            return Err(stop.error("pac"));
+        }
         taken += steps;
         Ok(project_period(lin, dx, b, u, out, omega_out))
     };
@@ -373,16 +357,12 @@ fn tone_gains(
         // of a real output is twice its positive-frequency coefficient.
         gains.push((upper - lower.conj()) * Complex::new(0.0, -1.0));
     }
-    // A gain finished past the deadline is still a deadline trip.
-    period_boundary(opts, taken)?;
-    Ok(gains)
-}
-
-/// The recurrence's control point before each period and once at the
-/// end: cancellation, the step budget (`taken` recurrence steps) and the
-/// wall-clock deadline, as typed PAC errors.
-fn period_boundary(opts: &Options, taken: u64) -> Result<()> {
-    stop_check(opts, taken, None).map_or(Ok(()), |stop| Err(stop.error("pac")))
+    // A gain finished past the deadline or after a cancel is still a
+    // stop.
+    match stop_check(opts, None, None) {
+        Some(stop) => Err(stop.error("pac")),
+        None => Ok(gains),
+    }
 }
 
 #[cfg(test)]

@@ -36,14 +36,15 @@
 //! ([`crate::analysis::pac`]) runs the same recurrence on the converged
 //! orbit.
 //!
-//! Cancellation and budgets are observed at shooting-iteration
-//! boundaries (and inside every inner Newton solve); a stopped run
-//! returns the best orbit so far with a typed [`PssStatus`], mirroring
-//! the transient contract.
+//! The stop rule runs before every period, warmup periods included (and
+//! inside every inner Newton solve); a stopped run returns the best
+//! orbit so far with a typed [`PssStatus`], mirroring the transient
+//! contract. A stop in the starting operating point is a typed error
+//! naming the analysis the caller ran.
 
 use crate::analysis::ac::assemble_ac;
-use crate::analysis::control::{stop_check, Stop};
-use crate::analysis::op::op_eval;
+use crate::analysis::control::{stop_check, Halt, Stop};
+use crate::analysis::op::op_from_eval;
 use crate::analysis::solver::{singular_unknown, Kernel, SolverWorkspace};
 use crate::analysis::stamp::{update_norm, MnaSink, Options};
 use crate::analysis::stepper::{Step, Stepper};
@@ -118,8 +119,8 @@ pub enum PssStatus {
     /// converged periodic orbit.
     Converged,
     /// A [`CancelToken`](crate::analysis::CancelToken) fired between
-    /// shooting iterations (or inside an inner Newton solve); the
-    /// waveform holds the best orbit integrated so far.
+    /// periods (or inside an inner Newton solve); the waveform holds the
+    /// best orbit integrated so far.
     Cancelled {
         /// Shooting iterations completed before the stop.
         iterations: u64,
@@ -131,6 +132,10 @@ pub enum PssStatus {
         resource: &'static str,
         /// The configured limit.
         limit: u64,
+        /// The work spent when the limit fired: steps attempted, Newton
+        /// iterations (the starting operating point's included) or
+        /// milliseconds.
+        spent: u64,
         /// Shooting iterations completed before the stop.
         iterations: u64,
     },
@@ -142,9 +147,10 @@ impl PssStatus {
     fn stopped(stop: Stop, iterations: u64) -> Self {
         match stop {
             Stop::Cancelled => PssStatus::Cancelled { iterations },
-            Stop::Exhausted(resource, limit, _) => PssStatus::BudgetExhausted {
+            Stop::Exhausted(resource, limit, spent) => PssStatus::BudgetExhausted {
                 resource,
                 limit,
+                spent,
                 iterations,
             },
         }
@@ -289,10 +295,37 @@ impl<'a> PeriodIntegrator<'a> {
         }
     }
 
+    /// One period from `x0` under the stop rule, checked first against
+    /// every step attempted so far and the Newton iterations of the
+    /// call, the starting operating point's `op_iterations` included:
+    /// `Some` is the stop that ended the period or kept it from starting.
+    fn checked_period(
+        &mut self,
+        x0: &[f64],
+        record: Option<&mut Waveform>,
+        op_iterations: u64,
+    ) -> Result<Option<Stop>> {
+        let s = &self.stats;
+        let attempts = s.accepted_steps + s.rejected_steps;
+        let newton = op_iterations + s.newton_iterations;
+        if let Some(stop) = stop_check(self.stepper.opts, Some(attempts), Some(newton)) {
+            return Ok(Some(stop));
+        }
+        match self.integrate(x0, record) {
+            Ok(()) => Ok(None),
+            Err(Halt::Stop(stop)) => Ok(Some(stop)),
+            Err(Halt::Fail(e)) => Err(e),
+        }
+    }
+
     /// Integrates one period from `x0`, recording it in `self.orbit` and
     /// leaving the end state in the stepper. When `record` is given,
     /// every grid sample (including the start) is pushed into it.
-    fn integrate(&mut self, x0: &[f64], mut record: Option<&mut Waveform>) -> Result<()> {
+    fn integrate(
+        &mut self,
+        x0: &[f64],
+        mut record: Option<&mut Waveform>,
+    ) -> std::result::Result<(), Halt> {
         self.stepper.start(self.grid[0].0, x0);
         self.orbit.steps.clear();
         self.orbit.x.clear();
@@ -324,7 +357,7 @@ impl<'a> PeriodIntegrator<'a> {
     /// trapezoidal otherwise), bisecting on Newton failure up to
     /// [`MAX_SPLIT`] levels. The bisection rule is deterministic, so
     /// the period map stays a well-defined function of the start state.
-    fn advance(&mut self, t0: f64, t1: f64, depth: u32, be: bool) -> Result<()> {
+    fn advance(&mut self, t0: f64, t1: f64, depth: u32, be: bool) -> std::result::Result<(), Halt> {
         let step = Step {
             t: t1,
             h: t1 - t0,
@@ -338,12 +371,11 @@ impl<'a> PeriodIntegrator<'a> {
                 self.orbit.x.extend_from_slice(self.stepper.x());
                 Ok(())
             }
-            Err(e) if e.is_abort() => Err(e),
-            Err(e) => {
+            Err(Halt::Fail(e)) => {
                 self.stats.newton_iterations += self.stepper.opts.max_newton as u64;
                 self.stats.rejected_steps += 1;
                 if depth >= MAX_SPLIT {
-                    return Err(e);
+                    return Err(e.into());
                 }
                 // The first half inherits the step kind (its history is
                 // the parent's); after its commit the bank is consistent
@@ -352,6 +384,7 @@ impl<'a> PeriodIntegrator<'a> {
                 self.advance(t0, tm, depth + 1, be)?;
                 self.advance(tm, t1, depth + 1, false)
             }
+            Err(stop) => Err(stop),
         }
     }
 }
@@ -602,19 +635,21 @@ impl LinearOperator<f64> for ShootingUpdate<'_> {
 /// [`Session::pss`](crate::analysis::Session::pss).
 pub(crate) fn pss_impl(prep: &Prepared, opts: &Options, params: &PssParams) -> Result<PssResult> {
     let mut linear = LinearizedOrbit::new(prep, opts);
-    shoot(prep, opts, params, &mut linear).map(|(result, _)| result)
+    shoot(prep, opts, params, &mut linear, "pss").map(|(result, ..)| result)
 }
 
-/// Shooting Newton, linearizing each candidate orbit in `linear`: the
-/// result, and the last period integrated as committed (the converged
-/// orbit when the run converged), for the periodic small-signal
-/// analysis to linearize in the same storage.
+/// Shooting Newton for the `analysis` the caller ran, linearizing each
+/// candidate orbit in `linear`: the result, the last period integrated
+/// as committed (the converged orbit when the run converged), for the
+/// periodic small-signal analysis to linearize in the same storage, and
+/// the stop that ended the run early, with the work spent.
 pub(crate) fn shoot(
     prep: &Prepared,
     opts: &Options,
     params: &PssParams,
     linear: &mut LinearizedOrbit,
-) -> Result<(PssResult, Orbit)> {
+    analysis: &'static str,
+) -> Result<(PssResult, Orbit, Option<Stop>)> {
     if params.period <= 0.0 || params.steps_per_period == 0 {
         return Err(SpiceError::BadAnalysis(
             "pss needs a positive period and steps_per_period".into(),
@@ -633,12 +668,14 @@ pub(crate) fn shoot(
 
     // Start from the DC operating point, then ride plain transient for
     // the warmup periods — each one is simply Φ applied again.
-    let mut x0 = op_eval(prep, opts)?.x;
+    let op = op_from_eval(prep, opts, None, analysis)?;
+    let (mut x0, op_iterations) = (op.x, op.iterations as u64);
+    let mut stop = None;
     for _ in 0..params.warmup_periods {
-        if opts.cancel.cancelled() {
+        stop = integ.checked_period(&x0, None, op_iterations)?;
+        if stop.is_some() {
             break;
         }
-        integ.integrate(&x0, None)?;
         x0.copy_from_slice(integ.stepper.x());
     }
 
@@ -647,32 +684,19 @@ pub(crate) fn shoot(
     let mut shooting_iters = 0u64;
     let mut residual = f64::INFINITY;
     let mut best_wave = integ.stepper.wave();
-    let mut status: Option<PssStatus> = None;
+    let mut converged = false;
     let mut dx = vec![0.0; n];
     let mut rhs = vec![0.0; n];
 
-    while shooting_iters < params.max_shooting as u64 {
-        // Shooting-iteration boundary: the designated cancellation and
-        // budget control points, so a stopped run always carries a
-        // complete best-so-far orbit. The step budget counts attempts.
-        let done = &integ.stats;
-        let attempts = done.accepted_steps + done.rejected_steps;
-        if let Some(stop) = stop_check(opts, attempts, Some(done.newton_iterations)) {
-            status = Some(PssStatus::stopped(stop, shooting_iters));
+    while stop.is_none() && shooting_iters < params.max_shooting as u64 {
+        // Φ(x₀), recording the candidate orbit. A stopped run carries
+        // the last complete orbit.
+        let mut wave = integ.stepper.wave();
+        stop = integ.checked_period(&x0, Some(&mut wave), op_iterations)?;
+        if stop.is_some() {
             break;
         }
         shooting_iters += 1;
-
-        // Φ(x₀), recording the candidate orbit.
-        let mut wave = integ.stepper.wave();
-        match integ.integrate(&x0, Some(&mut wave)) {
-            Ok(()) => {}
-            Err(e) if e.is_abort() => {
-                status = Some(PssStatus::stopped(Stop::of_abort(&e), shooting_iters - 1));
-                break;
-            }
-            Err(e) => return Err(e),
-        }
         best_wave = wave;
         let phi0 = integ.stepper.x();
         // Scaled shooting residual: `≤ 1` means every unknown returns to
@@ -680,14 +704,7 @@ pub(crate) fn shoot(
         residual = update_norm(prep, opts, &x0, phi0);
         tr.counter("pss.residual", residual);
         if residual <= 1.0 {
-            // An orbit found past the deadline is still a deadline trip.
-            status = Some(match opts.budget.wall_exhausted() {
-                Some((limit, spent)) => {
-                    let late = Stop::Exhausted("wall_clock_ms", limit, spent);
-                    PssStatus::stopped(late, shooting_iters)
-                }
-                None => PssStatus::Converged,
-            });
+            converged = true;
             break;
         }
 
@@ -718,31 +735,34 @@ pub(crate) fn shoot(
     solver.emit(tr, "pss");
     span.end();
 
-    match status {
-        Some(status) => Ok((
-            PssResult {
-                wave: best_wave,
-                status,
-                shooting_iterations: shooting_iters,
-                gmres_iterations: gmres_total,
-                newton_iterations: integ.stats.newton_iterations,
-                residual,
-                period: params.period,
-            },
-            integ.orbit,
-        )),
-        None => Err(SpiceError::NoConvergence {
-            analysis: "pss",
-            iterations: shooting_iters as usize,
-            time: None,
-            report: None,
-        }),
-    }
+    let status = match stop {
+        Some(stop) => PssStatus::stopped(stop, shooting_iters),
+        None if converged => PssStatus::Converged,
+        None => {
+            return Err(SpiceError::NoConvergence {
+                analysis: "pss",
+                iterations: shooting_iters as usize,
+                time: None,
+                report: None,
+            })
+        }
+    };
+    let result = PssResult {
+        wave: best_wave,
+        status,
+        shooting_iterations: shooting_iters,
+        gmres_iterations: gmres_total,
+        newton_iterations: integ.stats.newton_iterations,
+        residual,
+        period: params.period,
+    };
+    Ok((result, integ.orbit, stop))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::op::op_eval;
     use crate::analysis::tran::{tran_impl, TranParams};
     use crate::circuit::Circuit;
     use crate::wave::SourceWave;

@@ -250,7 +250,8 @@ impl Session {
             .take()
             .filter(|ws| ws.dim() == n);
         let mut ws = parked.unwrap_or_else(|| SolverWorkspace::new(n));
-        let result = op_from_ws(&self.prepared, &self.options, x0, &mut ws, None);
+        let result = op_from_ws(&self.prepared, &self.options, x0, &mut ws, None, 0)
+            .map_err(|h| h.error("op"));
         if result.is_ok() {
             let mut parked = self.ws.lock().expect("session workspace lock");
             if parked.is_none() {

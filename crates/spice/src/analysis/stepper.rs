@@ -12,13 +12,13 @@
 //! engine restarts the history where the waveform may have a corner: at
 //! a source breakpoint and, for PSS, at every period start.
 
+use crate::analysis::control::Halt;
 use crate::analysis::op::{newton_solve, NewtonCfg};
 use crate::analysis::solver::SolverWorkspace;
 use crate::analysis::stamp::{
     update_all_charges, ChargeBank, ChargeState, Mode, NonlinMemory, Options,
 };
 use crate::circuit::Prepared;
-use crate::error::Result;
 use crate::wave::Waveform;
 use ahfic_trace::SolverStats;
 
@@ -169,9 +169,9 @@ impl<'a> Stepper<'a> {
     }
 
     /// One step from the committed point at `t0`, returning its Newton
-    /// iteration count. An error commits nothing, so the caller may
-    /// retry from the same point.
-    pub(crate) fn step(&mut self, t0: f64, step: &Step) -> Result<usize> {
+    /// iteration count. A stop or failure commits nothing, so the caller
+    /// may retry from the same point.
+    pub(crate) fn step(&mut self, t0: f64, step: &Step) -> Result<usize, Halt> {
         let mode = Mode::Tran {
             time: step.t,
             a: step.a(),

@@ -21,8 +21,8 @@
 //! accepted-step cadence, so a `JsonLinesSink` client watches a long
 //! run live.
 
-use crate::analysis::control::{stop_check, Stop};
-use crate::analysis::op::op_eval;
+use crate::analysis::control::{stop_check, Halt, Stop};
+use crate::analysis::op::op_from_eval;
 use crate::analysis::stamp::Options;
 use crate::analysis::stepper::{Step, Stepper};
 use crate::circuit::Prepared;
@@ -88,6 +88,10 @@ pub enum TranStatus {
         resource: &'static str,
         /// The configured limit.
         limit: u64,
+        /// The work spent when the limit fired: steps attempted, Newton
+        /// iterations (the starting operating point's included) or
+        /// milliseconds.
+        spent: u64,
         /// Simulation time of the last accepted step.
         t: f64,
     },
@@ -98,9 +102,12 @@ impl TranStatus {
     fn stopped(stop: Stop, t: f64) -> Self {
         match stop {
             Stop::Cancelled => TranStatus::Cancelled { t },
-            Stop::Exhausted(resource, limit, _) => {
-                TranStatus::BudgetExhausted { resource, limit, t }
-            }
+            Stop::Exhausted(resource, limit, spent) => TranStatus::BudgetExhausted {
+                resource,
+                limit,
+                spent,
+                t,
+            },
         }
     }
 }
@@ -200,8 +207,9 @@ pub(crate) fn tran_impl(
     let span = tr.span("tran");
     let mut stats = TranStats::default();
 
-    // Initial state.
-    let x0 = if params.uic {
+    // Initial state. The operating point's Newton iterations count
+    // toward the call's Newton budget.
+    let (x0, op_iterations) = if params.uic {
         let mut x0 = vec![0.0; prep.num_unknowns];
         for &(node, v) in prep.circuit.ics() {
             let slot = prep.slot_of(node);
@@ -209,9 +217,10 @@ pub(crate) fn tran_impl(
                 x0[slot] = v;
             }
         }
-        x0
+        (x0, 0)
     } else {
-        op_eval(prep, opts)?.x
+        let op = op_from_eval(prep, opts, None, "tran")?;
+        (op.x, op.iterations as u64)
     };
     let mut stepper = Stepper::new(prep, opts);
     stepper.start(0.0, &x0);
@@ -248,10 +257,10 @@ pub(crate) fn tran_impl(
     let mut status = TranStatus::Complete;
     let stream_every = opts.stream.every();
     while t < params.t_stop - 1e-15 * params.t_stop {
-        // Timestep-boundary control points: cancellation and budgets are
-        // only ever observed here and inside the Newton loop, so a
-        // stopped run always ends on a consistent accepted state.
-        if let Some(stop) = stop_check(opts, steps as u64, Some(stats.newton_iterations)) {
+        // The stop rule before each step (and inside its Newton solve),
+        // so a stopped run always ends on a consistent accepted state.
+        let newton = op_iterations + stats.newton_iterations;
+        if let Some(stop) = stop_check(opts, Some(steps as u64), Some(newton)) {
             status = TranStatus::stopped(stop, t);
             break;
         }
@@ -287,9 +296,9 @@ pub(crate) fn tran_impl(
             be: false,
         };
         match stepper.step(t, &step) {
-            // The accept point: `newton_solve` re-checks the wall-clock
-            // deadline before returning a converged step, so a step that
-            // overran it arrives as the abort below, never here.
+            // The accept point: `newton_solve` applies the stop rule
+            // before returning a converged step, so a step that overran
+            // the deadline arrives as the stop below, never here.
             Ok(iters) => {
                 stats.accepted_steps += 1;
                 stats.newton_iterations += iters as u64;
@@ -318,7 +327,13 @@ pub(crate) fn tran_impl(
                     h = (h * 0.5).max(h_min);
                 }
             }
-            Err(SpiceError::Singular { unknown }) => {
+            Err(Halt::Stop(stop)) => {
+                // The in-flight step is discarded; the waveform keeps
+                // every step accepted before it.
+                status = TranStatus::stopped(stop, t);
+                break;
+            }
+            Err(Halt::Fail(SpiceError::Singular { unknown })) => {
                 // A singular factorization mid-run is usually transient
                 // (an unlucky operating point or an injected fault), so
                 // reject the step and retry smaller a bounded number of
@@ -331,14 +346,7 @@ pub(crate) fn tran_impl(
                     return Err(SpiceError::Singular { unknown });
                 }
             }
-            Err(e) if e.is_abort() => {
-                // Cancellation observed inside the Newton loop: the
-                // in-flight step is discarded, the waveform keeps every
-                // step accepted before it.
-                status = TranStatus::stopped(Stop::of_abort(&e), t);
-                break;
-            }
-            Err(_) => {
+            Err(Halt::Fail(_)) => {
                 stats.rejected_steps += 1;
                 stats.newton_iterations += opts.max_newton as u64;
                 singular_streak = 0;

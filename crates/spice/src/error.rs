@@ -158,25 +158,34 @@ pub enum SpiceError {
     /// A measurement could not be extracted from simulation results.
     Measure(String),
     /// The analysis was cooperatively cancelled through a
-    /// [`CancelToken`](crate::analysis::CancelToken), observed at a
-    /// Newton-iteration or timestep boundary.
+    /// [`CancelToken`](crate::analysis::CancelToken), seen by the stop
+    /// rule before a Newton iteration, solve, step, period or sweep
+    /// point, or before a result was returned.
     Cancelled {
-        /// Analysis that was cancelled (`"op"`, `"tran"`, …).
+        /// The analysis the caller ran (`"op"`, `"dc"`, `"tran"`,
+        /// `"pss"`, `"pac"`), also when the cancel was seen in the
+        /// operating point it starts from.
         analysis: &'static str,
         /// Simulation time at cancellation for transient analyses.
         time: Option<f64>,
     },
     /// A per-job resource [`Budget`](crate::analysis::Budget) limit was
-    /// reached before the analysis finished.
+    /// reached before the analysis finished. Counter limits are checked
+    /// before each unit of work, so `spent` exceeds `limit` by at most
+    /// one unit: one Newton solve of the op ladder, one step, one period
+    /// or one sweep point.
     BudgetExhausted {
-        /// Analysis that ran out of budget (`"op"`, `"tran"`, …).
+        /// The analysis the caller ran (`"op"`, `"dc"`, `"tran"`,
+        /// `"pss"`, `"pac"`), also when the limit fired in the operating
+        /// point it starts from or, for PAC, in its PSS.
         analysis: &'static str,
         /// Which limit fired (`"newton_iterations"`, `"steps"`,
         /// `"wall_clock_ms"`).
         resource: &'static str,
         /// The configured limit.
         limit: u64,
-        /// Work actually spent when the limit fired.
+        /// The work the analysis call had spent when the limit was
+        /// checked: Newton iterations, steps attempted or milliseconds.
         spent: u64,
     },
 }

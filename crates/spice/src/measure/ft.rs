@@ -7,7 +7,7 @@
 //! gain-bandwidth extrapolation `f * |h21|(f)`.
 
 use crate::analysis::ac::ac_sweep_impl as ac_sweep;
-use crate::analysis::op::op_from_eval as op_from;
+use crate::analysis::op::op_from_eval;
 use crate::analysis::{bjt_operating, Options};
 use crate::circuit::{Circuit, Prepared};
 use crate::error::{Result, SpiceError};
@@ -61,7 +61,7 @@ pub fn ft_at_bias(model: &BjtModel, vce: f64, ic_target: f64, opts: &Options) ->
     let mut converged = false;
     for _ in 0..60 {
         prep.circuit.set_source_wave("IB", SourceWave::Dc(ib))?;
-        let r = op_from(&prep, opts, x_prev.as_deref())?;
+        let r = op_from_eval(&prep, opts, x_prev.as_deref(), "op")?;
         let q = bjt_operating(&prep, &r.x, opts, "Q1")?;
         ic = q.ic;
         x_prev = Some(r.x);
