@@ -136,7 +136,7 @@ impl CompiledModule {
         Ok(ModuleBlock {
             module: Arc::clone(&self.module),
             params,
-            states: vec![OpState::Unused; self.num_states],
+            states: vec![OperatorState::Unused; self.num_states],
             scope: Vec::new(),
             out_buf: vec![0.0; self.module.outputs.len()],
         })
@@ -197,7 +197,7 @@ fn walk_states_expr(expr: &Expr, max: &mut usize) {
 
 /// Per-instance state of one stateful operator occurrence.
 #[derive(Clone, Debug)]
-enum OpState {
+enum OperatorState {
     /// Not yet touched.
     Unused,
     /// Trapezoidal integrator.
@@ -225,7 +225,7 @@ struct RunCtx<'a> {
     module: &'a Module,
     params: &'a [(String, f64)],
     scope: &'a mut Vec<(String, f64)>,
-    states: &'a mut [OpState],
+    states: &'a mut [OperatorState],
     out_buf: &'a mut [f64],
     inputs: &'a [f64],
     t: f64,
@@ -334,13 +334,13 @@ fn eval_expr(expr: &Expr, ctx: &mut RunCtx) -> f64 {
             };
             let slot = &mut ctx.states[*state];
             match slot {
-                OpState::Idt { acc, prev } => {
+                OperatorState::Idt { acc, prev } => {
                     *acc += ctx.dt * (x + *prev) / 2.0;
                     *prev = x;
                     *acc
                 }
                 _ => {
-                    *slot = OpState::Idt { acc: init, prev: x };
+                    *slot = OperatorState::Idt { acc: init, prev: x };
                     init
                 }
             }
@@ -349,13 +349,13 @@ fn eval_expr(expr: &Expr, ctx: &mut RunCtx) -> f64 {
             let x = eval_expr(arg, ctx);
             let slot = &mut ctx.states[*state];
             match slot {
-                OpState::Ddt { prev } => {
+                OperatorState::Ddt { prev } => {
                     let d = (x - *prev) / ctx.dt;
                     *prev = x;
                     d
                 }
                 _ => {
-                    *slot = OpState::Ddt { prev: x };
+                    *slot = OperatorState::Ddt { prev: x };
                     0.0
                 }
             }
@@ -371,13 +371,13 @@ fn eval_expr(expr: &Expr, ctx: &mut RunCtx) -> f64 {
                 return x;
             }
             let slot = &mut ctx.states[*state];
-            if !matches!(slot, OpState::Delay { .. }) {
-                *slot = OpState::Delay {
+            if !matches!(slot, OperatorState::Delay { .. }) {
+                *slot = OperatorState::Delay {
                     buf: VecDeque::with_capacity(n + 1),
                 };
             }
             match slot {
-                OpState::Delay { buf } => {
+                OperatorState::Delay { buf } => {
                     buf.push_back(x);
                     if buf.len() > n {
                         buf.pop_front().unwrap_or(0.0)
@@ -427,7 +427,7 @@ fn exec_stmts(stmts: &[Stmt], ctx: &mut RunCtx) {
 pub struct ModuleBlock {
     module: Arc<Module>,
     params: Vec<(String, f64)>,
-    states: Vec<OpState>,
+    states: Vec<OperatorState>,
     scope: Vec<(String, f64)>,
     out_buf: Vec<f64>,
 }
@@ -485,7 +485,7 @@ impl Block for ModuleBlock {
 
     fn reset(&mut self) {
         for s in &mut self.states {
-            *s = OpState::Unused;
+            *s = OperatorState::Unused;
         }
         self.out_buf.fill(0.0);
     }

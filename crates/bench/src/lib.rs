@@ -19,6 +19,8 @@
 //! the `ahfic_bench` harness (`BENCHMARK.json`), not from this crate.
 //! This library hosts the helpers its targets share.
 
+#![forbid(unsafe_code)]
+
 use ahfic_geom::prelude::*;
 
 /// The generator configuration every experiment uses (nominal process,

@@ -42,6 +42,7 @@
 // in non-test code warns (CI promotes warnings to errors), with local
 // `#[allow]`s where an invariant genuinely guarantees success.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod charac;

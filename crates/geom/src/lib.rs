@@ -31,6 +31,7 @@
 // `unwrap`/`expect` in non-test code warns (CI promotes warnings to
 // errors), with local `#[allow]`s where an invariant guarantees success.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod area_factor;
 pub mod flow;

@@ -7,23 +7,24 @@
 //! [`CpuBatchedLu`] exploits that: it walks the schedule once per
 //! column while carrying N variants' numbers side by side in
 //! structure-of-arrays ("lane") layout, so the inner update loops
-//! become contiguous lane-block operations fed to the SIMD kernels in
-//! [`crate::simd`].
+//! become plain loops over contiguous lane blocks.
 //!
 //! # Layout
 //!
 //! All numeric arrays store lane blocks contiguously: entry `e` of lane
 //! `b` lives at `e * lanes + b`. Matrix values handed to
 //! [`CpuBatchedLu::refactor`] use the same convention over the CSC slot
-//! index; right-hand sides use it over the row index.
+//! index of the pattern the solver was built from; right-hand sides use
+//! it over the row index.
 //!
 //! # Determinism contract
 //!
 //! Lane arithmetic mirrors [`SparseLu::refactor`] /
-//! [`SparseLu::solve_in_place`] operation for operation — including the
-//! skip-on-exact-zero shortcuts, which are replayed per lane so a
-//! structural zero takes the identical path it takes in the scalar
-//! code. A lane refactored and solved here is **bit-identical** to
+//! [`SparseLu::solve_in_place`] operation for operation: a multiply
+//! then a subtract (never fused) and a divide, and the skip-on-exact-zero
+//! shortcuts, which are replayed per lane so a structural zero takes the
+//! identical path it takes in the scalar code. No loop reduces across
+//! lanes. A lane refactored and solved here is **bit-identical** to
 //! factoring the reference matrix with [`SparseLu::factor`] and then
 //! calling the scalar `refactor`/`solve_in_place` with that lane's
 //! values.
@@ -34,15 +35,18 @@
 
 use crate::lu::SingularMatrixError;
 use crate::scalar::Scalar;
-use crate::simd::LaneKernels;
 use crate::sparse::{CscMatrix, SparseLu, PIVOT_EPS, REFACTOR_PIVOT_REL};
+use std::ops::Range;
 
 /// Batched LU: refactors and solves N variants of one pattern over the
-/// [`SparseLu`] symbolic analysis, with lane loops dispatched through
-/// [`LaneKernels`] (AVX2 or scalar, bit-identical either way).
+/// [`SparseLu`] symbolic analysis.
 #[derive(Clone, Debug)]
 pub struct CpuBatchedLu<T> {
     lanes: usize,
+    /// Column pointers and row indices of the pattern the solver was
+    /// built from, which every lane's values follow.
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
     /// Reference-lane factorization: symbolic pattern, pivot order and
     /// the numeric values of the seeding [`SparseLu::factor`] run.
     seq: SparseLu<T>,
@@ -60,29 +64,54 @@ pub struct CpuBatchedLu<T> {
     colmax: Vec<f64>,
 }
 
-/// How a lane block relates to exact zero, used to replay the scalar
-/// code's skip-on-zero shortcuts per lane.
-enum BlockClass {
-    AllZero,
-    AllNonZero,
-    Mixed,
-}
-
-fn classify<T: Scalar>(block: &[T]) -> BlockClass {
-    let nonzero = block.iter().filter(|v| v.modulus() != 0.0).count();
+/// `work[rows[e]] -= vals[e] * x` for the stored entries `entries`, a
+/// lane block at a time: the scalar kernel's multiply then subtract
+/// (Rust never fuses the two), with its skip on an exactly zero `x`
+/// replayed per lane.
+fn eliminate<T: Scalar>(
+    work: &mut [T],
+    rows: &[usize],
+    vals: &[T],
+    entries: Range<usize>,
+    x: &[T],
+) {
+    let b = x.len();
+    let nonzero = x.iter().filter(|v| v.modulus() != 0.0).count();
     if nonzero == 0 {
-        BlockClass::AllZero
-    } else if nonzero == block.len() {
-        BlockClass::AllNonZero
-    } else {
-        BlockClass::Mixed
+        return;
+    }
+    for e in entries {
+        let r = rows[e];
+        let lanes = work[r * b..(r + 1) * b]
+            .iter_mut()
+            .zip(&vals[e * b..(e + 1) * b])
+            .zip(x);
+        if nonzero == b {
+            for ((d, &v), &x) in lanes {
+                *d -= v * x;
+            }
+        } else {
+            for ((d, &v), &x) in lanes {
+                if x.modulus() != 0.0 {
+                    *d -= v * x;
+                }
+            }
+        }
     }
 }
 
-impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
+/// `dst[i] = num[i] / den[i]`, lane by lane.
+fn div<T: Scalar>(dst: &mut [T], num: &[T], den: &[T]) {
+    for ((d, &x), &y) in dst.iter_mut().zip(num).zip(den) {
+        *d = x / y;
+    }
+}
+
+impl<T: Scalar> CpuBatchedLu<T> {
     /// Builds the batched solver by fully factoring `reference`
     /// (pivot selection runs on its values) and seeding lane
-    /// `ref_lane` with that factorization's numeric values.
+    /// `ref_lane` with that factorization's numeric values. Every lane
+    /// shares `reference`'s pattern.
     ///
     /// # Errors
     ///
@@ -103,6 +132,8 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
         let n = seq.dim();
         let mut me = CpuBatchedLu {
             lanes,
+            col_ptr: reference.col_ptr.clone(),
+            row_idx: reference.row_idx.clone(),
             l_vals: vec![T::ZERO; seq.l_vals.len() * lanes],
             u_vals: vec![T::ZERO; seq.u_vals.len() * lanes],
             diag: vec![T::ZERO; n * lanes],
@@ -131,7 +162,7 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
     }
 
     /// Numeric refactorization of every lane from slot-major SoA
-    /// values (`vals[slot * lanes + lane]`) over the pattern `a`.
+    /// values (`vals[slot * lanes + lane]`) over the solver's pattern.
     ///
     /// Lanes whose replayed pivots collapse get `ok[lane] = false` (a
     /// finite substitute pivot keeps the remaining lanes' arithmetic
@@ -141,20 +172,22 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `a`, `vals` or `ok` do not match the dimension and lane
-    /// count.
-    pub fn refactor(&mut self, a: &CscMatrix<T>, vals: &[T], ok: &mut [bool], skip: Option<usize>) {
+    /// Panics if `vals` or `ok` do not match the pattern and lane count.
+    pub fn refactor(&mut self, vals: &[T], ok: &mut [bool], skip: Option<usize>) {
         let b = self.lanes;
         let n = self.seq.n;
-        assert_eq!(a.n, n, "refactor dimension mismatch");
-        assert_eq!(vals.len(), a.nnz() * b, "SoA value length mismatch");
+        assert_eq!(
+            vals.len(),
+            self.row_idx.len() * b,
+            "SoA value length mismatch"
+        );
         assert_eq!(ok.len(), b, "ok flag length mismatch");
         for k in 0..n {
             let j = self.seq.q[k];
             self.colmax.fill(0.0);
             // Scatter column j of every lane into pivot-row order.
-            for idx in a.col_ptr[j]..a.col_ptr[j + 1] {
-                let r = self.seq.pinv[a.row_idx[idx]];
+            for idx in self.col_ptr[j]..self.col_ptr[j + 1] {
+                let r = self.seq.pinv[self.row_idx[idx]];
                 let src = &vals[idx * b..(idx + 1) * b];
                 self.work[r * b..(r + 1) * b].copy_from_slice(src);
                 for (cm, v) in self.colmax.iter_mut().zip(src) {
@@ -168,30 +201,13 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
                 self.xt.copy_from_slice(&self.work[t * b..(t + 1) * b]);
                 self.work[t * b..(t + 1) * b].fill(T::ZERO);
                 self.u_vals[idx * b..(idx + 1) * b].copy_from_slice(&self.xt);
-                match classify(&self.xt) {
-                    BlockClass::AllZero => {}
-                    BlockClass::AllNonZero => {
-                        for l in self.seq.l_colptr[t]..self.seq.l_colptr[t + 1] {
-                            let r = self.seq.l_rows[l];
-                            T::lanes_sub_mul(
-                                &mut self.work[r * b..(r + 1) * b],
-                                &self.l_vals[l * b..(l + 1) * b],
-                                &self.xt,
-                            );
-                        }
-                    }
-                    BlockClass::Mixed => {
-                        // Replay the scalar skip-on-zero per lane.
-                        for l in self.seq.l_colptr[t]..self.seq.l_colptr[t + 1] {
-                            let r = self.seq.l_rows[l];
-                            for (lane, &x) in self.xt.iter().enumerate() {
-                                if x.modulus() != 0.0 {
-                                    self.work[r * b + lane] -= self.l_vals[l * b + lane] * x;
-                                }
-                            }
-                        }
-                    }
-                }
+                eliminate(
+                    &mut self.work,
+                    &self.seq.l_rows,
+                    &self.l_vals,
+                    self.seq.l_colptr[t]..self.seq.l_colptr[t + 1],
+                    &self.xt,
+                );
             }
             // Pivot test per lane; degraded lanes keep a finite
             // substitute so their garbage stays lane-contained.
@@ -212,7 +228,7 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
             // Normalize the L column by the pivot block.
             for l in self.seq.l_colptr[k]..self.seq.l_colptr[k + 1] {
                 let r = self.seq.l_rows[l];
-                T::lanes_div(
+                div(
                     &mut self.l_vals[l * b..(l + 1) * b],
                     &self.work[r * b..(r + 1) * b],
                     &self.diag[k * b..(k + 1) * b],
@@ -244,61 +260,29 @@ impl<T: Scalar + LaneKernels> CpuBatchedLu<T> {
         // Forward substitution with unit-diagonal L.
         for k in 0..n {
             self.xt.copy_from_slice(&self.work[k * b..(k + 1) * b]);
-            match classify(&self.xt) {
-                BlockClass::AllZero => {}
-                BlockClass::AllNonZero => {
-                    for l in self.seq.l_colptr[k]..self.seq.l_colptr[k + 1] {
-                        let r = self.seq.l_rows[l];
-                        T::lanes_sub_mul(
-                            &mut self.work[r * b..(r + 1) * b],
-                            &self.l_vals[l * b..(l + 1) * b],
-                            &self.xt,
-                        );
-                    }
-                }
-                BlockClass::Mixed => {
-                    for l in self.seq.l_colptr[k]..self.seq.l_colptr[k + 1] {
-                        let r = self.seq.l_rows[l];
-                        for (lane, &x) in self.xt.iter().enumerate() {
-                            if x.modulus() != 0.0 {
-                                self.work[r * b + lane] -= self.l_vals[l * b + lane] * x;
-                            }
-                        }
-                    }
-                }
-            }
+            eliminate(
+                &mut self.work,
+                &self.seq.l_rows,
+                &self.l_vals,
+                self.seq.l_colptr[k]..self.seq.l_colptr[k + 1],
+                &self.xt,
+            );
         }
         // Back substitution with U.
         for k in (0..n).rev() {
-            T::lanes_div(
+            div(
                 &mut self.xt,
                 &self.work[k * b..(k + 1) * b],
                 &self.diag[k * b..(k + 1) * b],
             );
             self.work[k * b..(k + 1) * b].copy_from_slice(&self.xt);
-            match classify(&self.xt) {
-                BlockClass::AllZero => {}
-                BlockClass::AllNonZero => {
-                    for u in self.seq.u_colptr[k]..self.seq.u_colptr[k + 1] {
-                        let r = self.seq.u_rows[u];
-                        T::lanes_sub_mul(
-                            &mut self.work[r * b..(r + 1) * b],
-                            &self.u_vals[u * b..(u + 1) * b],
-                            &self.xt,
-                        );
-                    }
-                }
-                BlockClass::Mixed => {
-                    for u in self.seq.u_colptr[k]..self.seq.u_colptr[k + 1] {
-                        let r = self.seq.u_rows[u];
-                        for (lane, &x) in self.xt.iter().enumerate() {
-                            if x.modulus() != 0.0 {
-                                self.work[r * b + lane] -= self.u_vals[u * b + lane] * x;
-                            }
-                        }
-                    }
-                }
-            }
+            eliminate(
+                &mut self.work,
+                &self.seq.u_rows,
+                &self.u_vals,
+                self.seq.u_colptr[k]..self.seq.u_colptr[k + 1],
+                &self.xt,
+            );
         }
         // Column permutation back to original unknown order; leave the
         // workspace zeroed for the next call.
@@ -388,10 +372,10 @@ mod tests {
     fn batched_lanes_match_scalar_refactor_bitwise() {
         let lanes = 3;
         let reference = lane_csc(0);
-        let (pat, vals) = soa_vals(lanes);
+        let (_, vals) = soa_vals(lanes);
         let mut blu = CpuBatchedLu::new(&reference, lanes, 0).unwrap();
         let mut ok = vec![true; lanes];
-        blu.refactor(&pat, &vals, &mut ok, None);
+        blu.refactor(&vals, &mut ok, None);
         assert_eq!(ok, vec![true; lanes]);
         let mut rhs_soa = vec![0.0; 5 * lanes];
         for lane in 0..lanes {
@@ -423,10 +407,10 @@ mod tests {
     fn skip_lane_keeps_seeded_factor_values() {
         let lanes = 2;
         let reference = lane_csc(0);
-        let (pat, vals) = soa_vals(lanes);
+        let (_, vals) = soa_vals(lanes);
         let mut blu = CpuBatchedLu::new(&reference, lanes, 0).unwrap();
         let mut ok = vec![true; lanes];
-        blu.refactor(&pat, &vals, &mut ok, Some(0));
+        blu.refactor(&vals, &mut ok, Some(0));
         let mut rhs = vec![0.0; 5 * lanes];
         for row in 0..5 {
             rhs[row * lanes] = row as f64 - 2.0;
@@ -452,7 +436,7 @@ mod tests {
         }
         let mut blu = CpuBatchedLu::new(&reference, lanes, 0).unwrap();
         let mut ok = vec![true; lanes];
-        blu.refactor(&pat, &vals, &mut ok, None);
+        blu.refactor(&vals, &mut ok, None);
         assert_eq!(ok, vec![true, false, true]);
         let mut rhs = vec![0.0; 5 * lanes];
         for lane in [0usize, 2] {
@@ -497,7 +481,7 @@ mod tests {
         }
         let mut blu = CpuBatchedLu::new(&reference, lanes, 0).unwrap();
         let mut ok = vec![true; lanes];
-        blu.refactor(&pat, &vals, &mut ok, None);
+        blu.refactor(&vals, &mut ok, None);
         assert_eq!(ok, vec![true; lanes]);
         let mut rhs = vec![Complex::ZERO; 3 * lanes];
         for lane in 0..lanes {

@@ -11,9 +11,9 @@
 //!   scalars: the reference for the sparse kernel;
 //! - [`sparse`] — compressed-sparse-column matrices and the LU with
 //!   symbolic-pattern reuse that every MNA solve in `ahfic-spice` runs on;
-//! - [`batched`] and [`simd`] — that LU's pivot order replayed over many
-//!   variants at once in structure-of-arrays lanes, on AVX2 or
-//!   bit-identical scalar kernels;
+//! - [`batched`] — that LU's pivot order replayed over many variants at
+//!   once in structure-of-arrays lanes, bit-identical to the scalar
+//!   kernel lane by lane;
 //! - [`gmres`] — restarted GMRES on a matrix-free operator;
 //! - [`fft`] — an in-place radix-2 FFT and helpers for spectra of real
 //!   signals;
@@ -43,6 +43,7 @@
 // `unwrap`/`expect` in non-test code warns (CI promotes warnings to
 // errors), with local `#[allow]`s where an invariant guarantees success.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod batched;
 pub mod complex;
@@ -54,7 +55,6 @@ pub mod interp;
 pub mod lu;
 pub mod matrix;
 pub mod scalar;
-pub mod simd;
 pub mod sparse;
 pub mod stats;
 pub mod window;
@@ -65,5 +65,4 @@ pub use gmres::{GmresOptions, GmresOutcome, LinearOperator};
 pub use lu::LuFactors;
 pub use matrix::Matrix;
 pub use scalar::Scalar;
-pub use simd::{LaneKernels, SimdLevel};
 pub use sparse::{CscMatrix, SparseLu, TripletBuilder};

@@ -57,6 +57,7 @@
 //! [`JobQueue::stats`].
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use ahfic::robust::SampleFailure;
 use ahfic_spice::analysis::fault::splitmix64;

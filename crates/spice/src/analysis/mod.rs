@@ -34,7 +34,7 @@ mod stepper;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod tran;
 
-pub use batched::{BatchedAcEngine, BatchedOpEngine, BatchedWorkspace};
+pub use batched::{BatchedAcEngine, BatchedOpEngine};
 pub use control::{Budget, CancelHandle, CancelToken, Deadline, StreamPolicy};
 pub use fault::{FaultHandle, FaultInjector, FaultKind, FaultTrigger};
 pub use noise::{NoiseContribution, NoisePoint};

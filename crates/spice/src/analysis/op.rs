@@ -105,11 +105,51 @@ impl NewtonCfg<'static> {
 /// Floor for the adaptive damping factor.
 const ALPHA_MIN: f64 = 1.0 / 64.0;
 
+/// One assembly pass of a Newton iteration at `x` into `ws`: the linear
+/// partition, with `cfg`'s diagonal gmin and pseudo-transient anchor,
+/// restored from the workspace's checkpoint or stamped (and checkpointed
+/// when `opts.linear_replay` is on), then the nonlinear partition.
+/// Returns [`SolverWorkspace::finish_assembly`]'s verdict: `true` when
+/// the stamp pattern changed and the pass must run again.
+pub(crate) fn newton_assemble(
+    prep: &Prepared,
+    opts: &Options,
+    mode: &Mode,
+    mem: &mut NonlinMemory,
+    x: &[f64],
+    ws: &mut SolverWorkspace<f64>,
+    cfg: &NewtonCfg,
+) -> bool {
+    let replay = opts.linear_replay;
+    if !(replay && ws.restore()) {
+        ws.kernel.reset();
+        ws.rhs.fill(0.0);
+        stamp_linear(prep, x, opts, mode, &mut ws.kernel, &mut ws.rhs);
+        // Stamped even at 0.0 so the stamp sequence is identical across
+        // the OP strategies sharing a workspace.
+        for k in 0..prep.num_voltage_unknowns {
+            ws.kernel.add(k, k, cfg.diag_gmin);
+        }
+        if let Some(anchor) = cfg.anchor {
+            let nv = prep.num_voltage_unknowns;
+            for (r, a) in ws.rhs[..nv].iter_mut().zip(anchor) {
+                *r += cfg.diag_gmin * a;
+            }
+        }
+        if replay {
+            ws.checkpoint();
+        }
+    }
+    stamp_nonlinear(prep, x, opts, mode, mem, &mut ws.kernel, &mut ws.rhs);
+    ws.finish_assembly()
+}
+
 /// Runs one Newton solve in the given mode from the start `x` holds,
 /// reusing `ws` for assembly, factorization, and solution buffers — no
 /// heap allocation inside the iteration loop.
 ///
-/// With `opts.linear_replay` on, the linear partition (plus the
+/// Each iteration assembles through [`newton_assemble`], so with
+/// `opts.linear_replay` on the linear partition (plus the
 /// `cfg.diag_gmin` diagonal and optional ptran anchor) is stamped once
 /// and replayed by `memcpy` on every subsequent iteration; only the
 /// nonlinear partition is re-stamped. Every iteration passes a NaN/Inf
@@ -129,7 +169,6 @@ pub(crate) fn newton_solve(
     ws: &mut SolverWorkspace<f64>,
     cfg: &NewtonCfg,
 ) -> std::result::Result<usize, Halt> {
-    let replay = opts.linear_replay;
     let injector = opts.faults.get();
     let solve_idx = match cfg.claimed {
         Some(c) => Some(c.idx),
@@ -150,31 +189,7 @@ pub(crate) fn newton_solve(
         if let Some(stop) = stop_check(opts, None, None) {
             return Err(stop.into());
         }
-        loop {
-            if !(replay && ws.restore()) {
-                ws.kernel.reset();
-                ws.rhs.fill(0.0);
-                stamp_linear(prep, x, opts, mode, &mut ws.kernel, &mut ws.rhs);
-                // Stamped even at 0.0 so the stamp sequence is identical
-                // across the OP strategies sharing a workspace.
-                for k in 0..prep.num_voltage_unknowns {
-                    ws.kernel.add(k, k, cfg.diag_gmin);
-                }
-                if let Some(anchor) = cfg.anchor {
-                    let nv = prep.num_voltage_unknowns;
-                    for (r, a) in ws.rhs[..nv].iter_mut().zip(anchor) {
-                        *r += cfg.diag_gmin * a;
-                    }
-                }
-                if replay {
-                    ws.checkpoint();
-                }
-            }
-            stamp_nonlinear(prep, x, opts, mode, mem, &mut ws.kernel, &mut ws.rhs);
-            if !ws.finish_assembly() {
-                break;
-            }
-        }
+        while newton_assemble(prep, opts, mode, mem, x, ws, cfg) {}
         // A fault the batched engine already delivered on this solve is
         // replayed at its iteration; otherwise the injector decides.
         let fault = match (replayed, injector, solve_idx) {

@@ -242,6 +242,8 @@ impl Orbit {
 /// committed, so the integrations a shooting solve performs allocate
 /// nothing after the first.
 struct PeriodIntegrator<'a> {
+    /// The analysis the caller ran, which a failed step is named after.
+    analysis: &'static str,
     /// Fixed time grid over `[0, period]`, endpoints included, each
     /// point flagged when it is a source breakpoint.
     grid: Vec<(f64, bool)>,
@@ -259,7 +261,12 @@ struct PeriodIntegrator<'a> {
 const MAX_SPLIT: u32 = 6;
 
 impl<'a> PeriodIntegrator<'a> {
-    fn new(prep: &'a Prepared, opts: &'a Options, params: &PssParams) -> Self {
+    fn new(
+        prep: &'a Prepared,
+        opts: &'a Options,
+        params: &PssParams,
+        analysis: &'static str,
+    ) -> Self {
         // Uniform grid merged with the device-declared breakpoints
         // (source corners), so sharp LO edges are hit exactly on every
         // integration and Φ stays smooth in x₀.
@@ -288,6 +295,7 @@ impl<'a> PeriodIntegrator<'a> {
             ..TranStats::default()
         };
         PeriodIntegrator {
+            analysis,
             grid,
             stepper: Stepper::new(prep, opts),
             orbit: Orbit::default(),
@@ -357,6 +365,10 @@ impl<'a> PeriodIntegrator<'a> {
     /// trapezoidal otherwise), bisecting on Newton failure up to
     /// [`MAX_SPLIT`] levels. The bisection rule is deterministic, so
     /// the period map stays a well-defined function of the start state.
+    /// A step that still fails at the last level ends the run as the
+    /// transient ends on a failed step: a singular matrix as itself,
+    /// anything else as the caller's analysis failing to converge at
+    /// `t0`, after the steps attempted so far.
     fn advance(&mut self, t0: f64, t1: f64, depth: u32, be: bool) -> std::result::Result<(), Halt> {
         let step = Step {
             t: t1,
@@ -375,7 +387,17 @@ impl<'a> PeriodIntegrator<'a> {
                 self.stats.newton_iterations += self.stepper.opts.max_newton as u64;
                 self.stats.rejected_steps += 1;
                 if depth >= MAX_SPLIT {
-                    return Err(e.into());
+                    if matches!(e, SpiceError::Singular { .. }) {
+                        return Err(e.into());
+                    }
+                    return Err(SpiceError::NoConvergence {
+                        analysis: self.analysis,
+                        iterations: (self.stats.accepted_steps + self.stats.rejected_steps)
+                            as usize,
+                        time: Some(t0),
+                        report: None,
+                    }
+                    .into());
                 }
                 // The first half inherits the step kind (its history is
                 // the parent's); after its commit the bank is consistent
@@ -651,18 +673,18 @@ pub(crate) fn shoot(
     analysis: &'static str,
 ) -> Result<(PssResult, Orbit, Option<Stop>)> {
     if params.period <= 0.0 || params.steps_per_period == 0 {
-        return Err(SpiceError::BadAnalysis(
-            "pss needs a positive period and steps_per_period".into(),
-        ));
+        return Err(SpiceError::BadAnalysis(format!(
+            "{analysis} needs a positive period and steps_per_period"
+        )));
     }
     if params.max_shooting == 0 {
-        return Err(SpiceError::BadAnalysis(
-            "pss needs max_shooting >= 1".into(),
-        ));
+        return Err(SpiceError::BadAnalysis(format!(
+            "{analysis} needs max_shooting >= 1"
+        )));
     }
     let tr = opts.trace.tracer();
     let span = tr.span("pss");
-    let mut integ = PeriodIntegrator::new(prep, opts, params);
+    let mut integ = PeriodIntegrator::new(prep, opts, params, analysis);
     // The linearizations' factorizations and the products' solves.
     let linear_before = linear.stats();
 
@@ -718,7 +740,7 @@ pub(crate) fn shoot(
         gmres_total += out.iterations as u64;
         if dx.iter().any(|v| !v.is_finite()) {
             return Err(SpiceError::NonFinite {
-                analysis: "pss",
+                analysis,
                 context: format!("shooting update at iteration {shooting_iters}"),
             });
         }
@@ -740,7 +762,7 @@ pub(crate) fn shoot(
         None if converged => PssStatus::Converged,
         None => {
             return Err(SpiceError::NoConvergence {
-                analysis: "pss",
+                analysis,
                 iterations: shooting_iters as usize,
                 time: None,
                 report: None,
@@ -925,7 +947,7 @@ mod tests {
     fn product_mismatch(c: &Circuit, params: &PssParams, opts: &Options) -> (f64, bool) {
         let prep = Prepared::compile(c).unwrap();
         let x0 = pss_impl(&prep, &Options::default(), params).unwrap().x0();
-        let mut integ = PeriodIntegrator::new(&prep, opts, params);
+        let mut integ = PeriodIntegrator::new(&prep, opts, params, "pss");
         integ.integrate(&x0, None).unwrap();
         let bisected = integ.stats.rejected_steps > 0;
         let mut orbit = LinearizedOrbit::new(&prep, opts);
@@ -1107,9 +1129,48 @@ mod tests {
         assert_eq!(accepted + rejected, attempts);
         // A failed attempt is replaced by its two halves, so a period
         // commits one step per grid interval plus one per failure.
-        let intervals = PeriodIntegrator::new(&prep, &opts, &params).grid.len() as u64 - 1;
+        let intervals = PeriodIntegrator::new(&prep, &opts, &params, "pss")
+            .grid
+            .len() as u64
+            - 1;
         let periods = params.warmup_periods as u64 + r.shooting_iterations;
         assert_eq!(accepted - rejected, periods * intervals);
+    }
+
+    /// A period step that fails at every bisection level ends PSS and
+    /// PAC alike with the analysis the caller ran and the start of the
+    /// failed interval, as the transient names its failed step.
+    #[test]
+    fn failed_period_step_names_its_analysis_and_time() {
+        use crate::analysis::fault::{FaultInjector, FaultKind};
+        use crate::analysis::pac::{pac_impl, PacParams};
+        let mut prep = Prepared::compile(&rc_driven()).unwrap();
+        let params = PssParams::new(1e-6, 64);
+        // Solve 0 is the operating point and each later solve one step
+        // attempt: steps 1 to 9 commit, and from the tenth on every
+        // attempt fails, its bisected halves included.
+        let failing = || FaultInjector::recurring(FaultKind::NoConvergence, 10, 1);
+        let pss = pss_impl(
+            &prep,
+            &Options::default().fault_injector(&failing()),
+            &params,
+        );
+        let pac = PacParams::new("V1", "v(out)", [1e6], 1e6);
+        let opts = Options::default().fault_injector(&failing());
+        let pac = pac_impl(&mut prep, &opts, &params, &pac);
+        for (want, got) in [("pss", pss.err()), ("pac", pac.err())] {
+            match got {
+                Some(SpiceError::NoConvergence {
+                    analysis,
+                    time: Some(t),
+                    ..
+                }) => {
+                    assert_eq!(analysis, want);
+                    assert_eq!(t, 1e-6 * 9.0 / 64.0, "{want}");
+                }
+                other => panic!("{want}: {other:?}"),
+            }
+        }
     }
 
     #[test]

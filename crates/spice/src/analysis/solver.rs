@@ -364,6 +364,15 @@ impl<T: Scalar> SolverWorkspace<T> {
         &self.x
     }
 
+    /// The assembled matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics while the assembly records its stamp sequence.
+    pub(crate) fn matrix(&self) -> &CscMatrix<T> {
+        self.kernel.csc.as_ref().expect("assembled")
+    }
+
     /// The current factors, to copy out before the workspace moves on
     /// to another matrix.
     ///

@@ -131,8 +131,8 @@ pub struct Options {
 /// Lane width of the batched variant engine ([`Options::batch`]).
 ///
 /// The study drivers solve groups of variants side by side over one
-/// shared sparse pattern (structure-of-arrays values, SIMD lane
-/// kernels), falling back to the sequential ladder per sample whenever
+/// shared sparse pattern (one batched LU over structure-of-arrays
+/// values), falling back to the sequential ladder per sample whenever
 /// a lane misbehaves. `Lanes(1)` reproduces the sequential solver bit
 /// for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

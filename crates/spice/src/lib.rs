@@ -55,6 +55,8 @@
 //! # Ok::<(), ahfic_spice::error::SpiceError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cache;
 pub mod circuit;

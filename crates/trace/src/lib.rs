@@ -40,6 +40,7 @@
 //! ```
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -4,6 +4,8 @@
 //! a single dependency. Library users should depend on the individual
 //! crates ([`ahfic`], [`ahfic_spice`], …) instead.
 
+#![forbid(unsafe_code)]
+
 pub use ahfic as core;
 pub use ahfic_ahdl as ahdl;
 pub use ahfic_celldb as celldb;

@@ -1,7 +1,8 @@
-//! DESIGN.md names every source file: each `crates/*/src/**/*.rs` and
-//! `tests/*.rs` file must appear in a bullet that opens with its
-//! directory in backticks, as in the "Module map" and "Testing
-//! strategy" sections:
+//! DESIGN.md names every source file, and no other: each
+//! `crates/*/src/**/*.rs` and `tests/*.rs` file must appear in a bullet
+//! that opens with its directory in backticks, as in the "Module map"
+//! and "Testing strategy" sections, and every `.rs` path those bullets
+//! name must exist:
 //!
 //! ```text
 //! - `crates/num/src/` (`ahfic-num`): `lib.rs`; `sparse.rs` (…); …
@@ -73,5 +74,23 @@ fn every_source_and_test_file_is_named_in_design_md() {
             .map(|f| f.as_str())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn every_file_named_in_design_md_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let named = named_files(&fs::read_to_string(root.join("DESIGN.md")).unwrap());
+    let stale: Vec<&str> = named
+        .iter()
+        .filter(|f| !root.join(f).is_file())
+        .map(|f| f.as_str())
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md names {} of its {} files that do not exist:\n{}",
+        stale.len(),
+        named.len(),
+        stale.join("\n")
     );
 }
