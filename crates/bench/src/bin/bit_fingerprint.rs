@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! <deck> <analysis> <fnv1a-64 hash> n=<values hashed>
+//! parse <fnv1a-64 hash> n=<values hashed>
 //! ahdl <system> <case> <fnv1a-64 hash> n=<values hashed>
 //! ```
 //!
@@ -31,6 +32,12 @@
 //! The analyses run at one thread; AC and noise give the same bits at
 //! any thread count.
 //!
+//! The `parse` line parses a fixed corpus of 4,096 seeded mutations of
+//! the parser fuzz's seed decks ([`ahfic_bench::fuzz`]) and hashes,
+//! per text, the [`DeckKey`] of the parsed circuit under
+//! [`LintPolicy::Deny`] and every element's netlist line, or the parse
+//! error's message.
+//!
 //! The `yield lanes=8` and `yield lanes=1` lines run one Monte-Carlo
 //! yield study (1,000 samples, 5 % open-R1 defects, one thread) through
 //! the lane engine at 8 lanes and at 1: every sample's IRR, the
@@ -54,6 +61,7 @@ use ahfic::yield_mc::YieldStudy;
 use ahfic_ahdl::netlist::load_system;
 use ahfic_ahdl::probe::Trace;
 use ahfic_ahdl::system::System;
+use ahfic_bench::fuzz::mutated_corpus;
 use ahfic_bench::{standard_generator, TUNER_DECK};
 use ahfic_rf::image_rejection::fig5_sweep;
 use ahfic_rf::mixer_tl::{build_hartley_mixer, measure_irr_transistor_db, HartleyMixerParams};
@@ -65,8 +73,10 @@ use ahfic_rf::tuner::{
     TunerConfig,
 };
 use ahfic_spice::analysis::{bjt_operating, BatchMode, Options, PssParams, Session, TranParams};
+use ahfic_spice::cache::DeckKey;
 use ahfic_spice::circuit::{Circuit, ElementKind};
 use ahfic_spice::error::Result;
+use ahfic_spice::lint::LintPolicy;
 use ahfic_spice::parse::parse_netlist;
 use ahfic_spice::wave::{SourceWave, Waveform};
 use ahfic_spice::DiodeModel;
@@ -100,6 +110,12 @@ impl Fingerprint {
     fn all(&mut self, vs: &[f64]) {
         for &v in vs {
             self.f64(v);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        for byte in s.bytes() {
+            self.bits(u64::from(byte));
         }
     }
 
@@ -414,6 +430,24 @@ const MODULE_NETLIST: &str = "
         G : gain(k=0.5) (m) -> (out);
     }";
 
+/// The `parse` line (see the module docs).
+fn fingerprint_parse() {
+    report("parse", |fp| {
+        for text in mutated_corpus(1996, 4096) {
+            match parse_netlist(&text) {
+                Ok(c) => {
+                    fp.text(&DeckKey::of(&c, LintPolicy::Deny).to_string());
+                    for idx in 0..c.elements().len() {
+                        fp.bits(c.element_line(idx).map_or(u64::MAX, |l| l as u64));
+                    }
+                }
+                Err(e) => fp.text(&e.to_string()),
+            }
+        }
+        Ok(())
+    });
+}
+
 /// The `yield` lines (see the module docs).
 fn fingerprint_lanes() {
     let study = YieldStudy {
@@ -430,9 +464,7 @@ fn fingerprint_lanes() {
             fp.bits(r.non_finite as u64);
             for f in &r.failures {
                 fp.bits(f.index as u64);
-                for byte in f.error.to_string().bytes() {
-                    fp.bits(u64::from(byte));
-                }
+                fp.text(&f.error.to_string());
             }
             Ok(())
         });
@@ -528,6 +560,7 @@ fn main() -> Result<()> {
         let sess = Session::compile(&pulse_rc())?.with_options(Options::new().threads(1));
         fp.pss(&sess, &PssParams::new(2e-6, 200).warmup_periods(0))
     });
+    fingerprint_parse();
     fingerprint_lanes();
     fingerprint_behavioral();
     Ok(())

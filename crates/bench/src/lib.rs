@@ -23,6 +23,8 @@
 
 use ahfic_geom::prelude::*;
 
+pub mod fuzz;
+
 /// The generator configuration every experiment uses (nominal process,
 /// default rules) so numbers are comparable across binaries.
 pub fn standard_generator() -> ModelGenerator {

@@ -6,7 +6,9 @@
 //! [`JobSpec`], and per-job [`Options`] — fans out over the
 //! work-stealing sample pool; every worker checks its deck out of one
 //! shared [`PreparedCache`], so N jobs on the same circuit compile it
-//! once and share the `Arc<Prepared>`.
+//! once and share the `Arc<Prepared>`. Netlist text reaches the cache
+//! through its text index, so a job whose exact text the cache already
+//! compiled skips the parse as well.
 //!
 //! The serving contract:
 //!
@@ -68,7 +70,6 @@ use ahfic_spice::analysis::{
 use ahfic_spice::cache::{CacheStats, CachedDeck, DeckKey, PreparedCache};
 use ahfic_spice::circuit::Circuit;
 use ahfic_spice::error::SpiceError;
-use ahfic_spice::parse::parse_netlist;
 use ahfic_spice::wave::{AcWaveform, Waveform};
 use ahfic_trace::TraceHandle;
 use std::collections::{HashMap, VecDeque};
@@ -88,8 +89,9 @@ pub use ahfic_spice::analysis::OpResult;
 pub use ahfic_spice::analysis::{Budget, CancelToken, Deadline, StreamPolicy, TranStatus};
 
 /// The deck a job runs on: an already-built circuit or raw netlist
-/// text parsed when the job executes (a parse failure becomes that
-/// job's typed failure, never an abort of the batch).
+/// text parsed when the job executes, unless the cache's text index
+/// already knows the text (a parse failure becomes that job's typed
+/// failure, never an abort of the batch).
 // A request holds exactly one deck for its whole lifetime; boxing the
 // circuit would add an indirection per job without shrinking anything
 // that is ever stored in bulk.
@@ -98,7 +100,9 @@ pub use ahfic_spice::analysis::{Budget, CancelToken, Deadline, StreamPolicy, Tra
 pub enum DeckSource {
     /// A circuit built through the [`Circuit`] API.
     Circuit(Circuit),
-    /// SPICE netlist text, parsed on the worker.
+    /// SPICE netlist text, parsed on the worker the first time the
+    /// cache sees it (see
+    /// [`PreparedCache::get_or_compile_text`]).
     Netlist(String),
 }
 
@@ -937,8 +941,9 @@ impl JobQueue {
         unreachable!("retry loop returns on every attempt outcome")
     }
 
-    /// One unsupervised attempt: parse, compile through the shared
-    /// cache, run the analysis on a checked-out session.
+    /// One unsupervised attempt: check the deck out of the shared cache
+    /// (parsing netlist text the cache's text index does not know, and
+    /// compiling on a miss), run the analysis on a checked-out session.
     fn attempt_job(
         &self,
         job: &JobRequest,
@@ -949,17 +954,6 @@ impl JobQueue {
             outcome: Err(e),
             cache_hit: false,
             deck: None,
-        };
-        let parsed;
-        let circuit: &Circuit = match &job.deck {
-            DeckSource::Circuit(c) => c,
-            DeckSource::Netlist(text) => match parse_netlist(text) {
-                Ok(c) => {
-                    parsed = c;
-                    &parsed
-                }
-                Err(e) => return fail(e),
-            },
         };
         // The attempt's wall-clock deadline starts now.
         let options = job.options.clone().budget(job.options.budget.rearmed());
@@ -974,7 +968,13 @@ impl JobQueue {
         } else {
             options
         };
-        let deck = match self.cache.get_or_compile(circuit, options.lint) {
+        // Netlist text goes through the cache's text index, so a hot deck
+        // is served without a parse.
+        let deck = match &job.deck {
+            DeckSource::Circuit(c) => self.cache.get_or_compile(c, options.lint),
+            DeckSource::Netlist(text) => self.cache.get_or_compile_text(text, options.lint),
+        };
+        let deck = match deck {
             Ok(d) => d,
             Err(e) => return fail(e),
         };
@@ -1356,6 +1356,31 @@ mod tests {
         assert_eq!(stats.submitted, 16);
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.failed, 0);
+    }
+
+    /// Netlist jobs parse once per text: 64 op jobs over 4 texts, at a
+    /// cache capacity that holds them all, parse 4 times and compile 4
+    /// times, and every later job is an index hit.
+    #[test]
+    fn hot_texts_parse_and_compile_once_each() {
+        let texts: Vec<String> = (0..4)
+            .map(|k| {
+                format!(
+                    "* divider {k}\nV1 a 0 2.0\nR1 a b 1k\nR2 b 0 {}k\n.end\n",
+                    k + 1
+                )
+            })
+            .collect();
+        let queue = JobQueue::new(QueueConfig::new().threads(1).cache_capacity(4));
+        let jobs = (0..64)
+            .map(|i| JobRequest::new(texts[i % 4].as_str(), JobSpec::Op))
+            .collect();
+        let reports = queue.run(jobs);
+        assert!(reports.iter().all(JobReport::is_ok));
+        let cache = queue.cache_stats();
+        assert_eq!((cache.parses(), cache.compiles()), (4, 4), "{cache:?}");
+        assert_eq!((cache.hits(), cache.misses()), (60, 4), "{cache:?}");
+        assert!(reports[4..].iter().all(JobReport::cache_hit));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::circuit::Prepared;
 use crate::devices::{BjtOperating, OpCtx};
 use crate::error::{ConvergenceReport, Result, RungReport, SpiceError, WorstUnknown};
 use ahfic_trace::ContinuationStats;
+use std::time::Instant;
 
 /// Converged operating point.
 ///
@@ -110,7 +111,9 @@ const ALPHA_MIN: f64 = 1.0 / 64.0;
 /// restored from the workspace's checkpoint or stamped (and checkpointed
 /// when `opts.linear_replay` is on), then the nonlinear partition.
 /// Returns [`SolverWorkspace::finish_assembly`]'s verdict: `true` when
-/// the stamp pattern changed and the pass must run again.
+/// the stamp pattern changed and the pass must run again. The pass's
+/// wall time adds to the workspace's `assemble_seconds` when that is
+/// kept.
 pub(crate) fn newton_assemble(
     prep: &Prepared,
     opts: &Options,
@@ -120,6 +123,7 @@ pub(crate) fn newton_assemble(
     ws: &mut SolverWorkspace<f64>,
     cfg: &NewtonCfg,
 ) -> bool {
+    let started = ws.assemble_seconds.is_some().then(Instant::now);
     let replay = opts.linear_replay;
     if !(replay && ws.restore()) {
         ws.kernel.reset();
@@ -141,7 +145,11 @@ pub(crate) fn newton_assemble(
         }
     }
     stamp_nonlinear(prep, x, opts, mode, mem, &mut ws.kernel, &mut ws.rhs);
-    ws.finish_assembly()
+    let changed = ws.finish_assembly();
+    if let (Some(t0), Some(total)) = (started, ws.assemble_seconds.as_mut()) {
+        *total += t0.elapsed().as_secs_f64();
+    }
+    changed
 }
 
 /// Runs one Newton solve in the given mode from the start `x` holds,
@@ -317,12 +325,15 @@ pub(crate) fn op_from_ws(
         return op_strategies(prep, opts, x0, ws, claimed, &mut stats, spent);
     }
     let span = t.span("op");
-    ws.set_timing(true);
+    let timing = ws.set_timing(true);
     let solver_before = ws.stats;
     let mut stats = ContinuationStats::default();
     let result = op_strategies(prep, opts, x0, ws, claimed, &mut stats, spent);
     stats.emit(t, "op");
     ws.stats.delta(&solver_before).emit(t, "op");
+    // A reused workspace (a session's, a sweep's) goes back to its
+    // owner's setting, so a later untraced call reads no clock.
+    ws.set_timing(timing);
     span.end();
     result
 }
@@ -700,6 +711,24 @@ mod tests {
 
     fn op_from(prep: &Prepared, o: &Options, x0: Option<&[f64]>) -> Result<OpResult> {
         op_from_eval(prep, o, x0, "op")
+    }
+
+    /// A traced operating point turns the caller's workspace's factor
+    /// and solve timing on, then puts it back, so a reused workspace
+    /// reads no clock in a later untraced call. It never times the
+    /// assembly (only a traced stepper reports that).
+    #[test]
+    fn traced_op_puts_the_workspace_timing_back() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.vsource("V1", a, Circuit::gnd(), 1.0);
+        c.resistor("R1", a, Circuit::gnd(), 1e3);
+        let prep = Prepared::compile(&c).unwrap();
+        let sink = std::sync::Arc::new(ahfic_trace::InMemorySink::new());
+        let mut ws = SolverWorkspace::new(prep.num_unknowns);
+        op_from_ws(&prep, &opts().trace(&sink), None, &mut ws, None, 0).unwrap();
+        assert!(!ws.set_timing(false), "timing left on");
+        assert_eq!(ws.assemble_seconds, None);
     }
 
     #[test]

@@ -379,8 +379,11 @@ impl<'a> PeriodIntegrator<'a> {
             Ok(iters) => {
                 self.stats.newton_iterations += iters as u64;
                 self.stats.accepted_steps += 1;
-                self.orbit.steps.push(step);
-                self.orbit.x.extend_from_slice(self.stepper.x());
+                let orbit = &mut self.orbit;
+                self.stepper.record(|x| {
+                    orbit.steps.push(step);
+                    orbit.x.extend_from_slice(x);
+                });
                 Ok(())
             }
             Err(Halt::Fail(e)) => {
@@ -755,6 +758,7 @@ pub(crate) fn shoot(
     let mut solver = linear.stats().delta(&linear_before);
     solver.merge(integ.stepper.stats());
     solver.emit(tr, "pss");
+    integ.stepper.phases().emit(tr, "pss");
     span.end();
 
     let status = match stop {
@@ -1159,17 +1163,27 @@ mod tests {
         let opts = Options::default().fault_injector(&failing());
         let pac = pac_impl(&mut prep, &opts, &params, &pac);
         for (want, got) in [("pss", pss.err()), ("pac", pac.err())] {
-            match got {
-                Some(SpiceError::NoConvergence {
+            let Some(e) = got else {
+                panic!("{want} converged");
+            };
+            match &e {
+                SpiceError::NoConvergence {
                     analysis,
                     time: Some(t),
                     ..
-                }) => {
-                    assert_eq!(analysis, want);
-                    assert_eq!(t, 1e-6 * 9.0 / 64.0, "{want}");
+                } => {
+                    assert_eq!(*analysis, want);
+                    assert_eq!(*t, 1e-6 * 9.0 / 64.0, "{want}");
                 }
                 other => panic!("{want}: {other:?}"),
             }
+            // The count is step attempts, 9 committed and 7 bisected.
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "{want} analysis failed to converge after 16 step attempts at t=1.4063e-7s"
+                ),
+            );
         }
     }
 

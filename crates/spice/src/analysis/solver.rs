@@ -170,6 +170,10 @@ pub struct SolverWorkspace<T: Scalar> {
     /// always maintained; wall times stay zero unless
     /// [`SolverWorkspace::set_timing`] enabled clock reads.
     pub stats: SolverStats,
+    /// Wall time of the Newton assembly passes on this workspace (the
+    /// stamping of `op::newton_assemble`), when its owner reports it (a
+    /// traced time-stepping run); `None`, and no clock read, otherwise.
+    pub(crate) assemble_seconds: Option<f64>,
     timing: bool,
 }
 
@@ -192,6 +196,7 @@ impl<T: Scalar> SolverWorkspace<T> {
             base_rhs: vec![T::ZERO; n],
             base_valid: false,
             stats: SolverStats::default(),
+            assemble_seconds: None,
             timing: false,
         }
     }
@@ -203,9 +208,16 @@ impl<T: Scalar> SolverWorkspace<T> {
 
     /// Enables (or disables) wall-time accumulation in
     /// [`SolverWorkspace::stats`]. Off by default so untraced analyses
-    /// never read the clock in their hot loops.
-    pub fn set_timing(&mut self, on: bool) {
-        self.timing = on;
+    /// never read the clock in their hot loops. Returns the previous
+    /// setting.
+    pub fn set_timing(&mut self, on: bool) -> bool {
+        std::mem::replace(&mut self.timing, on)
+    }
+
+    /// The start of a timed phase: the time now when timing is on, else
+    /// `None` without reading the clock.
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        self.timing.then(Instant::now)
     }
 
     /// Completes an assembly pass. Returns `true` when the stamp pattern

@@ -6,6 +6,11 @@
 //! charges, the history and the state. Step control, grids, budgets and
 //! waveforms stay with the engines.
 //!
+//! With the trace on, the stepper times the phases of its steps that
+//! the workspace's factor and solve counters do not cover: the Newton
+//! assembly (device stamping), the charge commit, and the engine's
+//! record of each accepted step ([`StepPhases`]).
+//!
 //! Each Newton solve starts from the variable-step quadratic through the
 //! last three accepted points, extrapolated to the step's end time; the
 //! line while only two exist; the last point itself after a restart. An
@@ -20,7 +25,7 @@ use crate::analysis::stamp::{
 };
 use crate::circuit::Prepared;
 use crate::wave::Waveform;
-use ahfic_trace::SolverStats;
+use ahfic_trace::{SolverStats, Tracer};
 
 /// One integration step: its end time `t` and length `h` (both given,
 /// since deriving one from the other would round differently in each
@@ -43,6 +48,32 @@ impl Step {
         } else {
             2.0 / self.h
         }
+    }
+}
+
+/// Wall time of a run's step phases outside factor and solve, summed
+/// while the workspace's timing is on (all zero otherwise).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StepPhases {
+    /// Newton assembly: linear replay and device stamps.
+    pub(crate) device: f64,
+    /// Charge commit of the converged steps.
+    pub(crate) commit: f64,
+    /// The engine's record of each accepted step: the transient's
+    /// waveform or the PSS orbit.
+    pub(crate) record: f64,
+}
+
+impl StepPhases {
+    /// Emits `<prefix>.device_seconds`, `.commit_seconds` and
+    /// `.record_seconds`. No-op when the tracer is disabled.
+    pub(crate) fn emit(&self, t: Tracer<'_>, prefix: &str) {
+        if !t.enabled() {
+            return;
+        }
+        t.counter(&format!("{prefix}.device_seconds"), self.device);
+        t.counter(&format!("{prefix}.commit_seconds"), self.commit);
+        t.counter(&format!("{prefix}.record_seconds"), self.record);
     }
 }
 
@@ -125,13 +156,17 @@ pub(crate) struct Stepper<'a> {
     /// swaps in.
     x: Vec<f64>,
     x_new: Vec<f64>,
+    /// Commit and record times (the assembly time is the workspace's).
+    phases: StepPhases,
 }
 
 impl<'a> Stepper<'a> {
     pub(crate) fn new(prep: &'a Prepared, opts: &'a Options) -> Self {
         let n = prep.num_unknowns;
         let mut ws = SolverWorkspace::new(n);
-        ws.set_timing(opts.trace.tracer().enabled());
+        let timing = opts.trace.tracer().enabled();
+        ws.set_timing(timing);
+        ws.assemble_seconds = timing.then_some(0.0);
         let bank = ChargeBank::new(prep);
         let scratch = bank.states.clone();
         Stepper {
@@ -144,6 +179,7 @@ impl<'a> Stepper<'a> {
             history: History::new(n),
             x: vec![0.0; n],
             x_new: vec![0.0; n],
+            phases: StepPhases::default(),
         }
     }
 
@@ -189,8 +225,12 @@ impl<'a> Stepper<'a> {
             &mut self.ws,
             &NewtonCfg::plain(),
         )?;
+        let started = self.ws.clock();
         update_all_charges(self.prep, &self.x_new, self.opts, &mode, &mut self.scratch);
         self.bank.states.copy_from_slice(&self.scratch);
+        if let Some(t0) = started {
+            self.phases.commit += t0.elapsed().as_secs_f64();
+        }
         self.history.push(t0, &self.x);
         std::mem::swap(&mut self.x, &mut self.x_new);
         Ok(iters)
@@ -207,9 +247,27 @@ impl<'a> Stepper<'a> {
         &self.x
     }
 
+    /// Hands the state at the last committed point to the engine's
+    /// `record` of an accepted step, timed as [`StepPhases::record`].
+    pub(crate) fn record(&mut self, record: impl FnOnce(&[f64])) {
+        let started = self.ws.clock();
+        record(&self.x);
+        if let Some(t0) = started {
+            self.phases.record += t0.elapsed().as_secs_f64();
+        }
+    }
+
     /// Factorizations and solves of every step so far.
     pub(crate) fn stats(&self) -> &SolverStats {
         &self.ws.stats
+    }
+
+    /// Phase times of every step so far.
+    pub(crate) fn phases(&self) -> StepPhases {
+        StepPhases {
+            device: self.ws.assemble_seconds.unwrap_or(0.0),
+            ..self.phases
+        }
     }
 
     /// An empty waveform over time with one signal per unknown.

@@ -304,7 +304,7 @@ pub(crate) fn tran_impl(
                 stats.newton_iterations += iters as u64;
                 singular_streak = 0;
                 t = step.t;
-                wave.push_sample(t, stepper.x());
+                stepper.record(|x| wave.push_sample(t, x));
                 if let Some(every) = stream_every {
                     if stats.accepted_steps % every as u64 == 0 {
                         emit_progress(
@@ -367,6 +367,7 @@ pub(crate) fn tran_impl(
     }
     stats.emit(tr, "tran");
     stepper.stats().emit(tr, "tran");
+    stepper.phases().emit(tr, "tran");
     span.end();
     Ok(TranResult {
         wave,
@@ -591,6 +592,36 @@ mod tests {
         // Partial waveform: every accepted sample is present.
         assert_eq!(r.wave().len(), r.accepted_steps() as usize + 1);
         assert!((r.t_end() - r.wave().axis().last().unwrap()).abs() == 0.0);
+    }
+
+    /// A step that keeps failing ends the run with the time it failed
+    /// at and the step attempts spent, and the message says "step
+    /// attempts": 9 committed steps, then 15 attempts at a quarter of
+    /// the step each until the step falls below `h_min`.
+    #[test]
+    fn failed_step_names_its_step_attempts_and_time() {
+        use crate::analysis::fault::{FaultInjector, FaultKind};
+        let prep = rc_fixture();
+        // Solve 0 is the operating point and each later solve one step
+        // attempt: steps 1 to 9 commit, and every later attempt fails.
+        let failing = FaultInjector::recurring(FaultKind::NoConvergence, 10, 1);
+        let o = Options::default().fault_injector(&failing);
+        let e = tran_impl(&prep, &o, &TranParams::new(5e-6, 5e-9)).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                SpiceError::NoConvergence {
+                    analysis: "tran",
+                    time: Some(_),
+                    ..
+                }
+            ),
+            "{e:?}"
+        );
+        assert_eq!(
+            e.to_string(),
+            "tran analysis failed to converge after 24 step attempts at t=2.5391e-8s"
+        );
     }
 
     #[test]

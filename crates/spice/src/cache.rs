@@ -24,10 +24,24 @@
 //! in a couple of Newton iterations instead of a cold ladder climb —
 //! this, together with compile sharing, is where the serving throughput
 //! multiple comes from.
+//!
+//! Netlist text has a front door of its own,
+//! [`PreparedCache::get_or_compile_text`]: a text index maps the exact
+//! bytes of a netlist, under one lint policy, to the key its parse
+//! compiled to, so a hot deck is served without parsing or hashing its
+//! circuit. [`parse_netlist`] is a pure function of its text (only
+//! [`crate::parse::parse_netlist_file`] reads `.include` files), so equal
+//! bytes always parse to the same circuit. A text is indexed only once
+//! its deck compiled, and a hit is taken only while that deck is
+//! resident and only after the text and policy are compared with the
+//! ones its deck keeps. A deck keeps one text, which the LRU drops with
+//! it, so the index holds at most one text per resident deck; another
+//! text of the same deck (a comment apart) parses and hits its compile.
 
 use crate::circuit::{Circuit, ElementKind, NodeId, Prepared};
 use crate::error::{Result, SpiceError};
 use crate::lint::LintPolicy;
+use crate::parse::parse_netlist;
 use ahfic_trace::TraceHandle;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -397,6 +411,37 @@ struct Entry {
 struct Slot {
     entry: Arc<Entry>,
     last_used: u64,
+    /// The one netlist text the text index maps to this deck, if any;
+    /// its index entry leaves with the deck.
+    text: Option<IndexedText>,
+}
+
+/// A netlist text the text index serves, kept in its deck's slot to
+/// confirm each hit: an index entry is only a hash.
+#[derive(Debug)]
+struct IndexedText {
+    /// The text's [`text_hash`], its key in [`Slots::texts`].
+    hash: u64,
+    lint: LintPolicy,
+    text: Arc<str>,
+}
+
+/// The decks, and the text index in front of them, behind one lock.
+#[derive(Debug, Default)]
+struct Slots {
+    decks: HashMap<DeckKey, Slot>,
+    /// [`text_hash`] → the deck whose slot holds that text. Every key
+    /// here is resident, and its slot's text has this hash.
+    texts: HashMap<u64, DeckKey>,
+}
+
+/// Hash of a netlist text under a lint policy, taken before the cache
+/// lock so that only a lookup and a comparison run under it.
+fn text_hash(text: &str, lint: LintPolicy) -> u64 {
+    let mut h = DefaultHasher::new();
+    text.hash(&mut h);
+    h.write_u8(lint as u8);
+    h.finish()
 }
 
 /// Snapshot of cache effectiveness counters.
@@ -413,6 +458,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Actual compiles performed (≤ misses under concurrency).
     pub compiles: u64,
+    /// Netlist texts parsed by [`PreparedCache::get_or_compile_text`]:
+    /// one per text the text index did not serve.
+    pub parses: u64,
     /// Entries currently resident.
     pub entries: usize,
 }
@@ -436,6 +484,11 @@ impl CacheStats {
     /// Actual compiles performed (≤ misses under concurrency).
     pub fn compiles(&self) -> u64 {
         self.compiles
+    }
+
+    /// Netlist texts the cache parsed (the text index served the rest).
+    pub fn parses(&self) -> u64 {
+        self.parses
     }
 
     /// Entries currently resident.
@@ -476,13 +529,14 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct PreparedCache {
     capacity: usize,
-    slots: Mutex<HashMap<DeckKey, Slot>>,
+    slots: Mutex<Slots>,
     /// Monotonic LRU clock.
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     compiles: AtomicU64,
+    parses: AtomicU64,
     trace: TraceHandle,
 }
 
@@ -498,13 +552,29 @@ impl PreparedCache {
     pub fn with_trace(capacity: usize, trace: TraceHandle) -> Self {
         PreparedCache {
             capacity: capacity.max(1),
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Slots::default()),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
+            parses: AtomicU64::new(0),
             trace,
+        }
+    }
+
+    #[allow(clippy::expect_used)]
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slots> {
+        self.slots.lock().expect("cache lock poisoned")
+    }
+
+    fn count(&self, hit: bool) {
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.trace.tracer().counter("cache.hit", 1.0);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.trace.tracer().counter("cache.miss", 1.0);
         }
     }
 
@@ -520,9 +590,8 @@ impl PreparedCache {
         let key = DeckKey::of(circuit, lint);
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let (entry, hit) = {
-            #[allow(clippy::expect_used)]
-            let mut slots = self.slots.lock().expect("cache lock poisoned");
-            if let Some(slot) = slots.get_mut(&key) {
+            let mut slots = self.lock();
+            if let Some(slot) = slots.decks.get_mut(&key) {
                 slot.last_used = now;
                 let initialized = slot.entry.cell.get().is_some();
                 (Arc::clone(&slot.entry), initialized)
@@ -530,39 +599,35 @@ impl PreparedCache {
                 // Make room first: evict the least-recently-used
                 // *initialized* entries; a slot still compiling is
                 // pinned (its waiters hold the Arc anyway).
-                while slots.len() >= self.capacity {
+                while slots.decks.len() >= self.capacity {
                     let victim = slots
+                        .decks
                         .iter()
                         .filter(|(_, s)| s.entry.cell.get().is_some())
                         .min_by_key(|(_, s)| s.last_used)
                         .map(|(k, _)| *k);
-                    match victim {
-                        Some(k) => {
-                            slots.remove(&k);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                            self.trace.tracer().counter("cache.evict", 1.0);
-                        }
-                        None => break,
+                    let Some(k) = victim else { break };
+                    if let Some(IndexedText { hash, .. }) =
+                        slots.decks.remove(&k).and_then(|slot| slot.text)
+                    {
+                        slots.texts.remove(&hash);
                     }
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.trace.tracer().counter("cache.evict", 1.0);
                 }
                 let entry = Arc::new(Entry::default());
-                slots.insert(
+                slots.decks.insert(
                     key,
                     Slot {
                         entry: Arc::clone(&entry),
                         last_used: now,
+                        text: None,
                     },
                 );
                 (entry, false)
             }
         };
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.trace.tracer().counter("cache.hit", 1.0);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.trace.tracer().counter("cache.miss", 1.0);
-        }
+        self.count(hit);
         let compiled = entry.cell.get_or_init(|| {
             self.compiles.fetch_add(1, Ordering::Relaxed);
             Prepared::compile_with(circuit, lint).map(Arc::new)
@@ -578,15 +643,71 @@ impl PreparedCache {
         }
     }
 
+    /// Returns the compiled deck for netlist `text` under `lint`. A text
+    /// the index knows, whose deck is resident and compiled, is a hit
+    /// that neither parses nor hashes a circuit; any other text is
+    /// parsed and goes through [`PreparedCache::get_or_compile`], and
+    /// is indexed once its deck compiled, if that deck has no text yet.
+    /// Either way the checkout counts as one hit or one miss.
+    ///
+    /// # Errors
+    ///
+    /// The text's [`SpiceError::Parse`] (never indexed, so a failing
+    /// text parses, and fails, on every call), or the deck's (cached)
+    /// compile error, as [`PreparedCache::get_or_compile`].
+    pub fn get_or_compile_text(&self, text: &str, lint: LintPolicy) -> Result<CachedDeck> {
+        let hash = text_hash(text, lint);
+        let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let indexed = {
+            let mut slots = self.lock();
+            let Slots { decks, texts } = &mut *slots;
+            texts.get(&hash).and_then(|key| {
+                let slot = decks.get_mut(key)?;
+                let known = slot.text.as_ref()?;
+                if known.lint != lint || *known.text != *text {
+                    return None;
+                }
+                let Some(Ok(prepared)) = slot.entry.cell.get() else {
+                    return None;
+                };
+                slot.last_used = now;
+                Some(CachedDeck {
+                    prepared: Arc::clone(prepared),
+                    entry: Arc::clone(&slot.entry),
+                    key: *key,
+                    hit: true,
+                })
+            })
+        };
+        if let Some(deck) = indexed {
+            self.count(true);
+            return Ok(deck);
+        }
+        self.parses.fetch_add(1, Ordering::Relaxed);
+        let deck = self.get_or_compile(&parse_netlist(text)?, lint)?;
+        let text = Arc::from(text);
+        let mut slots = self.lock();
+        let Slots { decks, texts } = &mut *slots;
+        // The deck may have been evicted since its checkout, or its text
+        // (or another with the same hash) indexed by a concurrent miss.
+        if let Some(slot) = decks.get_mut(&deck.key) {
+            if slot.text.is_none() && !texts.contains_key(&hash) {
+                texts.insert(hash, deck.key);
+                slot.text = Some(IndexedText { hash, lint, text });
+            }
+        }
+        Ok(deck)
+    }
+
     /// Effectiveness counters plus current residency.
     pub fn stats(&self) -> CacheStats {
-        #[allow(clippy::expect_used)]
-        let entries = self.slots.lock().expect("cache lock poisoned").len();
+        let entries = self.lock().decks.len();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
+            parses: self.parses.load(Ordering::Relaxed),
             entries,
         }
     }
@@ -789,6 +910,78 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.compiles(), 1, "OnceLock collapses concurrent misses");
         assert_eq!(stats.hits() + stats.misses(), 8);
+    }
+
+    fn divider_text(r2: &str) -> String {
+        format!("* divider\nV1 a 0 2\nR1 a b 1k\nR2 b 0 {r2}\n.end\n")
+    }
+
+    #[test]
+    fn text_index_serves_hot_texts_without_parsing() {
+        let cache = PreparedCache::new(8);
+        let text = divider_text("1k");
+        let first = cache.get_or_compile_text(&text, LintPolicy::Deny).unwrap();
+        let again = cache.get_or_compile_text(&text, LintPolicy::Deny).unwrap();
+        assert!(!first.was_hit() && again.was_hit());
+        assert!(std::ptr::eq(first.prepared(), again.prepared()));
+        // The text's key is its parse's key, which a circuit checkout
+        // hits too.
+        let parsed = parse_netlist(&text).unwrap();
+        assert_eq!(again.key(), DeckKey::of(&parsed, LintPolicy::Deny));
+        assert!(cache
+            .get_or_compile(&parsed, LintPolicy::Deny)
+            .unwrap()
+            .was_hit());
+        // Another lint policy is another deck, and another index entry.
+        assert!(!cache
+            .get_or_compile_text(&text, LintPolicy::Off)
+            .unwrap()
+            .was_hit());
+        let s = cache.stats();
+        assert_eq!((s.parses(), s.compiles()), (2, 2));
+        assert_eq!((s.hits(), s.misses()), (2, 2), "one count per checkout");
+    }
+
+    #[test]
+    fn evicted_deck_takes_its_texts_along() {
+        let cache = PreparedCache::new(2);
+        let (a, b, c) = (divider_text("1k"), divider_text("2k"), divider_text("3k"));
+        for text in [&a, &b, &a, &c] {
+            cache.get_or_compile_text(text, LintPolicy::Deny).unwrap();
+        }
+        // `b` was the LRU victim: its text parses and compiles again.
+        let s = cache.stats();
+        assert_eq!((s.parses(), s.compiles(), s.evictions()), (3, 3, 1));
+        assert!(!cache
+            .get_or_compile_text(&b, LintPolicy::Deny)
+            .unwrap()
+            .was_hit());
+        assert_eq!((cache.stats().parses(), cache.stats().compiles()), (4, 4));
+        let slots = cache.lock();
+        assert_eq!(
+            slots.texts.len(),
+            slots.decks.len(),
+            "every resident deck, one text each"
+        );
+    }
+
+    #[test]
+    fn index_hits_are_confirmed_against_text_and_policy() {
+        let cache = PreparedCache::new(4);
+        let (a, b) = (divider_text("1k"), divider_text("2k"));
+        let deck_a = cache.get_or_compile_text(&a, LintPolicy::Deny).unwrap();
+        // Forge hash collisions: `b`, and `a` under another policy, lead
+        // to `a`'s Deny deck. Neither may be served from it.
+        for (text, lint) in [(&b, LintPolicy::Deny), (&a, LintPolicy::Off)] {
+            cache
+                .lock()
+                .texts
+                .insert(text_hash(text, lint), deck_a.key());
+            let deck = cache.get_or_compile_text(text, lint).unwrap();
+            assert!(!deck.was_hit());
+            assert_eq!(deck.key(), DeckKey::of(&parse_netlist(text).unwrap(), lint));
+        }
+        assert_eq!(cache.stats().parses(), 3);
     }
 
     #[test]

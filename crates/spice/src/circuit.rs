@@ -10,6 +10,7 @@ use crate::error::{Result, SpiceError};
 use crate::lint::{LintDiagnostic, LintPolicy};
 use crate::model::{BjtModel, DiodeModel};
 use crate::wave::SourceWave;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -280,6 +281,25 @@ pub enum ElementKind {
     },
 }
 
+/// `text` in ASCII lower case: `text` itself when it has no upper-case
+/// letter, else a copy in `buf` when it fits, else a new string. Name
+/// lookups and keyword matches are case-insensitive, and this keeps them
+/// from allocating for names of up to 64 bytes.
+pub(crate) fn ascii_lowercase<'a>(text: &'a str, buf: &'a mut [u8; 64]) -> Cow<'a, str> {
+    if !text.bytes().any(|b| b.is_ascii_uppercase()) {
+        return Cow::Borrowed(text);
+    }
+    if let Some(out) = buf.get_mut(..text.len()) {
+        out.copy_from_slice(text.as_bytes());
+        out.make_ascii_lowercase();
+        // Re-casing ASCII bytes keeps UTF-8 valid.
+        if let Ok(s) = std::str::from_utf8(out) {
+            return Cow::Borrowed(s);
+        }
+    }
+    Cow::Owned(text.to_ascii_lowercase())
+}
+
 /// A complete circuit: nodes, models, elements and initial conditions.
 ///
 /// # Example
@@ -323,6 +343,16 @@ impl Circuit {
         c
     }
 
+    /// Reserves room for `elements` more elements and about as many
+    /// nodes, so a parse grows no table while it fills them.
+    pub(crate) fn reserve(&mut self, elements: usize) {
+        self.elements.reserve(elements);
+        self.element_lines.reserve(elements);
+        self.element_lookup.reserve(elements);
+        self.node_names.reserve(elements);
+        self.node_lookup.reserve(elements);
+    }
+
     /// The ground node.
     pub fn gnd() -> NodeId {
         NodeId::GROUND
@@ -330,19 +360,23 @@ impl Circuit {
 
     /// Interns (or retrieves) a named node.
     pub fn node(&mut self, name: &str) -> NodeId {
-        let key = name.to_ascii_lowercase();
-        if let Some(&id) = self.node_lookup.get(&key) {
+        let mut buf = [0; 64];
+        let key = ascii_lowercase(name, &mut buf);
+        if let Some(&id) = self.node_lookup.get(&*key) {
             return id;
         }
         let id = NodeId(self.node_names.len());
+        self.node_lookup.insert(key.into_owned(), id);
         self.node_names.push(name.to_string());
-        self.node_lookup.insert(key, id);
         id
     }
 
     /// Looks up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_lookup.get(&name.to_ascii_lowercase()).copied()
+        let mut buf = [0; 64];
+        self.node_lookup
+            .get(&*ascii_lowercase(name, &mut buf))
+            .copied()
     }
 
     /// Name of a node.
@@ -362,7 +396,10 @@ impl Circuit {
 
     /// Finds an element index by name.
     pub fn find_element(&self, name: &str) -> Option<usize> {
-        self.element_lookup.get(&name.to_ascii_lowercase()).copied()
+        let mut buf = [0; 64];
+        self.element_lookup
+            .get(&*ascii_lowercase(name, &mut buf))
+            .copied()
     }
 
     fn push_element(&mut self, name: impl Into<String>, kind: ElementKind) -> usize {

@@ -121,9 +121,16 @@ pub enum SpiceError {
     NoConvergence {
         /// Analysis that failed (`"op"`, `"tran"`, …).
         analysis: &'static str,
-        /// Iterations spent before giving up.
+        /// Work spent before giving up. With `time` unset: Newton
+        /// iterations of an operating point (`"op"`, `"ptran"`) or of
+        /// one Newton solve (`"newton"`), or the shooting iterations of
+        /// a PSS (`"pss"`, `"pac"`). With `time` set, a step failed:
+        /// the transient's step attempts so far (`"tran"`), or the
+        /// period integration's step attempts, committed and bisected
+        /// (`"pss"`, `"pac"`).
         iterations: usize,
-        /// Simulation time at failure for transient analyses.
+        /// Simulation time at failure when a transient or period step
+        /// failed.
         time: Option<f64>,
         /// Structured rung-by-rung diagnostics, when the continuation
         /// ladder produced them (`None` for inner solves and transient
@@ -236,7 +243,7 @@ impl fmt::Display for SpiceError {
                 match time {
                     Some(t) => write!(
                         f,
-                        "{analysis} analysis failed to converge after {iterations} iterations at t={t:.4e}s"
+                        "{analysis} analysis failed to converge after {iterations} step attempts at t={t:.4e}s"
                     )?,
                     None => write!(
                         f,
@@ -309,7 +316,10 @@ mod tests {
             time: Some(1e-9),
             report: None,
         };
-        assert!(e.to_string().contains("t=1.0000e-9"));
+        assert_eq!(
+            e.to_string(),
+            "tran analysis failed to converge after 7 step attempts at t=1.0000e-9s"
+        );
         let e = SpiceError::Parse {
             line: 3,
             message: "bad token".into(),

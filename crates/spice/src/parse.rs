@@ -25,11 +25,17 @@
 //! Continuation lines start with `+`. Names and node labels are
 //! case-insensitive; `0` and `gnd` are ground.
 
-use crate::circuit::Circuit;
+use crate::circuit::{ascii_lowercase, Circuit};
 use crate::error::{Result, SpiceError};
 use crate::model::{BjtModel, BjtPolarity, DiodeModel};
 use crate::units::parse_value;
 use crate::wave::SourceWave;
+use std::borrow::Cow;
+
+/// A logical netlist line: its 1-based number and its text, borrowed
+/// from the deck unless continuation joining or subcircuit expansion
+/// rewrote it.
+pub(crate) type Line<'a> = (usize, Cow<'a, str>);
 
 /// Parses a SPICE deck into a [`Circuit`].
 ///
@@ -40,6 +46,7 @@ use crate::wave::SourceWave;
 pub fn parse_netlist(text: &str) -> Result<Circuit> {
     let lines = crate::subckt::expand_subcircuits(join_continuations(text))?;
     let mut ckt = Circuit::new();
+    ckt.reserve(lines.len());
     parse_cards(lines, &mut ckt)?;
     Ok(ckt)
 }
@@ -72,7 +79,7 @@ fn read_with_includes(path: &std::path::Path, depth: usize) -> Result<String> {
     let mut out = String::with_capacity(text.len());
     for line in text.lines() {
         let trimmed = line.trim();
-        if trimmed.to_ascii_lowercase().starts_with(".include") {
+        if starts_with_ci(trimmed, ".include") {
             let target = trimmed
                 .get(".include".len()..)
                 .unwrap_or("")
@@ -94,7 +101,7 @@ fn read_with_includes(path: &std::path::Path, depth: usize) -> Result<String> {
     Ok(out)
 }
 
-fn parse_cards(lines: Vec<(usize, String)>, ckt: &mut Circuit) -> Result<()> {
+fn parse_cards(lines: Vec<Line<'_>>, ckt: &mut Circuit) -> Result<()> {
     // Pass 1: model cards (elements may reference models defined later).
     for (lineno, line) in &lines {
         if let Some(rest) = strip_directive(line, ".model") {
@@ -102,30 +109,32 @@ fn parse_cards(lines: Vec<(usize, String)>, ckt: &mut Circuit) -> Result<()> {
         }
     }
 
-    // Pass 2: everything else.
+    // Pass 2: everything else, tokenized into one reused buffer.
+    let mut toks = Vec::new();
     for (lineno, line) in &lines {
-        let lower = line.to_ascii_lowercase();
-        if lower.starts_with(".model") || lower.starts_with(".end") {
+        if starts_with_ci(line, ".model") || starts_with_ci(line, ".end") {
             continue;
         }
         if let Some(rest) = strip_directive(line, ".ic") {
             parse_ic(ckt, rest, *lineno)?;
             continue;
         }
-        if lower.starts_with('.') {
+        if line.starts_with('.') {
             // Unknown directives are ignored (analyses are driven from the
             // API, not from cards).
             continue;
         }
-        parse_element(ckt, line, *lineno)?;
+        tokenize(line, &mut toks);
+        parse_element(ckt, &toks, *lineno)?;
     }
     Ok(())
 }
 
 /// Joins `+` continuation lines, strips `*` comment lines, inline `;`
-/// comments and blank lines, keeping original line numbers.
-fn join_continuations(text: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
+/// comments and blank lines, keeping original line numbers. Lines borrow
+/// the text; only a line that gains a continuation is copied.
+fn join_continuations(text: &str) -> Vec<Line<'_>> {
+    let mut out: Vec<Line<'_>> = Vec::new();
     for (k, raw) in text.lines().enumerate() {
         let line = match raw.find(';') {
             Some(p) => &raw[..p],
@@ -137,23 +146,35 @@ fn join_continuations(text: &str) -> Vec<(usize, String)> {
         }
         if let Some(cont) = trimmed.strip_prefix('+') {
             if let Some(last) = out.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(cont.trim());
+                let joined = last.1.to_mut();
+                joined.push(' ');
+                joined.push_str(cont.trim());
                 continue;
             }
         }
-        out.push((k + 1, trimmed.to_string()));
+        out.push((k + 1, Cow::Borrowed(trimmed)));
     }
     out
 }
 
-fn strip_directive<'a>(line: &'a str, directive: &str) -> Option<&'a str> {
-    let lower = line.to_ascii_lowercase();
-    if lower.starts_with(directive) {
-        line.get(directive.len()..).map(str::trim_start)
+/// Whether `line` starts with the ASCII keyword `prefix`, in any case.
+pub(crate) fn starts_with_ci(line: &str, prefix: &str) -> bool {
+    line.as_bytes()
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+}
+
+/// `line` past `prefix` (matched in any case), if it starts with it.
+fn strip_prefix_ci<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
+    if starts_with_ci(line, prefix) {
+        line.get(prefix.len()..)
     } else {
         None
     }
+}
+
+fn strip_directive<'a>(line: &'a str, directive: &str) -> Option<&'a str> {
+    strip_prefix_ci(line, directive).map(str::trim_start)
 }
 
 fn perr(line: usize, message: impl Into<String>) -> SpiceError {
@@ -167,139 +188,144 @@ fn need_value(tok: &str, line: usize, what: &str) -> Result<f64> {
     parse_value(tok).ok_or_else(|| perr(line, format!("expected a number for {what}, got `{tok}`")))
 }
 
-/// Splits a card into tokens, keeping `fn(...)` argument groups together.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
+/// Splits a card into `out`'s tokens, keeping `fn(...)` argument groups
+/// together.
+fn tokenize<'a>(line: &'a str, out: &mut Vec<&'a str>) {
+    out.clear();
+    let mut start = None;
     let mut depth = 0usize;
-    for ch in line.chars() {
+    for (i, ch) in line.char_indices() {
         match ch {
-            '(' => {
-                depth += 1;
-                cur.push(ch);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(ch);
-            }
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
             c if c.is_whitespace() && depth == 0 => {
-                if !cur.is_empty() {
-                    out.push(std::mem::take(&mut cur));
+                if let Some(s) = start.take() {
+                    out.push(&line[s..i]);
                 }
+                continue;
             }
-            c => cur.push(c),
+            _ => {}
         }
+        start.get_or_insert(i);
     }
-    if !cur.is_empty() {
-        out.push(cur);
+    if let Some(s) = start {
+        out.push(&line[s..]);
     }
-    out
 }
 
 fn parse_model(ckt: &mut Circuit, rest: &str, line: usize) -> Result<()> {
     // name TYPE (K=V ...)  — parens optional.
-    let cleaned = rest.replace(['(', ')'], " ");
-    let toks: Vec<&str> = cleaned.split_whitespace().collect();
-    if toks.len() < 2 {
+    let mut toks = rest
+        .split(|c: char| c.is_whitespace() || c == '(' || c == ')')
+        .filter(|t| !t.is_empty());
+    let (Some(name), Some(kind)) = (toks.next(), toks.next()) else {
         return Err(perr(line, "malformed .model card"));
-    }
-    let name = toks[0];
-    let kind = toks[1].to_ascii_uppercase();
-    let pairs = &toks[2..];
-    match kind.as_str() {
-        "NPN" | "PNP" => {
-            let mut m = BjtModel::named(name);
-            m.polarity = if kind == "PNP" {
-                BjtPolarity::Pnp
-            } else {
-                BjtPolarity::Npn
-            };
-            for kv in pairs {
-                let (k, v) = split_kv(kv, line)?;
-                apply_bjt_param(&mut m, &k, v, line)?;
-            }
-            ckt.add_bjt_model(m);
+    };
+    let pnp = kind.eq_ignore_ascii_case("PNP");
+    if pnp || kind.eq_ignore_ascii_case("NPN") {
+        let mut m = BjtModel::named(name);
+        m.polarity = if pnp {
+            BjtPolarity::Pnp
+        } else {
+            BjtPolarity::Npn
+        };
+        for kv in toks {
+            let (k, v) = split_kv(kv, line)?;
+            apply_bjt_param(&mut m, k, v, line)?;
         }
-        "D" => {
-            let mut m = DiodeModel::named(name);
-            for kv in pairs {
-                let (k, v) = split_kv(kv, line)?;
-                apply_diode_param(&mut m, &k, v, line)?;
-            }
-            ckt.add_diode_model(m);
+        ckt.add_bjt_model(m);
+    } else if kind.eq_ignore_ascii_case("D") {
+        let mut m = DiodeModel::named(name);
+        for kv in toks {
+            let (k, v) = split_kv(kv, line)?;
+            apply_diode_param(&mut m, k, v, line)?;
         }
-        other => return Err(perr(line, format!("unsupported model type {other}"))),
+        ckt.add_diode_model(m);
+    } else {
+        return Err(perr(
+            line,
+            format!("unsupported model type {}", kind.to_ascii_uppercase()),
+        ));
     }
     Ok(())
 }
 
-fn split_kv(kv: &str, line: usize) -> Result<(String, f64)> {
+fn split_kv(kv: &str, line: usize) -> Result<(&str, f64)> {
     let (k, v) = kv
         .split_once('=')
         .ok_or_else(|| perr(line, format!("expected key=value, got `{kv}`")))?;
-    Ok((
-        k.trim().to_ascii_uppercase(),
-        need_value(v.trim(), line, k)?,
-    ))
+    Ok((k.trim(), need_value(v.trim(), line, k)?))
 }
 
 fn apply_bjt_param(m: &mut BjtModel, key: &str, v: f64, line: usize) -> Result<()> {
-    match key {
-        "IS" => m.is_ = v,
-        "BF" => m.bf = v,
-        "NF" => m.nf = v,
-        "VAF" => m.vaf = v,
-        "IKF" => m.ikf = v,
-        "ISE" => m.ise = v,
-        "NE" => m.ne = v,
-        "BR" => m.br = v,
-        "NR" => m.nr = v,
-        "VAR" => m.var = v,
-        "IKR" => m.ikr = v,
-        "ISC" => m.isc = v,
-        "NC" => m.nc = v,
-        "RB" => m.rb = v,
-        "IRB" => m.irb = v,
-        "RBM" => m.rbm = v,
-        "RE" => m.re = v,
-        "RC" => m.rc = v,
-        "CJE" => m.cje = v,
-        "VJE" => m.vje = v,
-        "MJE" => m.mje = v,
-        "TF" => m.tf = v,
-        "XTF" => m.xtf = v,
-        "VTF" => m.vtf = v,
-        "ITF" => m.itf = v,
-        "CJC" => m.cjc = v,
-        "VJC" => m.vjc = v,
-        "MJC" => m.mjc = v,
-        "XCJC" => m.xcjc = v,
-        "TR" => m.tr = v,
-        "CJS" => m.cjs = v,
-        "VJS" => m.vjs = v,
-        "MJS" => m.mjs = v,
-        "FC" => m.fc = v,
-        "KF" => m.kf = v,
-        "AF" => m.af = v,
-        _ => return Err(perr(line, format!("unknown BJT parameter {key}"))),
+    let mut buf = [0; 64];
+    match &*ascii_lowercase(key, &mut buf) {
+        "is" => m.is_ = v,
+        "bf" => m.bf = v,
+        "nf" => m.nf = v,
+        "vaf" => m.vaf = v,
+        "ikf" => m.ikf = v,
+        "ise" => m.ise = v,
+        "ne" => m.ne = v,
+        "br" => m.br = v,
+        "nr" => m.nr = v,
+        "var" => m.var = v,
+        "ikr" => m.ikr = v,
+        "isc" => m.isc = v,
+        "nc" => m.nc = v,
+        "rb" => m.rb = v,
+        "irb" => m.irb = v,
+        "rbm" => m.rbm = v,
+        "re" => m.re = v,
+        "rc" => m.rc = v,
+        "cje" => m.cje = v,
+        "vje" => m.vje = v,
+        "mje" => m.mje = v,
+        "tf" => m.tf = v,
+        "xtf" => m.xtf = v,
+        "vtf" => m.vtf = v,
+        "itf" => m.itf = v,
+        "cjc" => m.cjc = v,
+        "vjc" => m.vjc = v,
+        "mjc" => m.mjc = v,
+        "xcjc" => m.xcjc = v,
+        "tr" => m.tr = v,
+        "cjs" => m.cjs = v,
+        "vjs" => m.vjs = v,
+        "mjs" => m.mjs = v,
+        "fc" => m.fc = v,
+        "kf" => m.kf = v,
+        "af" => m.af = v,
+        _ => {
+            return Err(perr(
+                line,
+                format!("unknown BJT parameter {}", key.to_ascii_uppercase()),
+            ))
+        }
     }
     Ok(())
 }
 
 fn apply_diode_param(m: &mut DiodeModel, key: &str, v: f64, line: usize) -> Result<()> {
-    match key {
-        "IS" => m.is_ = v,
-        "N" => m.n = v,
-        "RS" => m.rs = v,
-        "CJO" | "CJ0" => m.cjo = v,
-        "VJ" => m.vj = v,
-        "M" => m.m = v,
-        "TT" => m.tt = v,
-        "FC" => m.fc = v,
-        "BV" => m.bv = v,
-        "KF" => m.kf = v,
-        "AF" => m.af = v,
-        _ => return Err(perr(line, format!("unknown diode parameter {key}"))),
+    let mut buf = [0; 64];
+    match &*ascii_lowercase(key, &mut buf) {
+        "is" => m.is_ = v,
+        "n" => m.n = v,
+        "rs" => m.rs = v,
+        "cjo" | "cj0" => m.cjo = v,
+        "vj" => m.vj = v,
+        "m" => m.m = v,
+        "tt" => m.tt = v,
+        "fc" => m.fc = v,
+        "bv" => m.bv = v,
+        "kf" => m.kf = v,
+        "af" => m.af = v,
+        _ => {
+            return Err(perr(
+                line,
+                format!("unknown diode parameter {}", key.to_ascii_uppercase()),
+            ))
+        }
     }
     Ok(())
 }
@@ -319,15 +345,16 @@ fn parse_ic(ckt: &mut Circuit, rest: &str, line: usize) -> Result<()> {
     Ok(())
 }
 
-/// Parses an independent-source value specification.
-fn parse_source_spec(toks: &[String], line: usize) -> Result<(SourceWave, Option<(f64, f64)>)> {
+/// Parses an independent-source value specification. Keywords match in
+/// any case; a token quoted in an error is shown in lower case.
+fn parse_source_spec(toks: &[&str], line: usize) -> Result<(SourceWave, Option<(f64, f64)>)> {
     let mut wave: Option<SourceWave> = None;
     let mut dc: f64 = 0.0;
     let mut ac: Option<(f64, f64)> = None;
     let mut i = 0usize;
     while i < toks.len() {
-        let t = toks[i].to_ascii_lowercase();
-        if t == "dc" {
+        let t = toks[i];
+        if t.eq_ignore_ascii_case("dc") {
             dc = need_value(
                 toks.get(i + 1)
                     .ok_or_else(|| perr(line, "DC needs a value"))?,
@@ -335,7 +362,7 @@ fn parse_source_spec(toks: &[String], line: usize) -> Result<(SourceWave, Option
                 "DC value",
             )?;
             i += 2;
-        } else if t == "ac" {
+        } else if t.eq_ignore_ascii_case("ac") {
             let mag = need_value(
                 toks.get(i + 1)
                     .ok_or_else(|| perr(line, "AC needs a magnitude"))?,
@@ -350,7 +377,7 @@ fn parse_source_spec(toks: &[String], line: usize) -> Result<(SourceWave, Option
             }
             ac = Some((mag, phase));
             i += consumed;
-        } else if let Some(args) = fn_args(&t, "sin") {
+        } else if let Some(args) = fn_args(t, "sin") {
             let v = parse_args(args, line)?;
             wave = Some(SourceWave::Sin {
                 offset: v.first().copied().unwrap_or(0.0),
@@ -361,7 +388,7 @@ fn parse_source_spec(toks: &[String], line: usize) -> Result<(SourceWave, Option
                 phase_deg: v.get(5).copied().unwrap_or(0.0),
             });
             i += 1;
-        } else if let Some(args) = fn_args(&t, "pulse") {
+        } else if let Some(args) = fn_args(t, "pulse") {
             let v = parse_args(args, line)?;
             if v.len() < 7 {
                 return Err(perr(line, "PULSE needs 7 arguments"));
@@ -376,26 +403,29 @@ fn parse_source_spec(toks: &[String], line: usize) -> Result<(SourceWave, Option
                 period: v[6],
             });
             i += 1;
-        } else if let Some(args) = fn_args(&t, "pwl") {
+        } else if let Some(args) = fn_args(t, "pwl") {
             let v = parse_args(args, line)?;
             if v.len() < 2 || v.len() % 2 != 0 {
                 return Err(perr(line, "PWL needs an even number of arguments"));
             }
             wave = Some(SourceWave::Pwl(v.chunks(2).map(|c| (c[0], c[1])).collect()));
             i += 1;
-        } else if let Some(v) = parse_value(&t) {
+        } else if let Some(v) = parse_value(t) {
             // Bare number = DC value.
             dc = v;
             i += 1;
         } else {
-            return Err(perr(line, format!("unexpected source token `{t}`")));
+            return Err(perr(
+                line,
+                format!("unexpected source token `{}`", t.to_ascii_lowercase()),
+            ));
         }
     }
     Ok((wave.unwrap_or(SourceWave::Dc(dc)), ac))
 }
 
 fn fn_args<'a>(tok: &'a str, name: &str) -> Option<&'a str> {
-    let rest = tok.strip_prefix(name)?;
+    let rest = strip_prefix_ci(tok, name)?;
     let rest = rest.strip_prefix('(')?;
     rest.strip_suffix(')')
 }
@@ -403,16 +433,17 @@ fn fn_args<'a>(tok: &'a str, name: &str) -> Option<&'a str> {
 fn parse_args(args: &str, line: usize) -> Result<Vec<f64>> {
     args.split(|c: char| c.is_whitespace() || c == ',')
         .filter(|s| !s.is_empty())
-        .map(|s| need_value(s, line, "source argument"))
+        .map(|s| match parse_value(s) {
+            Some(v) => Ok(v),
+            None => need_value(&s.to_ascii_lowercase(), line, "source argument"),
+        })
         .collect()
 }
 
-fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> {
-    let toks = tokenize(line_text);
-    if toks.is_empty() {
+fn parse_element(ckt: &mut Circuit, toks: &[&str], line: usize) -> Result<()> {
+    let Some(&name) = toks.first() else {
         return Ok(());
-    }
-    let name = toks[0].clone();
+    };
     // Subcircuit expansion prefixes names with the instance path
     // (`x1.R3`); the element letter is that of the last path segment.
     let first = name
@@ -425,7 +456,7 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
     // unique names) with panics — a fine contract for programmatic
     // construction, but netlist text is untrusted input and must come
     // back as a typed error instead.
-    if ckt.find_element(&name).is_some() {
+    if ckt.find_element(name).is_some() {
         return Err(perr(line, format!("duplicate element name `{name}`")));
     }
     // Whatever the arm below adds gets this card's line number, so lint
@@ -436,9 +467,9 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
             if toks.len() < 4 {
                 return Err(perr(line, format!("{name}: needs 2 nodes and a value")));
             }
-            let p = ckt.node(&toks[1]);
-            let n = ckt.node(&toks[2]);
-            let v = need_value(&toks[3], line, "element value")?;
+            let p = ckt.node(toks[1]);
+            let n = ckt.node(toks[2]);
+            let v = need_value(toks[3], line, "element value")?;
             match first {
                 'R' if v <= 0.0 => {
                     return Err(perr(line, format!("{name}: resistance must be positive")));
@@ -455,40 +486,40 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
                 _ => {}
             }
             match first {
-                'R' => ckt.resistor(&name, p, n, v),
-                'C' => ckt.capacitor(&name, p, n, v),
-                _ => ckt.inductor(&name, p, n, v),
+                'R' => ckt.resistor(name, p, n, v),
+                'C' => ckt.capacitor(name, p, n, v),
+                _ => ckt.inductor(name, p, n, v),
             };
         }
         'V' | 'I' => {
             if toks.len() < 3 {
                 return Err(perr(line, format!("{name}: needs 2 nodes")));
             }
-            let p = ckt.node(&toks[1]);
-            let n = ckt.node(&toks[2]);
+            let p = ckt.node(toks[1]);
+            let n = ckt.node(toks[2]);
             let (wave, ac) = parse_source_spec(&toks[3..], line)?;
             if first == 'V' {
-                ckt.vsource_wave(&name, p, n, wave);
+                ckt.vsource_wave(name, p, n, wave);
             } else {
-                ckt.isource_wave(&name, p, n, wave);
+                ckt.isource_wave(name, p, n, wave);
             }
             if let Some((mag, phase)) = ac {
-                ckt.set_ac(&name, mag, phase)?;
+                ckt.set_ac(name, mag, phase)?;
             }
         }
         'E' | 'G' => {
             if toks.len() < 6 {
                 return Err(perr(line, format!("{name}: needs 4 nodes and a gain")));
             }
-            let p = ckt.node(&toks[1]);
-            let n = ckt.node(&toks[2]);
-            let cp = ckt.node(&toks[3]);
-            let cn = ckt.node(&toks[4]);
-            let g = need_value(&toks[5], line, "gain")?;
+            let p = ckt.node(toks[1]);
+            let n = ckt.node(toks[2]);
+            let cp = ckt.node(toks[3]);
+            let cn = ckt.node(toks[4]);
+            let g = need_value(toks[5], line, "gain")?;
             if first == 'E' {
-                ckt.vcvs(&name, p, n, cp, cn, g);
+                ckt.vcvs(name, p, n, cp, cn, g);
             } else {
-                ckt.vccs(&name, p, n, cp, cn, g);
+                ckt.vccs(name, p, n, cp, cn, g);
             }
         }
         'K' => {
@@ -499,8 +530,8 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
                     format!("{name}: needs two inductors and a coefficient"),
                 ));
             }
-            let k = need_value(&toks[3], line, "coupling coefficient")?;
-            ckt.mutual(&name, &toks[1], &toks[2], k);
+            let k = need_value(toks[3], line, "coupling coefficient")?;
+            ckt.mutual(name, toks[1], toks[2], k);
         }
         'F' | 'H' => {
             if toks.len() < 5 {
@@ -509,27 +540,26 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
                     format!("{name}: needs 2 nodes, a source and a gain"),
                 ));
             }
-            let p = ckt.node(&toks[1]);
-            let n = ckt.node(&toks[2]);
-            let vname = toks[3].clone();
-            let g = need_value(&toks[4], line, "gain")?;
+            let p = ckt.node(toks[1]);
+            let n = ckt.node(toks[2]);
+            let g = need_value(toks[4], line, "gain")?;
             if first == 'F' {
-                ckt.cccs(&name, p, n, &vname, g);
+                ckt.cccs(name, p, n, toks[3], g);
             } else {
-                ckt.ccvs(&name, p, n, &vname, g);
+                ckt.ccvs(name, p, n, toks[3], g);
             }
         }
         'D' => {
             if toks.len() < 4 {
                 return Err(perr(line, format!("{name}: needs 2 nodes and a model")));
             }
-            let p = ckt.node(&toks[1]);
-            let n = ckt.node(&toks[2]);
+            let p = ckt.node(toks[1]);
+            let n = ckt.node(toks[2]);
             let model = ckt
-                .find_diode_model(&toks[3])
+                .find_diode_model(toks[3])
                 .ok_or_else(|| perr(line, format!("unknown diode model {}", toks[3])))?;
             let area = toks.get(4).and_then(|t| parse_value(t)).unwrap_or(1.0);
-            ckt.diode(&name, p, n, model, area);
+            ckt.diode(name, p, n, model, area);
         }
         'Q' => {
             if toks.len() < 5 {
@@ -537,19 +567,19 @@ fn parse_element(ckt: &mut Circuit, line_text: &str, line: usize) -> Result<()> 
             }
             // Either `Q c b e model [area]` or `Q c b e s model [area]`:
             // disambiguate by checking whether token 4 is a known model.
-            let c = ckt.node(&toks[1]);
-            let b = ckt.node(&toks[2]);
-            let e = ckt.node(&toks[3]);
-            if let Some(model) = ckt.find_bjt_model(&toks[4]) {
+            let c = ckt.node(toks[1]);
+            let b = ckt.node(toks[2]);
+            let e = ckt.node(toks[3]);
+            if let Some(model) = ckt.find_bjt_model(toks[4]) {
                 let area = toks.get(5).and_then(|t| parse_value(t)).unwrap_or(1.0);
-                ckt.bjt(&name, c, b, e, model, area);
+                ckt.bjt(name, c, b, e, model, area);
             } else if toks.len() >= 6 {
-                let s = ckt.node(&toks[4]);
+                let s = ckt.node(toks[4]);
                 let model = ckt
-                    .find_bjt_model(&toks[5])
+                    .find_bjt_model(toks[5])
                     .ok_or_else(|| perr(line, format!("unknown BJT model {}", toks[5])))?;
                 let area = toks.get(6).and_then(|t| parse_value(t)).unwrap_or(1.0);
-                ckt.bjt4(&name, c, b, e, s, model, area);
+                ckt.bjt4(name, c, b, e, s, model, area);
             } else {
                 return Err(perr(line, format!("unknown BJT model {}", toks[4])));
             }

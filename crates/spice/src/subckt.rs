@@ -13,35 +13,37 @@
 //! ```
 
 use crate::error::{Result, SpiceError};
+use crate::parse::{starts_with_ci, Line};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A parsed subcircuit definition.
 #[derive(Clone, Debug, PartialEq)]
-struct SubcktDef {
+struct SubcktDef<'a> {
     name: String,
     ports: Vec<String>,
-    /// Raw element cards (line number, text).
-    cards: Vec<(usize, String)>,
+    /// Raw element cards.
+    cards: Vec<Line<'a>>,
 }
 
 /// Maximum nesting depth (guards against recursive definitions).
 const MAX_DEPTH: usize = 16;
 
 /// Expands all `.subckt`/`.ends`/`X` cards in a logical-line list
-/// (continuations already joined), returning a flat card list.
+/// (continuations already joined), returning a flat card list. Top-level
+/// cards other than `X` pass through unchanged.
 ///
 /// # Errors
 ///
 /// Returns [`SpiceError::Parse`] for malformed or unknown subcircuits,
 /// port-count mismatches and recursion beyond [`MAX_DEPTH`].
-pub(crate) fn expand_subcircuits(lines: Vec<(usize, String)>) -> Result<Vec<(usize, String)>> {
+pub(crate) fn expand_subcircuits(lines: Vec<Line<'_>>) -> Result<Vec<Line<'_>>> {
     // Pass 1: collect definitions (non-nested, as in SPICE2).
     let mut defs: HashMap<String, SubcktDef> = HashMap::new();
-    let mut top: Vec<(usize, String)> = Vec::new();
+    let mut top: Vec<Line> = Vec::with_capacity(lines.len());
     let mut current: Option<SubcktDef> = None;
     for (lineno, line) in lines {
-        let lower = line.to_ascii_lowercase();
-        if lower.starts_with(".subckt") {
+        if starts_with_ci(&line, ".subckt") {
             if current.is_some() {
                 return Err(SpiceError::Parse {
                     line: lineno,
@@ -60,7 +62,7 @@ pub(crate) fn expand_subcircuits(lines: Vec<(usize, String)>) -> Result<Vec<(usi
                 ports: toks[2..].iter().map(|t| t.to_ascii_lowercase()).collect(),
                 cards: Vec::new(),
             });
-        } else if lower.starts_with(".ends") {
+        } else if starts_with_ci(&line, ".ends") {
             match current.take() {
                 Some(def) => {
                     defs.insert(def.name.clone(), def);
@@ -86,9 +88,9 @@ pub(crate) fn expand_subcircuits(lines: Vec<(usize, String)>) -> Result<Vec<(usi
     }
 
     // Pass 2: expand X cards recursively.
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(top.len());
     for (lineno, line) in top {
-        expand_card(&line, lineno, "", &defs, 0, &mut out)?;
+        expand_card(line, lineno, "", &defs, 0, &mut out)?;
     }
     Ok(out)
 }
@@ -96,17 +98,22 @@ pub(crate) fn expand_subcircuits(lines: Vec<(usize, String)>) -> Result<Vec<(usi
 /// Expands one card. Invariant: node tokens in `line` are already fully
 /// scoped (top-level names, or rewritten by [`rewrite_nodes`]); only
 /// element names still need the instance-path prefix.
-fn expand_card(
-    line: &str,
+fn expand_card<'a>(
+    line: Cow<'a, str>,
     lineno: usize,
     prefix: &str,
     defs: &HashMap<String, SubcktDef>,
     depth: usize,
-    out: &mut Vec<(usize, String)>,
+    out: &mut Vec<Line<'a>>,
 ) -> Result<()> {
     let first = line.chars().next().unwrap_or(' ');
     if first != 'X' && first != 'x' {
-        out.push((lineno, prefix_names(line, prefix)?));
+        let card = if prefix.is_empty() {
+            line
+        } else {
+            Cow::Owned(prefix_names(&line, prefix))
+        };
+        out.push((lineno, card));
         return Ok(());
     }
     if depth >= MAX_DEPTH {
@@ -155,7 +162,7 @@ fn expand_card(
     for (card_line, card) in &def.cards {
         let substituted = rewrite_nodes(card, &port_map, &inner_prefix, *card_line)?;
         expand_card(
-            &substituted,
+            Cow::Owned(substituted),
             *card_line,
             &inner_prefix,
             defs,
@@ -250,13 +257,10 @@ fn rewrite_nodes(
 
 /// Prefixes the element name (and, for F/H cards, the controlling-source
 /// reference) with the instance path. Node tokens are already scoped.
-fn prefix_names(card: &str, prefix: &str) -> Result<String> {
-    if prefix.is_empty() {
-        return Ok(card.to_string());
-    }
+fn prefix_names(card: &str, prefix: &str) -> String {
     let toks: Vec<&str> = card.split_whitespace().collect();
     if toks.is_empty() {
-        return Ok(String::new());
+        return String::new();
     }
     let letter = toks[0]
         .chars()
@@ -273,7 +277,7 @@ fn prefix_names(card: &str, prefix: &str) -> Result<String> {
             out.push(tok.to_string());
         }
     }
-    Ok(out.join(" "))
+    out.join(" ")
 }
 
 #[cfg(test)]

@@ -58,27 +58,26 @@ pub fn parse_value(text: &str) -> Option<f64> {
         return None;
     }
     let number: f64 = t[..split].parse().ok()?;
-    let suffix = t[split..].to_ascii_lowercase();
-    let scale = scale_of(&suffix);
-    Some(number * scale)
+    Some(number * scale_of(&t[split..]))
 }
 
+/// The scale of a suffix, matched in any case.
 fn scale_of(suffix: &str) -> f64 {
     // Longest-match first: "meg" and "mil" before "m".
-    if suffix.starts_with("meg") {
+    if crate::parse::starts_with_ci(suffix, "meg") {
         1e6
-    } else if suffix.starts_with("mil") {
+    } else if crate::parse::starts_with_ci(suffix, "mil") {
         25.4e-6
     } else {
-        match suffix.chars().next() {
-            Some('t') => 1e12,
-            Some('g') => 1e9,
-            Some('k') => 1e3,
-            Some('m') => 1e-3,
-            Some('u') => 1e-6,
-            Some('n') => 1e-9,
-            Some('p') => 1e-12,
-            Some('f') => 1e-15,
+        match suffix.bytes().next().map(|b| b.to_ascii_lowercase()) {
+            Some(b't') => 1e12,
+            Some(b'g') => 1e9,
+            Some(b'k') => 1e3,
+            Some(b'm') => 1e-3,
+            Some(b'u') => 1e-6,
+            Some(b'n') => 1e-9,
+            Some(b'p') => 1e-12,
+            Some(b'f') => 1e-15,
             _ => 1.0,
         }
     }

@@ -6,7 +6,9 @@
 //! converged, finite solution. Never a panic, never a NaN in reported
 //! results.
 
+use ahfic_bench::fuzz::{mutate_deck, FUZZ_SEEDS};
 use ahfic_spice::analysis::{FaultInjector, FaultKind, LadderConfig, OpResult, Options, Session};
+use ahfic_spice::cache::{DeckKey, PreparedCache};
 use ahfic_spice::circuit::{Circuit, Prepared};
 use ahfic_spice::error::SpiceError;
 use ahfic_spice::lint::{LintCode, LintPolicy};
@@ -638,105 +640,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Parser fuzz: mutated decks parse and compile to `Ok` or a typed error.
+// Parser fuzz: mutated decks parse and compile to `Ok` or a typed error,
+// and the compile cache's text path agrees with a direct parse.
 // ---------------------------------------------------------------------------
-
-/// The `spice_playground` example's deck.
-const PLAYGROUND_DECK: &str = "* differential pair with emitter follower output
-.model rf_npn NPN (IS=2e-16 BF=120 VAF=45 IKF=5m RB=90 RE=3 RC=25
-+ CJE=80f VJE=0.9 MJE=0.35 CJC=45f VJC=0.65 MJC=0.4 TF=16p XTF=4 VTF=3 ITF=12m TR=0.6n CJS=90f)
-VCC vcc 0 5
-VINP inp 0 DC 2.5 AC 0.5 SIN(2.5 0.05 100meg)
-VINN inn 0 DC 2.5 AC -0.5
-RLP vcc cp 1k
-RLN vcc cn 1k
-Q1 cp inp tail rf_npn
-Q2 cn inn tail rf_npn
-IT tail 0 2m
-QF vcc cp out rf_npn
-RF out 0 2k
-.end";
-
-/// The `quickstart` example's common-emitter deck.
-const QUICKSTART_DECK: &str = "* common-emitter amplifier
-.model n NPN (IS=2e-16 BF=120 CJE=80f CJC=45f TF=16p RB=100)
-VCC vcc 0 5
-VIN b 0 0.78 AC 1
-RC vcc c 500
-Q1 c b 0 n";
-
-/// A pulse-driven subcircuit buffer (`E`) into a transconductor (`G`)
-/// loading a coupled inductor pair (`K`) with a diode on its secondary.
-const SUBCKT_DECK: &str = "* subcircuit, controlled sources, coupling, pulse
-.model dm D (IS=1e-14 RS=2)
-.subckt buf in out
-E1 out 0 in 0 2
-RO out 0 1k
-.ends
-VIN in 0 PULSE(0 1 1n 0.1n 0.1n 5n 10n)
-X1 in a buf
-G1 0 b a 0 1m
-RB b 0 1k
-L1 b 0 1u
-L2 c 0 1u
-K1 L1 L2 0.5
-D1 c d dm
-RD d 0 50
-.end
-";
-
-const FUZZ_SEEDS: [&str; 4] = [
-    PLAYGROUND_DECK,
-    QUICKSTART_DECK,
-    ahfic_bench::TUNER_DECK,
-    SUBCKT_DECK,
-];
-
-/// Applies mutation `kind` at byte offset `at` (reduced modulo the
-/// deck's length): delete, insert or replace one byte, truncate,
-/// duplicate the line at `at`, or delete the whitespace-separated token
-/// at `at`.
-fn mutate_deck(deck: &mut Vec<u8>, kind: u8, at: usize, byte: u8) {
-    let len = deck.len();
-    match kind {
-        0 if len > 0 => {
-            deck.remove(at % len);
-        }
-        1 => deck.insert(at % (len + 1), byte),
-        2 if len > 0 => deck[at % len] = byte,
-        3 => deck.truncate(at % (len + 1)),
-        4 if len > 0 => {
-            let at = at % len;
-            let start = deck[..at]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |p| p + 1);
-            let end = deck[at..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(len, |p| at + p + 1);
-            let mut line = deck[start..end].to_vec();
-            if line.last() != Some(&b'\n') {
-                line.insert(0, b'\n');
-            }
-            deck.splice(end..end, line);
-        }
-        5 if len > 0 => {
-            let at = at % len;
-            let is_space = |b: &u8| b.is_ascii_whitespace();
-            let start = deck[..at].iter().rposition(is_space).map_or(0, |p| p + 1);
-            let end = deck[at..].iter().position(is_space).map_or(len, |p| at + p);
-            deck.drain(start..end);
-        }
-        _ => {}
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Parsing and compiling a mutated seed deck returns `Ok` or a typed
-    /// [`SpiceError`] that renders; it never panics.
+    /// [`SpiceError`] that renders; it never panics. Submitted twice
+    /// through the cache's text path, the deck checks out under the key
+    /// of its direct parse both times, the second time from the text
+    /// index, or fails both times with the same typed error.
     #[test]
     fn mutated_decks_parse_and_compile_without_panicking(
         seed in 0usize..FUZZ_SEEDS.len(),
@@ -756,5 +671,27 @@ proptest! {
                 .map_err(|e| e.to_string())
         });
         prop_assert!(outcome.is_ok(), "parse + compile panicked on:\n{text}");
+
+        let direct = parse_netlist(&text).and_then(|c| {
+            Prepared::compile_with(&c, LintPolicy::Deny)
+                .map(|_| DeckKey::of(&c, LintPolicy::Deny))
+        });
+        let cache = PreparedCache::new(4);
+        for submission in 0..2 {
+            let served = cache
+                .get_or_compile_text(&text, LintPolicy::Deny)
+                .map(|d| (d.key(), d.was_hit()));
+            match (&direct, served) {
+                (Ok(key), Ok((got, hit))) => prop_assert!(
+                    *key == got && hit == (submission == 1),
+                    "submission {submission}: {got} (hit {hit}), direct {key} on:\n{text}"
+                ),
+                (Err(want), Err(got)) => prop_assert_eq!(want, &got),
+                (want, got) => {
+                    prop_assert!(false, "direct {want:?}, text path {got:?} on:\n{text}");
+                }
+            }
+        }
+        prop_assert_eq!(cache.stats().parses(), if direct.is_ok() { 1 } else { 2 });
     }
 }

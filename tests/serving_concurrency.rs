@@ -9,12 +9,19 @@
 //! - Cache eviction under churn never double-compiles a hot deck: as
 //!   long as a deck stays in active rotation, every checkout after the
 //!   first is a hit (proptest over randomized deck populations).
+//! - Netlist text served from the cache's text index gives the bits of
+//!   the same jobs on the parsed circuit; texts that differ only in a
+//!   comment share one compile; a text that fails to parse is never
+//!   indexed; and many workers on one new text compile it once.
 
-use ahfic_serve::{JobQueue, JobRequest, JobSpec, QueueConfig};
+use ahfic_bench::TUNER_DECK;
+use ahfic_serve::{DeckSource, JobOutput, JobQueue, JobReport, JobRequest, JobSpec, QueueConfig};
 use ahfic_spice::analysis::{CancelToken, Options, Session, TranParams, TranStatus};
 use ahfic_spice::cache::PreparedCache;
 use ahfic_spice::circuit::Circuit;
+use ahfic_spice::error::SpiceError;
 use ahfic_spice::lint::LintPolicy;
+use ahfic_spice::parse::parse_netlist;
 use ahfic_spice::trace::{TraceHandle, TraceRecord, TraceSink};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -183,6 +190,134 @@ fn queue_fanout_matches_sequential() {
             );
         }
     }
+}
+
+/// The bits of every value a job returned: an operating point's
+/// unknowns, an AC sweep's `v(sum)` and a transient's every signal.
+fn output_bits(out: &JobOutput) -> Vec<u64> {
+    match out {
+        JobOutput::Op(r) => r.x().iter().map(|v| v.to_bits()).collect(),
+        JobOutput::Ac(w) => w
+            .signal("v(sum)")
+            .unwrap()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect(),
+        JobOutput::Tran(t) => {
+            let w = t.wave();
+            let mut bits: Vec<u64> = w.axis().iter().map(|v| v.to_bits()).collect();
+            for name in w.signal_names() {
+                bits.extend(w.signal(name).unwrap().iter().map(|v| v.to_bits()));
+            }
+            bits
+        }
+        other => panic!("unexpected output {other:?}"),
+    }
+}
+
+/// Jobs served from the text index return the bits of the same jobs
+/// submitted as the parsed circuit: op, AC and transient, each twice.
+#[test]
+fn text_index_hits_are_bit_identical_to_parsed_circuit_jobs() {
+    let circuit = parse_netlist(TUNER_DECK).unwrap();
+    let freqs: Vec<f64> = (0..20).map(|k| 1e7 * 1.3f64.powi(k)).collect();
+    let specs = || {
+        let ac = JobSpec::Ac {
+            freqs: freqs.clone(),
+        };
+        let tran = JobSpec::Tran(TranParams::new(5e-9, 0.2e-9));
+        [JobSpec::Op, ac.clone(), tran.clone(), JobSpec::Op, ac, tran]
+    };
+    // One worker each, so both queues see the same warm-start sequence.
+    let serve = |deck: &dyn Fn() -> DeckSource| {
+        let queue = JobQueue::new(QueueConfig::new().threads(1));
+        let jobs = specs()
+            .into_iter()
+            .map(|spec| JobRequest::new(deck(), spec).options(Options::new().threads(1)))
+            .collect();
+        (queue.run(jobs), queue.cache_stats())
+    };
+    let (texts, text_cache) = serve(&|| DeckSource::Netlist(TUNER_DECK.to_string()));
+    let (circuits, _) = serve(&|| DeckSource::Circuit(circuit.clone()));
+    assert_eq!((text_cache.parses(), text_cache.compiles()), (1, 1));
+    assert!(texts[1..].iter().all(JobReport::cache_hit), "index hits");
+    for (k, (a, b)) in texts.iter().zip(&circuits).enumerate() {
+        let (a, b) = (a.outcome().as_ref().unwrap(), b.outcome().as_ref().unwrap());
+        assert_eq!(output_bits(a), output_bits(b), "job {k}");
+    }
+}
+
+/// Two texts that differ only in a comment are one deck: one compile.
+/// The deck keeps the first text in the index, so the second parses on
+/// every submission and hits the compile.
+#[test]
+fn texts_differing_in_a_comment_compile_once() {
+    let commented = TUNER_DECK.replace("VCC vcc 0 5\n", "VCC vcc 0 5 ; supply\n");
+    assert_ne!(commented, TUNER_DECK);
+    let queue = JobQueue::new(QueueConfig::new().threads(1));
+    let jobs = [TUNER_DECK, &commented, TUNER_DECK, &commented]
+        .into_iter()
+        .map(|text| JobRequest::new(text, JobSpec::Op))
+        .collect();
+    let reports = queue.run(jobs);
+    assert!(reports.iter().all(JobReport::is_ok));
+    let cache = queue.cache_stats();
+    assert_eq!((cache.compiles(), cache.parses()), (1, 3), "{cache:?}");
+    assert_eq!((cache.hits(), cache.misses()), (3, 1), "{cache:?}");
+}
+
+/// A text that fails to parse is never indexed: it parses, and fails
+/// with the same typed error, on every submission, and never reaches
+/// the compile cache.
+#[test]
+fn a_text_that_fails_to_parse_is_never_indexed() {
+    let bad = TUNER_DECK.replace("RL sum 0 1000", "RL sum 0 oops");
+    let queue = JobQueue::new(QueueConfig::new().threads(2));
+    let reports = queue.run(
+        (0..4)
+            .map(|_| JobRequest::new(bad.as_str(), JobSpec::Op))
+            .collect(),
+    );
+    let errors: Vec<SpiceError> = reports
+        .iter()
+        .map(|r| {
+            r.outcome()
+                .as_ref()
+                .unwrap_err()
+                .sim()
+                .unwrap()
+                .error
+                .clone()
+        })
+        .collect();
+    assert!(
+        matches!(errors[0], SpiceError::Parse { .. }),
+        "{}",
+        errors[0]
+    );
+    assert!(errors.iter().all(|e| *e == errors[0]));
+    let cache = queue.cache_stats();
+    assert_eq!(cache.parses(), 4, "{cache:?}");
+    assert_eq!((cache.compiles(), cache.hits() + cache.misses()), (0, 0));
+}
+
+/// Eight workers that all start on one new text compile it once, and
+/// every job counts one hit or one miss.
+#[test]
+fn eight_workers_on_one_new_text_compile_it_once() {
+    const JOBS: usize = 64;
+    let queue = JobQueue::new(QueueConfig::new().threads(8));
+    let reports = queue.run(
+        (0..JOBS)
+            .map(|_| JobRequest::new(TUNER_DECK, JobSpec::Op))
+            .collect(),
+    );
+    assert!(reports.iter().all(JobReport::is_ok));
+    let cache = queue.cache_stats();
+    assert_eq!(cache.compiles(), 1, "{cache:?}");
+    assert_eq!(cache.hits() + cache.misses(), JOBS as u64, "{cache:?}");
+    // A worker parses only while the text is not yet indexed.
+    assert!((1..=8).contains(&cache.parses()), "{cache:?}");
 }
 
 proptest! {

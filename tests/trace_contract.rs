@@ -224,3 +224,60 @@ fn null_sink_results_are_bit_identical_to_untraced() {
         }
     }
 }
+
+/// A traced transient and PSS time the step phases outside factor and
+/// solve (device stamping, charge commit, and the waveform or orbit
+/// record): each reads nonzero, and together they stay below the
+/// analysis's span. Turning the timers on moves no result bit.
+#[test]
+fn step_phases_are_timed_and_leave_results_alone() {
+    use ahfic_spice::analysis::PssParams;
+    let ckt = image_rejection_frontend();
+    let sink = Arc::new(InMemorySink::new());
+    let plain = Session::compile(&ckt).unwrap();
+    let traced = Session::compile(&ckt)
+        .unwrap()
+        .with_options(Options::new().trace(&sink));
+
+    let tran = TranParams::new(5e-9, 0.2e-9);
+    let pss = PssParams::new(10e-9, 64);
+    let waves = [
+        (
+            plain.tran(&tran).unwrap().into_wave(),
+            traced.tran(&tran).unwrap().into_wave(),
+        ),
+        (
+            plain.pss(&pss).unwrap().wave().clone(),
+            traced.pss(&pss).unwrap().wave().clone(),
+        ),
+    ];
+    for (a, b) in &waves {
+        assert_eq!(a.axis().len(), b.axis().len());
+        for name in a.signal_names() {
+            let (sa, sb) = (a.signal(name).unwrap(), b.signal(name).unwrap());
+            for (k, (x, y)) in sa.iter().zip(sb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{name}[{k}] moved");
+            }
+        }
+    }
+
+    let recs = sink.records();
+    for analysis in ["tran", "pss"] {
+        let span_s = recs
+            .iter()
+            .filter(|r| r.kind == RecordKind::SpanEnd && r.name == analysis)
+            .map(|r| r.value)
+            .sum::<f64>();
+        let mut sum = 0.0;
+        for phase in ["device", "commit", "record"] {
+            let name = format!("{analysis}.{phase}_seconds");
+            let s = counter(&recs, &name).unwrap_or_else(|| panic!("no {name}"));
+            assert!(s > 0.0, "{name} = {s}");
+            sum += s;
+        }
+        assert!(
+            sum < span_s,
+            "{analysis}: phases {sum} s of a {span_s} s span"
+        );
+    }
+}
