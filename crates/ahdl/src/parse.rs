@@ -1,15 +1,25 @@
 //! Recursive-descent parser for the AHDL subset.
+//!
+//! Nesting is bounded: past [`MAX_DEPTH`] levels the parser returns a
+//! typed error, so neither it nor a later pass over the tree (checker,
+//! compiler, evaluator, drop) can exhaust the stack on crafted input.
 
 use crate::ast::{BinOp, Expr, MathFn, Module, Param, Stmt, UnOp};
 use crate::error::{AhdlError, Result};
 use crate::lex::{lex, Token, TokenKind};
+
+/// Deepest nesting the parser accepts. Each parenthesis, unary
+/// operator, conditional branch, call, statement block and binary
+/// operator in a chain opens one level, and every level of the syntax
+/// tree sits under at least one, so the tree is at most this deep.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parses AHDL source containing one or more modules.
 ///
 /// # Errors
 ///
 /// Returns [`AhdlError::Lex`] or [`AhdlError::Parse`] with line
-/// information.
+/// information, the latter also for nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Example
 ///
@@ -27,6 +37,7 @@ pub fn parse(src: &str) -> Result<Vec<Module>> {
         tokens,
         pos: 0,
         state_counter: 0,
+        depth: 0,
     };
     let mut modules = Vec::new();
     while !p.at_eof() {
@@ -55,6 +66,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     state_counter: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -116,6 +129,23 @@ impl Parser {
 
     fn is_keyword(&self, kw: &str) -> bool {
         matches!(self.peek(), TokenKind::Ident(name) if name == kw)
+    }
+
+    /// Opens one nesting level, failing past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level down.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn module(&mut self) -> Result<Module> {
@@ -224,11 +254,11 @@ impl Parser {
             let cond = self.expr()?;
             self.expect(&TokenKind::RParen, "`)`")?;
             self.expect(&TokenKind::LBrace, "`{`")?;
-            let then_body = self.stmt_block()?;
+            let then_body = self.nested(Self::stmt_block)?;
             let else_body = if self.is_keyword("else") {
                 self.bump();
                 self.expect(&TokenKind::LBrace, "`{`")?;
-                self.stmt_block()?
+                self.nested(Self::stmt_block)?
             } else {
                 Vec::new()
             };
@@ -255,32 +285,44 @@ impl Parser {
         let cond = self.or_expr()?;
         if matches!(self.peek(), TokenKind::Question) {
             self.bump();
-            let a = self.expr()?;
+            let a = self.nested(Self::expr)?;
             self.expect(&TokenKind::Colon, "`:`")?;
-            let b = self.expr()?;
+            let b = self.nested(Self::expr)?;
             return Ok(Expr::Cond(Box::new(cond), Box::new(a), Box::new(b)));
         }
         Ok(cond)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while matches!(self.peek(), TokenKind::OrOr) {
+    /// Parses `operand (op operand)*`, left-associative, with `op_of`
+    /// naming the binary operator a token stands for.
+    fn chain(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr>,
+        op_of: impl Fn(&TokenKind) -> Option<BinOp>,
+    ) -> Result<Expr> {
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(op) = op_of(self.peek()) {
             self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            // Each operator puts the chain so far one level deeper.
+            self.descend()?;
+            let rhs = operand(self)?;
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
+    fn or_expr(&mut self) -> Result<Expr> {
+        self.chain(Self::and_expr, |t| {
+            matches!(t, TokenKind::OrOr).then_some(BinOp::Or)
+        })
+    }
+
     fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while matches!(self.peek(), TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::cmp_expr, |t| {
+            matches!(t, TokenKind::AndAnd).then_some(BinOp::And)
+        })
     }
 
     fn cmp_expr(&mut self) -> Result<Expr> {
@@ -295,51 +337,35 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.add_expr()?;
+        let rhs = self.nested(Self::add_expr)?;
         Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(Self::mul_expr, |t| match t {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+        self.chain(Self::unary_expr, |t| match t {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Percent => Some(BinOp::Rem),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Un(UnOp::Neg, Box::new(self.unary_expr()?)))
-            }
-            TokenKind::Not => {
-                self.bump();
-                Ok(Expr::Un(UnOp::Not, Box::new(self.unary_expr()?)))
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.bump();
+        Ok(Expr::Un(op, Box::new(self.nested(Self::unary_expr)?)))
     }
 
     fn primary(&mut self) -> Result<Expr> {
@@ -350,7 +376,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&TokenKind::RParen, "`)`")?;
                 Ok(e)
             }
@@ -365,7 +391,7 @@ impl Parser {
             TokenKind::Ident(name) => {
                 self.bump();
                 if matches!(self.peek(), TokenKind::LParen) {
-                    self.call(&name)
+                    self.nested(|p| p.call(&name))
                 } else {
                     Ok(Expr::Var(name))
                 }

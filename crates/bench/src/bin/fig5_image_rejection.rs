@@ -62,7 +62,7 @@ fn main() {
         let r = measure_irr_transistor_db(&params, &Options::new()).expect("mixer bench");
         let analytic = irr_analytic_db(e, g);
         println!(
-            "# {e:>11.1} {:>6.0}% {:>16.2} {:>13.2} {:>+10.2}",
+            "# {e:>11.1} {:>6.0}% {:>16.4} {:>13.4} {:>+10.4}",
             g * 100.0,
             r.irr_db,
             analytic,

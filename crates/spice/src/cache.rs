@@ -4,11 +4,13 @@
 //!
 //! The cache is keyed by a [`DeckKey`] — a deterministic 128-bit content
 //! hash over everything that affects compilation: node names, the full
-//! element list (names, connectivity, values, source waveforms), model
-//! cards, initial conditions, behavioral-source closure identity, and
-//! the lint policy the deck is compiled under. Two structurally
-//! identical circuits built independently hash to the same key; any
-//! value nudge produces a different one.
+//! element list (names, netlist lines, connectivity, values, source
+//! waveforms), model cards, initial conditions, behavioral-source closure
+//! identity, and the lint policy the deck is compiled under. Two
+//! structurally identical circuits built independently hash to the same
+//! key; any value nudge produces a different one. Netlist lines are in
+//! the key because lint diagnostics name them: a cached error or warning
+//! must name the lines of the text that asked for it.
 //!
 //! Concurrency contract: a miss compiles at most once even when many
 //! threads request the same deck simultaneously (the slot is a
@@ -36,7 +38,8 @@
 //! resident and only after the text and policy are compared with the
 //! ones its deck keeps. A deck keeps one text, which the LRU drops with
 //! it, so the index holds at most one text per resident deck; another
-//! text of the same deck (a comment apart) parses and hits its compile.
+//! text of the same deck (an inline comment apart, every card on the
+//! same line) parses and hits its compile.
 
 use crate::circuit::{Circuit, ElementKind, NodeId, Prepared};
 use crate::error::{Result, SpiceError};
@@ -62,8 +65,9 @@ impl DeckKey {
     ///
     /// Computed structurally in one pass over the deck (a serving front
     /// end hashes every submitted job, so this sits on the hot path):
-    /// every field that affects compilation is fed into two
-    /// differently-salted deterministic SipHash streams. The element
+    /// every field that affects compilation, and each element's netlist
+    /// line, is fed into two differently-salted deterministic SipHash
+    /// streams. The element
     /// walk destructures each variant exhaustively — adding a field or
     /// variant without extending the key is a compile error, never a
     /// silent collision.
@@ -79,8 +83,9 @@ impl DeckKey {
             circuit.node_name(NodeId(i)).hash(&mut h);
         }
         h.write_usize(circuit.elements().len());
-        for crate::circuit::Element { name, kind } in circuit.elements() {
+        for (i, crate::circuit::Element { name, kind }) in circuit.elements().iter().enumerate() {
             name.hash(&mut h);
+            circuit.element_line(i).hash(&mut h);
             hash_kind(&mut h, kind);
         }
         h.write_usize(circuit.bjt_models.len());
@@ -982,6 +987,27 @@ mod tests {
             assert_eq!(deck.key(), DeckKey::of(&parse_netlist(text).unwrap(), lint));
         }
         assert_eq!(cache.stats().parses(), 3);
+    }
+
+    #[test]
+    fn cached_lint_errors_name_their_own_texts_lines() {
+        let deck = "V1 a 0 1\nR1 a 0 1k\nC1 f 0 1p\n";
+        let shifted = format!("* two comment lines\n* above the deck\n{deck}");
+        for through_text in [true, false] {
+            let cache = PreparedCache::new(4);
+            let compile = |text: &str| {
+                let err = if through_text {
+                    cache.get_or_compile_text(text, LintPolicy::Deny)
+                } else {
+                    cache.get_or_compile(&parse_netlist(text).unwrap(), LintPolicy::Deny)
+                };
+                err.unwrap_err().to_string()
+            };
+            let (first, second) = (compile(deck), compile(&shifted));
+            assert!(first.contains("C1 (line 3)"), "{first}");
+            assert!(second.contains("C1 (line 5)"), "{second}");
+            assert_eq!(cache.stats().compiles(), 2, "two line layouts, two decks");
+        }
     }
 
     #[test]

@@ -695,3 +695,58 @@ proptest! {
         prop_assert_eq!(cache.stats().parses(), if direct.is_ok() { 1 } else { 2 });
     }
 }
+
+// ---------------------------------------------------------------------------
+// AHDL nesting: past the parser's depth limit a typed error, never a stack
+// overflow. Run on a 1 MiB stack: without the limit the deep cases overflow
+// it and abort the test binary, while the case at the limit fits.
+// ---------------------------------------------------------------------------
+
+fn ahdl_module(body: &str) -> String {
+    format!("module m(x, y) {{ input x; output y;\n analog {{\n V(y) <- {body}; }} }}")
+}
+
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn deeply_nested_ahdl_is_a_parse_error_not_a_stack_overflow() {
+    use ahfic_ahdl::error::AhdlError;
+    use ahfic_ahdl::eval::CompiledModule;
+    let cases = [
+        (
+            "6,000 parentheses",
+            format!("{}V(x){}", "(".repeat(6000), ")".repeat(6000)),
+        ),
+        (
+            "100,000 unary minus signs",
+            format!("{}V(x)", "-".repeat(100_000)),
+        ),
+        (
+            "a 100,000-term sum",
+            format!("V(x){}", " + 1".repeat(100_000)),
+        ),
+        (
+            "10,000 nested calls",
+            format!("{}V(x){}", "sin(".repeat(10_000), ")".repeat(10_000)),
+        ),
+    ];
+    for (what, body) in cases {
+        let err = on_small_stack(move || CompiledModule::compile(&ahdl_module(&body)).err());
+        assert!(
+            matches!(err, Some(AhdlError::Parse { line: 3, .. })),
+            "{what}: {err:?}"
+        );
+    }
+    // At the limit: 255 minus signs and the `V(x)` call open 256 levels.
+    let depth = ahfic_ahdl::parse::MAX_DEPTH;
+    let body = format!("{}V(x)", "-".repeat(depth - 1));
+    let compiled = on_small_stack(move || CompiledModule::compile(&ahdl_module(&body)).is_ok());
+    assert!(compiled, "{depth} levels compile");
+}
